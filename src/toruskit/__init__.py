@@ -21,7 +21,6 @@ from .embedding import (
 from .lattice import (
     Frequency,
     LatticeBall,
-    NormKind,
     enumerate_ball,
     level_multiplicity,
     levels_up_to,

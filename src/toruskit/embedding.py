@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import tail_min_norm_sq
-from .operators import l2_norm, norm_sq_array, sobolev_norm_sq
+from .operators import kept_by_truncation, l2_norm, norm_sq_array, sobolev_norm_sq
 from .transform import SpectralField
 
 _H1_SLACK = 1e-9
@@ -79,7 +79,7 @@ class TailBound(NamedTuple):
 
 
 def _kept_mask(c: SpectralField, cutoff: int) -> np.ndarray:
-    return norm_sq_array(c.grid) < tail_min_norm_sq(cutoff)
+    return kept_by_truncation(norm_sq_array(c.grid), cutoff)
 
 
 def tail_projection(c: SpectralField, cutoff: int) -> SpectralField:

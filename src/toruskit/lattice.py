@@ -1,25 +1,24 @@
 """Integer frequency lattice Z^n: norms, balls, eigenvalue levels, multiplicities.
 
 Every mode of the n-torus is labelled by an integer multi-index xi in Z^n.
-This module enumerates and measures finite pieces of that lattice by
-exhaustive scanning; nothing here relies on number-theoretic closed forms,
-so absent levels (e.g. 7 is not a sum of two squares) fall out of the scan
-rather than being hard-coded.
+The level counts r_n(k) = #{xi : |xi|^2 = k} are the coefficients of the
+theta series theta(q)^n, theta(q) = sum_x q^(x^2); `levels_up_to` obtains
+them by n-fold integer convolution of the indicator of the squares.  Balls
+and single-level counts are found by exhaustive box scan, which is also the
+oracle the convolution is tested against.  Nothing here relies on
+number-theoretic closed forms, so absent levels (e.g. 7 is not a sum of two
+squares) fall out of the count rather than being hard-coded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 Frequency = tuple[int, ...]
-
-
-class NormKind(Enum):
-    EUCLIDEAN = "euclidean"
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class LatticeBall:
 
     dimension: int
     radius: int
-    norm_kind: NormKind = NormKind.EUCLIDEAN
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -96,18 +94,26 @@ def level_multiplicity(n: int, k: int) -> int:
 def levels_up_to(n: int, cap: int) -> list[tuple[int, int]]:
     """Representable levels k <= cap with their multiplicities, ascending.
 
-    A single scan of the box [-isqrt(cap), isqrt(cap)]^n histograms norm_sq;
-    levels with zero count are simply never seen, so gaps such as k = 7 for
-    n = 2 are discovered, not assumed.
+    The multiplicities are the coefficients of theta(q)^n up to q^cap, with
+    theta(q) = 1 + 2 sum_{x >= 1} q^(x^2): n times over, the count array is
+    multiplied by theta as one shifted add per square, O(n cap sqrt(cap)) in
+    all.  Levels with zero count are simply never reported, so gaps such as
+    k = 7 for n = 2 are discovered, not assumed.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if cap < 0:
         raise ValueError(f"level cap must be >= 0, got {cap}")
     r = math.isqrt(cap)
-    counts: Counter[int] = Counter()
-    for xi in itertools.product(range(-r, r + 1), repeat=n):
-        k = norm_sq(xi)
-        if k <= cap:
-            counts[k] += 1
-    return sorted(counts.items())
+    # every count is at most the (2r + 1)^n points of the scanned box; beyond
+    # int64, count in Python integers, which do not wrap
+    exact_in_int64 = (2 * r + 1) ** n <= np.iinfo(np.int64).max
+    counts = np.zeros(cap + 1, dtype=np.int64 if exact_in_int64 else object)
+    counts[0] = 1
+    for _ in range(n):
+        product = counts.copy()
+        for x in range(1, r + 1):
+            square = x * x
+            product[square:] += 2 * counts[: cap + 1 - square]
+        counts = product
+    return [(k, m) for k, m in enumerate(counts.tolist()) if m]

@@ -3,17 +3,20 @@
 A multiplier acts coefficient-wise, c(xi) -> sigma(xi) c(xi).  The built-in
 symbols cover the positive Laplacian |xi|^2, the Helmholtz operator
 1 + |xi|^2, its inverse (the resolvent, operator norm 1), and level-cutoff
-truncations of the resolvent.
+truncations of the resolvent.  Each is a function of k = |xi|^2 alone and
+is evaluated on one cached |xi|^2 array per grid.
 
 Truncation membership: a cutoff-N truncation keeps the mode xi exactly when
 norm_sq(xi) < (N + 1)^2, so the removed tail starts at squared norm
 (N + 1)^2 and the operator-norm error of the truncated resolvent is
 1/((N + 1)^2 + 1) in every dimension.  Integer frequencies with
-N < |xi| < N + 1 (possible for n >= 2) are kept.
+N < |xi| < N + 1 (possible for n >= 2) are kept; `kept_by_truncation`
+applies this rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,65 +28,112 @@ from .transform import SpectralField, TorusGrid
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """Real-valued function of the frequency defining a diagonal operator."""
+    """Real-valued function of the frequency defining a diagonal operator.
+
+    Give exactly one of the two forms.  A radial symbol depends on xi only
+    through k = |xi|^2 and is given by `of_norm_sq`, which maps a float
+    array of k values to the symbol's values elementwise; every built-in
+    symbol is radial.  Any other symbol is given by `eval`, a function of
+    one frequency tuple.
+    """
 
     name: str
-    eval: Callable[[Frequency], float]
+    eval: Callable[[Frequency], float] | None = None
+    of_norm_sq: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.eval is None) == (self.of_norm_sq is None):
+            raise ValueError(
+                f"symbol {self.name!r} needs exactly one of eval and of_norm_sq"
+            )
 
     def __call__(self, xi: Frequency) -> float:
+        if self.of_norm_sq is not None:
+            return float(self.of_norm_sq(np.array(float(norm_sq(xi)))))
         return self.eval(xi)
 
 
+def kept_by_truncation(k: np.ndarray, cutoff: int) -> np.ndarray:
+    """Mask of the squared norms k that a cutoff-N truncation keeps.
+
+    The one place the membership rule norm_sq < tail_min_norm_sq(cutoff)
+    is applied; the truncation symbols and the embedding projections all
+    use it.
+    """
+    return k < tail_min_norm_sq(cutoff)
+
+
 def identity_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("identity", lambda xi: 1.0)
+    return MultiplierSymbol("identity", of_norm_sq=np.ones_like)
 
 
 def laplacian_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("laplacian", lambda xi: float(norm_sq(xi)))
+    # a copy: norm_sq_array hands out one shared read-only array per grid
+    return MultiplierSymbol("laplacian", of_norm_sq=np.copy)
 
 
 def helmholtz_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("helmholtz", lambda xi: 1.0 + norm_sq(xi))
+    return MultiplierSymbol("helmholtz", of_norm_sq=lambda k: 1.0 + k)
 
 
 def resolvent_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("resolvent", lambda xi: 1.0 / (1.0 + norm_sq(xi)))
+    return MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (1.0 + k))
 
 
 def truncated_resolvent_symbol(cutoff: int) -> MultiplierSymbol:
-    start = tail_min_norm_sq(cutoff)
+    """Resolvent on modes with norm_sq < (N+1)^2, zero beyond."""
+    tail_min_norm_sq(cutoff)  # reject a negative cutoff here, not at first use
     return MultiplierSymbol(
         f"truncated_resolvent({cutoff})",
-        lambda xi: 1.0 / (1.0 + norm_sq(xi)) if norm_sq(xi) < start else 0.0,
+        of_norm_sq=lambda k: np.where(
+            kept_by_truncation(k, cutoff), 1.0 / (1.0 + k), 0.0
+        ),
     )
 
 
 def resolvent_tail_symbol(cutoff: int) -> MultiplierSymbol:
     """Resolvent minus its cutoff truncation: supported on norm_sq >= (N+1)^2."""
-    start = tail_min_norm_sq(cutoff)
+    tail_min_norm_sq(cutoff)
     return MultiplierSymbol(
         f"resolvent_tail({cutoff})",
-        lambda xi: 1.0 / (1.0 + norm_sq(xi)) if norm_sq(xi) >= start else 0.0,
+        of_norm_sq=lambda k: np.where(
+            kept_by_truncation(k, cutoff), 0.0, 1.0 / (1.0 + k)
+        ),
     )
 
 
 def symbol_array(symbol: MultiplierSymbol, grid: TorusGrid) -> np.ndarray:
-    """Evaluate a symbol on every stored frequency of the grid's box."""
-    flat = np.fromiter(
-        (symbol(xi) for xi in grid.frequencies()), dtype=np.float64, count=grid.size
-    )
-    if not np.all(np.isfinite(flat)):
+    """Evaluate a symbol on every stored frequency of the grid's box.
+
+    A radial symbol is evaluated once on the grid's cached |xi|^2 array; any
+    other symbol is called once per frequency tuple.
+    """
+    if symbol.of_norm_sq is not None:
+        values = symbol.of_norm_sq(norm_sq_array(grid))
+    else:
+        values = np.fromiter(
+            (symbol(xi) for xi in grid.frequencies()),
+            dtype=np.float64,
+            count=grid.size,
+        ).reshape(grid.shape)
+    if not np.all(np.isfinite(values)):
         raise ValueError(
             f"symbol {symbol.name!r} produced non-finite values on the box"
         )
-    return flat.reshape(grid.shape)
+    return values
 
 
+@functools.lru_cache(maxsize=8)
 def norm_sq_array(grid: TorusGrid) -> np.ndarray:
-    """|xi|^2 over the stored box, vectorized."""
-    freqs = grid.axis_frequencies().astype(np.float64)
-    meshes = np.meshgrid(*(freqs,) * grid.dimension, indexing="ij")
-    return sum(m * m for m in meshes)
+    """|xi|^2 over the stored box as float64, in storage order.
+
+    Memoized per grid (the grid is frozen, so equal grids share one entry)
+    for the few most recent grids; the array is shared, hence read-only.
+    """
+    sq = grid.axis_frequencies().astype(np.float64) ** 2
+    k = functools.reduce(np.add.outer, (sq,) * grid.dimension)
+    k.flags.writeable = False
+    return k
 
 
 def apply_multiplier(c: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
@@ -104,8 +154,6 @@ def truncated_resolvent(c: SpectralField, cutoff: int) -> SpectralField:
 
     As an operator on the stored box its rank is the number of kept modes.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     return apply_multiplier(c, truncated_resolvent_symbol(cutoff))
 
 

@@ -15,8 +15,8 @@ sum_xi |c(xi)|^2 = M^{-n} sum_m |u(x_m)|^2.
 
 Two independent evaluation routes are provided: a mixed-radix
 Cooley-Tukey transform applied axis by axis (falling back to a dense
-axis transform at prime lengths), and a literal double-summation oracle
-used to cross-check it.
+axis transform at prime lengths, up to MAX_DENSE_LENGTH), and a literal
+double-summation oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -180,8 +180,19 @@ def _smallest_factor(m: int) -> int:
     return m
 
 
+# Largest length the dense fallback builds, so that one cached m x m complex
+# matrix takes at most 64 MiB.
+MAX_DENSE_LENGTH = 2048
+
+
 @functools.lru_cache(maxsize=64)
 def _dense_dft_matrix(m: int, sign: int) -> np.ndarray:
+    if m > MAX_DENSE_LENGTH:
+        raise ValueError(
+            f"points: the axis length has the prime factor {m}, above the "
+            f"dense-transform limit {MAX_DENSE_LENGTH}; choose points whose "
+            f"prime factors are all <= {MAX_DENSE_LENGTH}"
+        )
     j = np.arange(m)
     return np.exp(sign * 2j * np.pi / m * np.outer(j, j))
 

@@ -235,6 +235,14 @@ def test_dimension_out_of_range(tmp_path):
     )
 
 
+def test_large_prime_points_is_a_usage_error(tmp_path, capsys):
+    code = run("transform", "--dimension", 1, "--points", 4099, "--seed", 0,
+               "--output", tmp_path / "t.csv")
+    assert code == 2
+    assert "points" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_unknown_command():
     assert run("frobnicate") == 2
 

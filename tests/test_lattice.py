@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -108,6 +110,39 @@ def test_levels_agree_with_per_level_scan():
     for n in (1, 2, 3):
         for k, mult in levels_up_to(n, 10):
             assert mult == level_multiplicity(n, k)
+
+
+@pytest.mark.parametrize("n, radius", [(1, 50), (2, 30), (3, 12), (4, 6)])
+def test_levels_match_box_scan_well_above_cap_10(n, radius):
+    cap = radius * radius
+    scan = Counter(norm_sq(xi) for xi in enumerate_ball(LatticeBall(n, radius)))
+    assert levels_up_to(n, cap) == sorted(scan.items())
+
+
+def test_levels_discover_3d_gaps():
+    # 7, 15, 23 and 28 are of the form 4^a (8b + 7): not sums of three squares
+    levels = dict(levels_up_to(3, 30))
+    for gap in (7, 15, 23, 28):
+        assert gap not in levels
+        assert level_multiplicity(3, gap) == 0
+    assert set(range(31)) - set(levels) == {7, 15, 23, 28}
+
+
+def test_levels_count_exactly_beyond_int64():
+    # for k <= 8 every entry is 0, +-1 or +-2; b entries of +-2 and
+    # k - 4b entries of +-1 give the closed form below
+    n = 1000
+
+    def r(k):
+        return sum(
+            math.comb(n, b) * 2**b * math.comb(n - b, k - 4 * b) * 2 ** (k - 4 * b)
+            for b in range(k // 4 + 1)
+        )
+
+    levels = levels_up_to(n, 8)
+    assert levels == [(k, r(k)) for k in range(9)]
+    assert levels[-1][1] > 2**63
+    assert all(type(m) is int for _, m in levels)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

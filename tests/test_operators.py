@@ -14,6 +14,7 @@ from toruskit import (
     l2_norm,
     laplacian,
     laplacian_symbol,
+    norm_sq,
     resolvent,
     resolvent_symbol,
     resolvent_tail_symbol,
@@ -21,6 +22,7 @@ from toruskit import (
     truncated_resolvent,
     truncated_resolvent_symbol,
 )
+from toruskit.operators import norm_sq_array, symbol_array
 
 from conftest import random_spectral, spectral_delta
 
@@ -185,3 +187,65 @@ def test_non_finite_symbol_rejected(grid_2d_9):
     bad = MultiplierSymbol("explodes", lambda xi: math.inf)
     with pytest.raises(ValueError, match="explodes"):
         apply_multiplier(c, bad)
+
+
+def test_non_finite_radial_symbol_rejected(grid_2d_9):
+    c = spectral_delta(grid_2d_9, (0, 0))
+    bad = MultiplierSymbol("explodes", of_norm_sq=lambda k: np.where(k > 4, np.inf, k))
+    with pytest.raises(ValueError, match="explodes"):
+        apply_multiplier(c, bad)
+
+
+def test_symbol_needs_exactly_one_form():
+    with pytest.raises(ValueError, match="exactly one"):
+        MultiplierSymbol("neither")
+    with pytest.raises(ValueError, match="exactly one"):
+        MultiplierSymbol("both", lambda xi: 1.0, np.ones_like)
+
+
+def _reference_symbols(cutoff: int) -> list:
+    """Per-frequency formulas, written independently of the k-array forms."""
+    start = (cutoff + 1) ** 2
+
+    def inv(xi):
+        return 1.0 / (1.0 + norm_sq(xi))
+
+    return [
+        (identity_symbol(), lambda xi: 1.0),
+        (laplacian_symbol(), lambda xi: float(norm_sq(xi))),
+        (helmholtz_symbol(), lambda xi: 1.0 + norm_sq(xi)),
+        (resolvent_symbol(), inv),
+        (
+            truncated_resolvent_symbol(cutoff),
+            lambda xi: inv(xi) if norm_sq(xi) < start else 0.0,
+        ),
+        (
+            resolvent_tail_symbol(cutoff),
+            lambda xi: inv(xi) if norm_sq(xi) >= start else 0.0,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 11), TorusGrid(2, 9), TorusGrid(3, 7)])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
+def test_symbol_array_equals_per_frequency_evaluation(grid, cutoff):
+    for sym, reference in _reference_symbols(cutoff):
+        got = symbol_array(sym, grid)
+        per_mode = np.array([sym(xi) for xi in grid.frequencies()]).reshape(grid.shape)
+        expected = np.array(
+            [reference(xi) for xi in grid.frequencies()]
+        ).reshape(grid.shape)
+        assert np.array_equal(got, per_mode), sym.name
+        assert np.array_equal(got, expected), sym.name
+        assert got.flags.writeable, sym.name
+
+
+def test_norm_sq_array_is_shared_and_read_only():
+    k = norm_sq_array(TorusGrid(3, 5))
+    assert norm_sq_array(TorusGrid(3, 5)) is k
+    assert norm_sq_array(TorusGrid(3, 7)) is not k
+    expected = [float(norm_sq(xi)) for xi in TorusGrid(3, 5).frequencies()]
+    assert k.ravel().tolist() == expected
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0, 0] = 1.0

@@ -109,6 +109,14 @@ def test_fast_path_composite_lengths(m):
     assert np.max(np.abs(inverse(fast).values - u.values)) < 1e-11
 
 
+@pytest.mark.parametrize("m", [4099, 3 * 2053])
+def test_dense_fallback_refuses_large_prime_factors(m):
+    # 4099 and 2053 are primes above the dense-transform limit of 2048
+    u = GridField(TorusGrid(1, m), np.zeros(m))
+    with pytest.raises(ValueError, match="points: .*prime factor"):
+        forward(u)
+
+
 def test_naive_linearity():
     g = TorusGrid(1, 9)
     rng = np.random.default_rng(7)
