@@ -19,6 +19,8 @@ import numpy as np
 from . import embedding, operators, solver, spectral, transform
 
 _DIMENSIONS = (1, 2, 3)
+# Largest grid a command builds: 2**22 points, 64 MiB per complex field.
+MAX_GRID_POINTS = 2**22
 
 
 class UsageError(ValueError):
@@ -34,9 +36,15 @@ def _check_dimension(n: int) -> int:
 def _make_grid(n: int, points: int) -> transform.TorusGrid:
     _check_dimension(n)
     try:
-        return transform.TorusGrid(n, points)
+        grid = transform.TorusGrid(n, points)
     except ValueError as exc:
         raise UsageError(f"points: {exc}") from exc
+    if grid.size > MAX_GRID_POINTS:
+        raise UsageError(
+            f"points: a grid of {points}**{n} = {grid.size} points exceeds "
+            f"the limit of {MAX_GRID_POINTS}"
+        )
+    return grid
 
 
 def _write(path: str, text: str) -> None:

@@ -66,17 +66,20 @@ def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
 
 
 def solve_cg(
-    f: GridField, tol: float = 1e-10, max_iter: int = 1000
+    f: GridField, tol: float = 1e-10, max_iter: int | None = None
 ) -> tuple[GridField, SolveReport]:
     """Conjugate gradients on the grid-side operator.
 
     Stops once the residual drops to tol * ||f||; in exact arithmetic the
     iteration count never exceeds the number of distinct eigenvalue levels
-    1 + |xi|^2 present in f's spectral support.
+    1 + |xi|^2 present in f's spectral support.  max_iter defaults to the
+    grid size, the exact-arithmetic bound on any space of that dimension.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = f.grid
+    if max_iter is None:
+        max_iter = grid.size
     start = time.perf_counter()
     f_norm = float(np.linalg.norm(f.values.ravel()))
     if f_norm == 0.0:

@@ -13,15 +13,13 @@ and the inverse is the unnormalized synthesis u(x_m) = sum_xi c(xi)
 exp(i xi . x_m); with this placement the discrete Parseval identity reads
 sum_xi |c(xi)|^2 = M^{-n} sum_m |u(x_m)|^2.
 
-Two independent evaluation routes are provided: a mixed-radix
-Cooley-Tukey transform applied axis by axis (falling back to a dense
-axis transform at prime lengths, up to MAX_DENSE_LENGTH), and a literal
-double-summation oracle used to cross-check it.
+Two independent evaluation routes are provided: numpy.fft (pocketfft,
+O(M^n log M) at every length, primes included) as the production path,
+and a literal double-summation oracle used to cross-check it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -164,92 +162,21 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
         raise ValueError(f"fields live on different grids: {a} vs {b}")
 
 
-# ---------------------------------------------------------------------------
-# Fast path: mixed-radix Cooley-Tukey along one axis at a time.
-# ---------------------------------------------------------------------------
-
-
-def _smallest_factor(m: int) -> int:
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
-
-
-# Largest length the dense fallback builds, so that one cached m x m complex
-# matrix takes at most 64 MiB.
-MAX_DENSE_LENGTH = 2048
-
-
-@functools.lru_cache(maxsize=64)
-def _dense_dft_matrix(m: int, sign: int) -> np.ndarray:
-    if m > MAX_DENSE_LENGTH:
-        raise ValueError(
-            f"points: the axis length has the prime factor {m}, above the "
-            f"dense-transform limit {MAX_DENSE_LENGTH}; choose points whose "
-            f"prime factors are all <= {MAX_DENSE_LENGTH}"
-        )
-    j = np.arange(m)
-    return np.exp(sign * 2j * np.pi / m * np.outer(j, j))
-
-
-@functools.lru_cache(maxsize=64)
-def _twiddle(m: int, p: int, sign: int) -> np.ndarray:
-    # w^{r b} for r < p, b < m/p, with w the length-m root of unit modulus
-    r = np.arange(p).reshape(p, 1)
-    b = np.arange(m // p).reshape(1, m // p)
-    return np.exp(sign * 2j * np.pi / m * r * b)
-
-
-def _fft_last_axis(x: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized DFT sum_j x_j w^{jk}, w = exp(sign 2pi i / m), last axis."""
-    m = x.shape[-1]
-    p = _smallest_factor(m)
-    if p == m or m <= 4:
-        # prime length (or tiny): dense axis transform
-        return x @ _dense_dft_matrix(m, sign)
-    q = m // p
-    # decimate in time: sub[..., r, :] holds x[..., r::p]
-    sub = np.moveaxis(x.reshape(*x.shape[:-1], q, p), -1, -2)
-    sub = _fft_last_axis(sub, sign) * _twiddle(m, p, sign)
-    # recombine with a p-point DFT across the residue axis:
-    # out[..., a, b] = sum_r W_p[a, r] * sub[..., r, b]  equals X[a*q + b]
-    out = np.einsum("ar,...rb->...ab", _dense_dft_matrix(p, sign), sub)
-    return out.reshape(*x.shape[:-1], m)
-
-
-def _fft_axis(x: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    moved = np.moveaxis(x, axis, -1)
-    return np.moveaxis(_fft_last_axis(moved, sign), -1, axis)
-
-
 def forward(u: GridField) -> SpectralField:
     """Analysis transform: c(xi) = M^{-n} sum_m u(x_m) exp(-i xi . x_m).
 
     Exact (to roundoff) for any field band-limited to the symmetric box.
     """
-    grid = u.grid
-    vals = u.values
-    for axis in range(grid.dimension):
-        vals = _fft_axis(vals, axis, sign=-1)
-    # reorder k = 0..M-1 into the symmetric box xi = -h..h
-    vals = np.roll(vals, grid.box_radius, axis=tuple(range(grid.dimension)))
-    return SpectralField(grid, vals / grid.size)
+    # on odd M, fftshift reorders k = 0..M-1 into the symmetric box xi = -h..h
+    coefficients = np.fft.fftn(u.values, norm="forward")
+    return SpectralField(u.grid, np.fft.fftshift(coefficients))
 
 
 def inverse(c: SpectralField) -> GridField:
     """Synthesis transform: u(x_m) = sum_xi c(xi) exp(i xi . x_m)."""
-    grid = c.grid
-    vals = np.roll(
-        c.coefficients, -grid.box_radius, axis=tuple(range(grid.dimension))
+    return GridField(
+        c.grid, np.fft.ifftn(np.fft.ifftshift(c.coefficients), norm="forward")
     )
-    for axis in range(grid.dimension):
-        vals = _fft_axis(vals, axis, sign=+1)
-    return GridField(grid, vals)
 
 
 # ---------------------------------------------------------------------------

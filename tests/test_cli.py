@@ -235,12 +235,29 @@ def test_dimension_out_of_range(tmp_path):
     )
 
 
-def test_large_prime_points_is_a_usage_error(tmp_path, capsys):
-    code = run("transform", "--dimension", 1, "--points", 4099, "--seed", 0,
+def test_large_prime_points_transform(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run("transform", "--dimension", 1, "--points", 4099, "--seed", 0,
+               "--output", out) == 0
+    assert out.exists()
+
+
+def test_oversized_grid_is_a_usage_error(tmp_path, capsys):
+    # 2001**3 points would need about 128 GB per complex field
+    code = run("transform", "--dimension", 3, "--points", 2001, "--seed", 0,
                "--output", tmp_path / "t.csv")
     assert code == 2
     assert "points" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_solve_large_1d_grid_converges(tmp_path):
+    # unpreconditioned CG needs about 0.77 * M iterations on a 1-D grid
+    out = tmp_path / "sol.csv"
+    assert run("solve", "--dimension", 1, "--points", 1501, "--seed", 0,
+               "--output", out) == 0
+    rows = out.read_text().strip().splitlines()
+    assert int(rows[2].split(",")[2]) > 1000
 
 
 def test_unknown_command():

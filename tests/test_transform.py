@@ -97,24 +97,16 @@ def test_naive_single_mode():
     assert abs(c[(3,)] - 1.0) < 1e-13
 
 
-@pytest.mark.parametrize("m", [15, 21, 45, 105])
+@pytest.mark.parametrize("m", [15, 21, 45, 105, 2053])
 def test_fast_path_composite_lengths(m):
-    # exercises the mixed-radix recursion across several factorizations,
-    # including prime-length base cases (5, 7) inside the recursion
+    # composite lengths of several factorizations, and the prime 2053,
+    # against the double sum
     g = TorusGrid(1, m)
     rng = np.random.default_rng(m)
     u = random_grid(g, rng)
     fast = forward(u)
     assert np.max(np.abs(fast.coefficients - naive_forward(u).coefficients)) < 1e-11
     assert np.max(np.abs(inverse(fast).values - u.values)) < 1e-11
-
-
-@pytest.mark.parametrize("m", [4099, 3 * 2053])
-def test_dense_fallback_refuses_large_prime_factors(m):
-    # 4099 and 2053 are primes above the dense-transform limit of 2048
-    u = GridField(TorusGrid(1, m), np.zeros(m))
-    with pytest.raises(ValueError, match="points: .*prime factor"):
-        forward(u)
 
 
 def test_naive_linearity():
