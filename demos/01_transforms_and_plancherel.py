@@ -21,7 +21,7 @@ for xi in ((1,), (-1,), (0,), (2,)):
 back = tk.inverse(c)
 print("round-trip max error:", np.max(np.abs(back.values - u.values)))
 
-# The numpy.fft (pocketfft) path agrees with the literal double-sum oracle.
+# The numpy.fft (pocketfft) path agrees with the direct-sum oracle.
 rng = np.random.default_rng(0)
 noisy = tk.random_field(grid, rng)
 gap = np.max(

@@ -54,6 +54,7 @@ from .solver import (
 from .spectral import (
     PowerIterationError,
     SpectrumReport,
+    eigenpair_residuals,
     lambda_to_mu,
     laplacian_spectrum,
     mu_to_lambda,

@@ -13,9 +13,14 @@ and the inverse is the unnormalized synthesis u(x_m) = sum_xi c(xi)
 exp(i xi . x_m); with this placement the discrete Parseval identity reads
 sum_xi |c(xi)|^2 = M^{-n} sum_m |u(x_m)|^2.
 
-Two independent evaluation routes are provided: numpy.fft (pocketfft,
-O(M^n log M) at every length, primes included) as the production path,
-and a literal double-summation oracle used to cross-check it.
+Two independent evaluation routes are provided.  The production path is
+numpy.fft (pocketfft, O(M^n log M) at every length, primes included),
+applied by one private array-level pair over the trailing n axes, so a
+stack of fields goes through the same code as a single one.  The oracle
+that cross-checks it is a blocked direct sum, O(M^{2n}) and with no FFT:
+each block of kernel rows exp(-+i xi . x_m) is gathered from the M roots
+of unity by the exact integer phase (xi . m) mod M, and is then one
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
             f"{what} has {arr.size} entries, grid holds {grid.size}"
         )
     arr = arr.reshape(grid.shape)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -162,51 +167,84 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
         raise ValueError(f"fields live on different grids: {a} vs {b}")
 
 
+def _analysis(values: np.ndarray, dimension: int) -> np.ndarray:
+    """Forward transform of the trailing `dimension` axes, shifted into the box."""
+    axes = tuple(range(-dimension, 0))
+    # on odd M, fftshift reorders k = 0..M-1 into the symmetric box xi = -h..h
+    coefficients = np.fft.fftn(values, axes=axes, norm="forward")
+    return np.fft.fftshift(coefficients, axes=axes)
+
+
+def _synthesis(coefficients: np.ndarray, dimension: int) -> np.ndarray:
+    """Inverse of `_analysis` over the trailing `dimension` axes."""
+    axes = tuple(range(-dimension, 0))
+    return np.fft.ifftn(
+        np.fft.ifftshift(coefficients, axes=axes), axes=axes, norm="forward"
+    )
+
+
 def forward(u: GridField) -> SpectralField:
     """Analysis transform: c(xi) = M^{-n} sum_m u(x_m) exp(-i xi . x_m).
 
     Exact (to roundoff) for any field band-limited to the symmetric box.
     """
-    # on odd M, fftshift reorders k = 0..M-1 into the symmetric box xi = -h..h
-    coefficients = np.fft.fftn(u.values, norm="forward")
-    return SpectralField(u.grid, np.fft.fftshift(coefficients))
+    return SpectralField(u.grid, _analysis(u.values, u.grid.dimension))
 
 
 def inverse(c: SpectralField) -> GridField:
     """Synthesis transform: u(x_m) = sum_xi c(xi) exp(i xi . x_m)."""
-    return GridField(
-        c.grid, np.fft.ifftn(np.fft.ifftshift(c.coefficients), norm="forward")
-    )
+    return GridField(c.grid, _synthesis(c.coefficients, c.grid.dimension))
 
 
 # ---------------------------------------------------------------------------
-# Oracle path: literal double summation, O(M^{2n}).
+# Oracle path: blocked direct summation, O(M^{2n}).
 # ---------------------------------------------------------------------------
 
+# Complex entries per block of kernel rows; larger blocks raise peak memory
+# for little speed.
+_BLOCK_ENTRIES = 2**12
 
-def _coordinate_meshes(grid: TorusGrid) -> list[np.ndarray]:
-    return list(np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij"))
+
+def _frequency_vectors(grid: TorusGrid) -> np.ndarray:
+    """Every stored frequency as an integer row, in storage order: (size, n)."""
+    indices = np.indices(grid.shape).reshape(grid.dimension, grid.size)
+    return indices.T - grid.box_radius
+
+
+def _mode_blocks(grid: TorusGrid, frequencies: np.ndarray, sign: int):
+    """Yield (rows, kernel) over blocks of the integer frequency rows given.
+
+    kernel[r, m] = exp(sign * i * xi_r . x_m) over the flattened grid, for
+    the frequencies frequencies[rows].  The phase xi . m is an exact integer,
+    so each entry is the root of unity exp(sign * 2 pi i j / M) at
+    j = (xi . m) mod M, looked up instead of evaluated.
+    """
+    m = grid.points_per_axis
+    roots = np.exp(sign * 2j * math.pi * np.arange(m) / m)
+    points = np.indices(grid.shape).reshape(grid.dimension, grid.size)
+    step = max(1, _BLOCK_ENTRIES // grid.size)
+    for start in range(0, len(frequencies), step):
+        rows = slice(start, min(start + step, len(frequencies)))
+        yield rows, roots[(frequencies[rows] @ points) % m]
 
 
 def naive_forward(u: GridField) -> SpectralField:
     """Direct-sum analysis: one full-grid sum per stored frequency."""
     grid = u.grid
-    meshes = _coordinate_meshes(grid)
-    out = np.empty(grid.shape, dtype=np.complex128)
-    for idx, xi in zip(np.ndindex(grid.shape), grid.frequencies()):
-        phase = sum(x * mesh for x, mesh in zip(xi, meshes))
-        out[idx] = np.sum(u.values * np.exp(-1j * phase))
+    samples = u.values.ravel()
+    out = np.empty(grid.size, dtype=np.complex128)
+    for rows, kernel in _mode_blocks(grid, _frequency_vectors(grid), -1):
+        out[rows] = kernel @ samples
     return SpectralField(grid, out / grid.size)
 
 
 def naive_inverse(c: SpectralField) -> GridField:
-    """Direct-sum synthesis: accumulate c(xi) exp(i xi . x) mode by mode."""
+    """Direct-sum synthesis: accumulate c(xi) exp(i xi . x) block by block."""
     grid = c.grid
-    meshes = _coordinate_meshes(grid)
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for idx, xi in zip(np.ndindex(grid.shape), grid.frequencies()):
-        phase = sum(x * mesh for x, mesh in zip(xi, meshes))
-        out += c.coefficients[idx] * np.exp(1j * phase)
+    coefficients = c.coefficients.ravel()
+    out = np.zeros(grid.size, dtype=np.complex128)
+    for rows, kernel in _mode_blocks(grid, _frequency_vectors(grid), 1):
+        out += coefficients[rows] @ kernel
     return GridField(grid, out)
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from toruskit import cli, field_from_doc, spectral as spectral_mod
+from toruskit import MultiplierSymbol, cli, field_from_doc, spectral as spectral_mod
+from toruskit import transform as transform_mod
 
 
 def run(*argv) -> int:
@@ -225,6 +226,32 @@ def test_verify_detects_tampering(monkeypatch, capsys):
     monkeypatch.setattr(spectral_mod, "truncation_error_exact", lambda n: 0.123)
     assert run("verify") == 1
     assert "FAIL operator-norms" in capsys.readouterr().out
+
+
+def test_verify_detects_wrong_resolvent_symbol(monkeypatch, capsys):
+    wrong = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))
+    monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: wrong)
+    assert run("verify") == 1
+    assert "FAIL resolvent-eigenpairs" in capsys.readouterr().out
+
+
+def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
+    forward = transform_mod.forward
+
+    def perturbed(u):
+        c = forward(u)
+        c.coefficients[(1,) * u.grid.dimension] += 1e-6
+        return c
+
+    monkeypatch.setattr(transform_mod, "forward", perturbed)
+    assert run("verify") == 1
+    assert "FAIL fast-vs-naive-transform" in capsys.readouterr().out
+
+
+def test_verify_refuses_grids_above_its_limit(capsys):
+    # 91**2 = 8281 points; the O(size**2) groups would run for minutes
+    assert run("verify", "--dimension", 2, "--points", 91) == 2
+    assert "points" in capsys.readouterr().err
 
 
 def test_dimension_out_of_range(tmp_path):

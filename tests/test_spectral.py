@@ -1,11 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from toruskit import (
+    GridField,
+    MultiplierSymbol,
     PowerIterationError,
     TorusGrid,
+    apply_multiplier,
+    eigenpair_residuals,
+    forward,
+    grid_l2_norm,
     identity_symbol,
+    inverse,
     lambda_to_mu,
     laplacian_spectrum,
     level_multiplicity,
@@ -18,6 +26,7 @@ from toruskit import (
     truncation_error_exact,
     verify_eigenpair,
 )
+from toruskit import spectral as spectral_mod
 
 
 def test_laplacian_spectrum_2d():
@@ -189,6 +198,36 @@ def test_verify_eigenpair_rejects_out_of_box():
         verify_eigenpair((5, 0), grid)
     with pytest.raises(ValueError):
         verify_eigenpair((1,), grid)
+
+
+def per_mode_residuals(grid, symbol):
+    """The eigenpair residuals one mode at a time, from float phases."""
+    x = np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij")
+    out = []
+    for xi in grid.frequencies():
+        psi = GridField(grid, np.exp(1j * sum(k * axis for k, axis in zip(xi, x))))
+        t_psi = inverse(apply_multiplier(forward(psi), symbol))
+        out.append(grid_l2_norm(t_psi - psi * (1.0 / (1.0 + sum(k * k for k in xi)))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+@pytest.mark.parametrize("n,m", [(1, 15), (2, 9), (3, 7)])
+def test_eigenpair_residuals_match_per_mode_check(monkeypatch, n, m, tampered):
+    # a wrong symbol makes every residual nonzero and mode-dependent, which
+    # also checks that the rows come back in storage order
+    symbol = resolvent_symbol()
+    if tampered:
+        symbol = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))
+        monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: symbol)
+    grid = TorusGrid(n, m)
+    got = eigenpair_residuals(grid)
+    expected = per_mode_residuals(grid, symbol)
+    assert got.shape == (grid.size,)
+    assert np.max(np.abs(got - expected)) <= 1e-15
+    assert (np.max(got) > 0.01) == tampered
+    xi = next(itertools.islice(grid.frequencies(), grid.size - 2, None))
+    assert verify_eigenpair(xi, grid) == pytest.approx(got[grid.size - 2], abs=1e-15)
 
 
 def test_resolvent_singular_values_equal_flattened_spectrum():

@@ -18,6 +18,7 @@ from toruskit import (
     naive_inverse,
     plancherel_defect,
 )
+from toruskit.transform import _frequency_vectors, _mode_blocks
 
 from conftest import random_grid, random_spectral, spectral_delta
 
@@ -43,6 +44,15 @@ def test_rejects_non_finite_values():
         GridField(g, bad)
     with pytest.raises(ValueError, match="non-finite"):
         SpectralField(g, bad)
+    # one non-finite part is enough: a NaN only in the imaginary part, an
+    # infinity only in the real part
+    for value in (complex(1.0, np.nan), complex(np.inf, 0.0)):
+        bad = np.ones(5, dtype=complex)
+        bad[3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            GridField(g, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralField(g, bad)
 
 
 def test_forward_constant_field():
@@ -107,6 +117,40 @@ def test_fast_path_composite_lengths(m):
     fast = forward(u)
     assert np.max(np.abs(fast.coefficients - naive_forward(u).coefficients)) < 1e-11
     assert np.max(np.abs(inverse(fast).values - u.values)) < 1e-11
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_kernel_rows_match_exponentials_across_blocks(sign):
+    # 225 modes at 18 rows per block: the last block is short
+    g = TorusGrid(2, 15)
+    xis = _frequency_vectors(g)
+    assert xis.tolist() == [list(xi) for xi in g.frequencies()]
+    blocks = list(_mode_blocks(g, xis, sign))
+    rows = [r for r, _ in blocks]
+    assert rows[0] == slice(0, 18) and rows[-1] == slice(216, 225)
+    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    kernel = np.concatenate([k for _, k in blocks])
+    meshes = np.meshgrid(g.axis_points(), g.axis_points(), indexing="ij")
+    phase = xis[:, :1] * meshes[0].ravel() + xis[:, 1:] * meshes[1].ravel()
+    assert np.max(np.abs(kernel - np.exp(sign * 1j * phase))) < 1e-13
+
+
+def test_naive_oracle_makes_no_fft_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called numpy.fft")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    g = TorusGrid(3, 5)
+    xi = (2, -1, 1)
+    delta = spectral_delta(g, xi)
+    x = np.meshgrid(*(g.axis_points(),) * 3, indexing="ij")
+    mode = np.exp(1j * sum(k * axis for k, axis in zip(xi, x)))
+    assert np.max(np.abs(naive_forward(GridField(g, mode)).coefficients
+                         - delta.coefficients)) < 1e-14
+    assert np.max(np.abs(naive_inverse(delta).values - mode)) < 1e-14
+    with pytest.raises(AssertionError, match="numpy.fft"):
+        forward(GridField(g, mode))
 
 
 def test_naive_linearity():
