@@ -5,6 +5,11 @@ Exit codes: 0 on success, 1 when a numerical self-check fails, 2 on
 usage/validation errors.  Commands that draw random data require an explicit
 --seed (there is no wall-clock default), and identical configurations
 produce byte-identical data files apart from wall-time columns.
+
+Each self-check is one `_check_*` function, called by its command and by
+the matching `verify` group, so both apply the same rule.  `verify` prints
+one PASS/FAIL line per group with its wall seconds.  A command's CSV table
+and JSON document are written from the same rows.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +36,7 @@ class UsageError(ValueError):
     pass
 
 
-def _check_dimension(n: int) -> int:
-    if n not in _DIMENSIONS:
-        raise UsageError(f"dimension: must be one of {_DIMENSIONS}, got {n}")
-    return n
-
-
 def _make_grid(n: int, points: int) -> transform.TorusGrid:
-    _check_dimension(n)
     try:
         grid = transform.TorusGrid(n, points)
     except ValueError as exc:
@@ -59,6 +58,40 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv_text(header, rows) -> str:
+    """Rows of strings, Python ints and Python floats; `str` of an int or a
+    float is its `repr`, so floats read back exactly."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _records(header, rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _write_table(args, header, rows, make_doc=None) -> None:
+    """Write `rows` as CSV, or `make_doc()` (default: one object per row) as
+    JSON; only the format asked for is built, so a field is encoded once."""
+    if args.format == "csv":
+        text = _csv_text(header, rows)
+    elif make_doc is None:
+        text = _json_text(_records(header, rows))
+    else:
+        text = _json_text(make_doc())
+    _write(args.output, text)
+
+
+def _exceeds(what: str, value: float, bound: float) -> list[str]:
+    return [f"{what} {value} > {bound}"] if value > bound else []
+
+
+def _report_failures(failures: list[str]) -> int:
+    for failure in failures:
+        print(f"check failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def _random_grid_field(grid: transform.TorusGrid, seed: int) -> transform.GridField:
     return solver.random_field(grid, np.random.default_rng(seed))
 
@@ -72,61 +105,128 @@ def _random_spectral_field(
 
 
 # ---------------------------------------------------------------------------
+# Self-checks shared by the commands and `verify`.  Each returns its measured
+# numbers and a list of failures, empty when the invariant holds.
+# ---------------------------------------------------------------------------
+
+
+def _check_transform(u: transform.GridField):
+    """Forward-transform u; round trip (relative to max|u|, so independent
+    of scale) and Parseval must hold to 1e-12.  Returns (c, roundtrip error,
+    Parseval defect, failures)."""
+    c = transform.forward(u)
+    roundtrip = float(np.max(np.abs(transform.inverse(c).values - u.values))) / float(
+        np.max(np.abs(u.values))
+    )
+    defect = transform.plancherel_defect(u)
+    failures = _exceeds("roundtrip error", roundtrip, 1e-12)
+    failures += _exceeds("plancherel defect", defect, 1e-12)
+    return c, roundtrip, defect, failures
+
+
+def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
+    """Rows (N, exact, estimate, diff): the power-iteration norm of each
+    resolvent tail against 1/((N+1)^2+1), to 1e-8."""
+    rows = []
+    for k in cutoffs:
+        exact = spectral.truncation_error_exact(k)
+        estimate = spectral.operator_norm_power_iteration(
+            operators.resolvent_tail_symbol(k), grid, tol=1e-9, seed=seed
+        )
+        rows.append((k, exact, estimate, abs(exact - estimate)))
+    failures = [f"N={k}: |exact - power_iteration| = {diff} > 1e-8"
+                for k, _, _, diff in rows if diff > 1e-8]
+    return rows, failures
+
+
+def _check_tail_bounds(c: transform.SpectralField):
+    """Rows (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box radius."""
+    rows, failures = [], []
+    for cutoff in range(c.grid.box_radius + 1):
+        bound = embedding.tail_bound_check(c, cutoff)
+        rows.append((cutoff, bound.lhs, bound.rhs))
+        if not bound.holds:
+            failures.append(f"tail bound violated at N={cutoff}")
+    return rows, failures
+
+
+def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
+    """Extract from 64 seeded H^1-bounded fields; at least two indices, every
+    pair within epsilon by the direct oracle.  Returns the report."""
+    seq = embedding.random_bounded_sequence(grid, count=64, h1_bound=1.0, seed=seed)
+    indices = embedding.rellich_extract(seq, epsilon)
+    max_distance = max(embedding.pairwise_l2_distances(seq, indices), default=0.0)
+    report = {
+        "epsilon": epsilon,
+        "h1_bound": seq.h1_bound,
+        "cutoff": embedding.required_cutoff(seq.h1_bound, epsilon),
+        "item_count": len(seq.items),
+        "indices": list(indices),
+        "max_pairwise_l2": max_distance,
+    }
+    failures = ["extraction returned fewer than 2 indices"] if len(indices) < 2 else []
+    failures += _exceeds("extracted pair at L2 distance", max_distance, epsilon)
+    return report, failures
+
+
+def _check_solve(f: transform.GridField):
+    """Solve (Delta + 1) u = f by the multiplier and by CG.
+
+    Each solve's normwise backward error ||f - A u|| / (||A|| ||u|| + ||f||)
+    (Rigal & Gaches 1967), with the exact ||A|| = 1 + n h^2 on the box of
+    radius h, must be <= 1e-10; a residual bound in ||f|| alone falls below
+    the roundoff of applying A when ||A|| is large.  The solutions must agree
+    to 1e-9, and ||u|| <= ||f|| since the resolvent has norm 1.
+    Returns (u, (multiplier report, CG report), disagreement, failures).
+    """
+    u_mult, rep_mult = solver.solve_multiplier(f)
+    u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
+    gap = transform.grid_l2_norm(u_mult - u_cg)
+    f_l2 = transform.grid_l2_norm(f)
+    a_norm = 1 + f.grid.dimension * f.grid.box_radius**2
+    failures = []
+    for u, rep in ((u_mult, rep_mult), (u_cg, rep_cg)):
+        backward = rep.residual_l2 / (a_norm * transform.grid_l2_norm(u) + f_l2)
+        failures += _exceeds(f"{rep.method} backward error", backward, 1e-10)
+    failures += _exceeds("solver disagreement", gap, 1e-9)
+    failures += _exceeds("||u||", transform.grid_l2_norm(u_mult), f_l2 * (1 + 1e-12))
+    return u_mult, (rep_mult, rep_cg), gap, failures
+
+
+# ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_transform(args) -> int:
     grid = _make_grid(args.dimension, args.points)
-    u = _random_grid_field(grid, args.seed)
-    c = transform.forward(u)
-
-    roundtrip = float(
-        np.max(np.abs(transform.inverse(c).values - u.values))
-    ) / max(1.0, float(np.max(np.abs(u.values))))
-    defect = transform.plancherel_defect(u)
-    h_s = operators.sobolev_norm_sq(c, args.sobolev)
+    c, roundtrip, defect, failures = _check_transform(
+        _random_grid_field(grid, args.seed)
+    )
     print(f"roundtrip_error = {roundtrip!r}")
     print(f"plancherel_defect = {defect!r}")
     print(
-        f"sobolev_norm_sq(s={args.sobolev}) = {h_s!r} "
+        f"sobolev_norm_sq(s={args.sobolev}) = "
+        f"{operators.sobolev_norm_sq(c, args.sobolev)!r} "
         "(summed over the stored box only; exact for band-limited fields)"
     )
-
-    if args.format == "json":
-        _write(args.output, _json_text(transform.field_to_doc(c)))
-    else:
-        lines = [",".join(f"xi_{j + 1}" for j in range(grid.dimension)) + ",re,im"]
-        for xi, z in zip(grid.frequencies(), c.coefficients.ravel()):
-            coords = ",".join(str(x) for x in xi)
-            lines.append(f"{coords},{float(z.real)!r},{float(z.imag)!r}")
-        _write(args.output, "\n".join(lines) + "\n")
-
-    failures = []
-    if roundtrip > 1e-12:
-        failures.append(f"roundtrip error {roundtrip} > 1e-12")
-    if defect > 1e-12:
-        failures.append(f"plancherel defect {defect} > 1e-12")
+    header = [f"xi_{j + 1}" for j in range(grid.dimension)] + ["re", "im"]
+    rows = (
+        (*xi, float(z.real), float(z.imag))
+        for xi, z in zip(grid.frequencies(), c.coefficients.ravel())
+    )
+    _write_table(args, header, rows, lambda: transform.field_to_doc(c))
     return _report_failures(failures)
 
 
 def _cmd_spectrum(args) -> int:
-    _check_dimension(args.dimension)
     if args.level_cap < 0:
         raise UsageError(f"level-cap: must be >= 0, got {args.level_cap}")
     lap = spectral.laplacian_spectrum(args.dimension, args.level_cap)
     res = spectral.resolvent_spectrum(args.dimension, args.level_cap)
-    if args.format == "json":
-        _write(
-            args.output,
-            _json_text({"laplacian": lap.to_doc(), "resolvent": res.to_doc()}),
-        )
-    else:
-        lines = ["operator,eigenvalue,multiplicity"]
-        for report in (lap, res):
-            for eig, mult in report.levels:
-                lines.append(f"{report.operator},{eig!r},{mult}")
-        _write(args.output, "\n".join(lines) + "\n")
+    rows = ((r.operator, eig, mult) for r in (lap, res) for eig, mult in r.levels)
+    _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows,
+                 lambda: {"laplacian": lap.to_doc(), "resolvent": res.to_doc()})
     return 0
 
 
@@ -141,36 +241,8 @@ def _cmd_truncate(args) -> int:
             f"points: box radius {grid.box_radius} too small for truncation "
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
-    rows = []
-    for k in range(cutoff + 1):
-        exact = spectral.truncation_error_exact(k)
-        estimate = spectral.operator_norm_power_iteration(
-            operators.resolvent_tail_symbol(k), grid, tol=1e-9, seed=args.seed
-        )
-        rows.append((k, exact, estimate, abs(exact - estimate)))
-
-    if args.format == "json":
-        doc = [
-            {
-                "N": k,
-                "exact_error": exact,
-                "power_iteration_error": est,
-                "abs_diff": diff,
-            }
-            for k, exact, est, diff in rows
-        ]
-        _write(args.output, _json_text(doc))
-    else:
-        lines = ["N,exact_error,power_iteration_error,abs_diff"]
-        for k, exact, est, diff in rows:
-            lines.append(f"{k},{exact!r},{est!r},{diff!r}")
-        _write(args.output, "\n".join(lines) + "\n")
-
-    failures = [
-        f"N={k}: |exact - power_iteration| = {diff} > 1e-8"
-        for k, _, _, diff in rows
-        if diff > 1e-8
-    ]
+    rows, failures = _check_norm_law(grid, range(cutoff + 1), args.seed)
+    _write_table(args, ("N", "exact_error", "power_iteration_error", "abs_diff"), rows)
     return _report_failures(failures)
 
 
@@ -178,103 +250,52 @@ def _cmd_embed_demo(args) -> int:
     grid = _make_grid(args.dimension, args.points)
     if args.epsilon <= 0:
         raise UsageError(f"epsilon: must be positive, got {args.epsilon}")
-    rng = np.random.default_rng(args.seed)
-
-    c = _random_spectral_field(grid, rng)
-    tail_rows = []
-    failures = []
-    for cutoff in range(grid.box_radius + 1):
-        bound = embedding.tail_bound_check(c, cutoff)
-        tail_rows.append((cutoff, bound.lhs, bound.rhs))
-        if not bound.holds:
-            failures.append(f"tail bound violated at N={cutoff}")
-
-    try:
-        seq = embedding.random_bounded_sequence(
-            grid, count=64, h1_bound=1.0, seed=args.seed
+    side = Path(args.output).with_suffix(".json") if args.format == "csv" else None
+    if side == Path(args.output):
+        raise UsageError(
+            f"output: {args.output} would be overwritten by the extraction "
+            "report written beside a csv table; give the table another suffix"
         )
-        indices = embedding.rellich_extract(seq, args.epsilon)
-        distances = embedding.pairwise_l2_distances(seq, indices)
-        max_distance = max(distances, default=0.0)
-        extraction = {
-            "epsilon": args.epsilon,
-            "h1_bound": seq.h1_bound,
-            "cutoff": embedding.required_cutoff(seq.h1_bound, args.epsilon),
-            "item_count": len(seq.items),
-            "indices": list(indices),
-            "max_pairwise_l2": max_distance,
-        }
-        if len(indices) < 2:
-            failures.append("extraction returned fewer than 2 indices")
-        if max_distance > args.epsilon:
-            failures.append(
-                f"extracted pair at L2 distance {max_distance} > {args.epsilon}"
-            )
+
+    c = _random_spectral_field(grid, np.random.default_rng(args.seed))
+    tail_rows, failures = _check_tail_bounds(c)
+    try:
+        extraction, extraction_failures = _check_extraction(
+            grid, args.epsilon, args.seed
+        )
     except embedding.InsufficientResolutionError as exc:
         raise UsageError(f"epsilon: {exc}") from exc
 
-    if args.format == "json":
-        doc = {
-            "tails": [
-                {"N": k, "tail_lhs": lhs, "tail_rhs": rhs}
-                for k, lhs, rhs in tail_rows
-            ],
-            "extraction": extraction,
-        }
-        _write(args.output, _json_text(doc))
-    else:
-        lines = ["N,tail_lhs,tail_rhs"]
-        for k, lhs, rhs in tail_rows:
-            lines.append(f"{k},{lhs!r},{rhs!r}")
-        _write(args.output, "\n".join(lines) + "\n")
-        side = str(Path(args.output).with_suffix(".json"))
-        _write(side, _json_text(extraction))
-    return _report_failures(failures)
+    header = ("N", "tail_lhs", "tail_rhs")
+    _write_table(args, header, tail_rows, lambda: {
+        "tails": _records(header, tail_rows), "extraction": extraction})
+    if side is not None:
+        _write(str(side), _json_text(extraction))
+    return _report_failures(failures + extraction_failures)
 
 
 def _cmd_solve(args) -> int:
     grid = _make_grid(args.dimension, args.points)
     f = _random_grid_field(grid, args.seed)
-    f_l2 = transform.grid_l2_norm(f)
-    u_mult, rep_mult = solver.solve_multiplier(f)
-    u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
-    gap = transform.grid_l2_norm(u_mult - u_cg)
+    u, reports, gap, failures = _check_solve(f)
+    rep_mult, rep_cg = reports
     print(f"multiplier residual_l2 = {rep_mult.residual_l2!r}")
     print(f"cg residual_l2 = {rep_cg.residual_l2!r} after {rep_cg.iterations} iterations")
     print(f"l2 disagreement = {gap!r}")
 
-    if args.format == "json":
-        doc = {
-            "input_l2": f_l2,
+    header = ("method", "residual_l2", "iterations", "wall_time")
+    rows = [(r.method, r.residual_l2, r.iterations, r.wall_time) for r in reports]
+    _write_table(
+        args,
+        header,
+        rows,
+        lambda: {
+            "input_l2": transform.grid_l2_norm(f),
             "l2_disagreement": gap,
-            "reports": [
-                {
-                    "method": rep.method,
-                    "residual_l2": rep.residual_l2,
-                    "iterations": rep.iterations,
-                    "wall_time": rep.wall_time,
-                }
-                for rep in (rep_mult, rep_cg)
-            ],
-            "solution": transform.field_to_doc(u_mult),
-        }
-        _write(args.output, _json_text(doc))
-    else:
-        lines = ["method,residual_l2,iterations,wall_time"]
-        for rep in (rep_mult, rep_cg):
-            lines.append(
-                f"{rep.method},{rep.residual_l2!r},{rep.iterations},{rep.wall_time!r}"
-            )
-        _write(args.output, "\n".join(lines) + "\n")
-
-    failures = []
-    for rep in (rep_mult, rep_cg):
-        if rep.residual_l2 > 1e-10 * f_l2:
-            failures.append(
-                f"{rep.method} residual {rep.residual_l2} > 1e-10 * ||f||"
-            )
-    if gap > 1e-9:
-        failures.append(f"solver disagreement {gap} > 1e-9")
+            "reports": _records(header, rows),
+            "solution": transform.field_to_doc(u),
+        },
+    )
     return _report_failures(failures)
 
 
@@ -282,53 +303,40 @@ def _cmd_bench(args) -> int:
     _make_grid(args.dimension, args.points)
     if args.repetitions < 1:
         raise UsageError(f"repetitions: must be >= 1, got {args.repetitions}")
-    result = solver.bench(
-        args.dimension, args.points, args.repetitions, args.seed
-    )
-    if args.format == "json":
-        _write(args.output, _json_text(list(result.rows)))
-    else:
-        lines = [",".join(solver.BENCH_COLUMNS)]
-        for row in result.rows:
-            lines.append(
-                f"{row['method']},{row['n']},{row['M']},{row['seed']},"
-                f"{row['median_seconds']!r},{row['residual_l2']!r},{row['iterations']}"
-            )
-        _write(args.output, "\n".join(lines) + "\n")
+    result = solver.bench(args.dimension, args.points, args.repetitions, args.seed)
+    rows = [tuple(row[col] for col in solver.BENCH_COLUMNS) for row in result.rows]
+    _write_table(args, solver.BENCH_COLUMNS, rows)
 
     failures = []
     for row in result.rows:
-        if row["residual_l2"] > 1e-9:
-            failures.append(f"{row['method']} residual {row['residual_l2']} > 1e-9")
-    worst_gap = max(result.l2_disagreements)
-    if worst_gap > 1e-8:
-        failures.append(f"method disagreement {worst_gap} > 1e-8")
+        failures += _exceeds(f"{row['method']} residual", row["residual_l2"], 1e-9)
+    failures += _exceeds("method disagreement", max(result.l2_disagreements), 1e-8)
     return _report_failures(failures)
 
 
 # ---------------------------------------------------------------------------
-# verify: the whole invariant suite, one pass/fail line per group.
+# verify: the whole invariant suite; each group returns (summary, failures).
 # ---------------------------------------------------------------------------
 
 
-def _verify_transforms(grid, seed) -> tuple[bool, str]:
+def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
     worst_rt = worst_defect = 0.0
-    symmetric = True
+    failures = []
     for _ in range(20):
-        u = solver.random_field(grid, rng)
-        c = transform.forward(u)
-        back = transform.inverse(c)
-        scale = float(np.max(np.abs(u.values)))
-        worst_rt = max(worst_rt, float(np.max(np.abs(back.values - u.values))) / scale)
-        worst_defect = max(worst_defect, transform.plancherel_defect(u))
+        _, roundtrip, defect, field_failures = _check_transform(
+            solver.random_field(grid, rng)
+        )
+        worst_rt = max(worst_rt, roundtrip)
+        worst_defect = max(worst_defect, defect)
+        failures += field_failures
         real = transform.GridField(grid, rng.standard_normal(grid.shape) + 0j)
-        symmetric = symmetric and transform.forward(real).is_conjugate_symmetric(1e-12)
-    ok = worst_rt <= 1e-12 and worst_defect <= 1e-12 and symmetric
-    return ok, f"roundtrip {worst_rt:.2e}, plancherel {worst_defect:.2e}"
+        if not transform.forward(real).is_conjugate_symmetric(1e-12):
+            failures.append("transform of a real field is not conjugate-symmetric")
+    return f"roundtrip {worst_rt:.2e}, plancherel {worst_defect:.2e}", failures
 
 
-def _verify_fast_vs_naive(grid, seed) -> tuple[bool, str]:
+def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
@@ -340,62 +348,44 @@ def _verify_fast_vs_naive(grid, seed) -> tuple[bool, str]:
         fast_u = transform.inverse(c).values
         slow_u = transform.naive_inverse(c).values
         worst = max(worst, float(np.max(np.abs(fast_u - slow_u))))
-    return worst <= 1e-10, f"max |fast - naive| = {worst:.2e}"
+    failures = _exceeds("max |fast - naive|", worst, 1e-10)
+    return f"max |fast - naive| = {worst:.2e}", failures
 
 
-def _verify_eigenpairs(grid) -> tuple[bool, str]:
+def _verify_eigenpairs(grid) -> tuple[str, list[str]]:
     worst = float(np.max(spectral.eigenpair_residuals(grid)))
-    return worst <= 1e-12, f"worst residual {worst:.2e} over {grid.size} modes"
+    failures = _exceeds("worst eigenpair residual", worst, 1e-12)
+    return f"worst residual {worst:.2e} over {grid.size} modes", failures
 
 
-def _verify_operator_norms(grid, seed) -> tuple[bool, str]:
-    worst = abs(
-        spectral.operator_norm_power_iteration(
-            operators.resolvent_symbol(), grid, tol=1e-9, seed=seed
-        )
-        - 1.0
+def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
+    estimate = spectral.operator_norm_power_iteration(
+        operators.resolvent_symbol(), grid, tol=1e-9, seed=seed
     )
-    for cutoff in range(min(3, grid.box_radius - 2) + 1):
-        est = spectral.operator_norm_power_iteration(
-            operators.resolvent_tail_symbol(cutoff), grid, tol=1e-9, seed=seed
-        )
-        worst = max(worst, abs(est - spectral.truncation_error_exact(cutoff)))
-    return worst <= 1e-8, f"worst |power-iteration - exact| = {worst:.2e}"
+    rows, failures = _check_norm_law(grid, range(min(3, grid.box_radius - 2) + 1), seed)
+    failures += _exceeds("resolvent: |1 - power_iteration|", abs(estimate - 1.0), 1e-8)
+    worst = max([abs(estimate - 1.0)] + [diff for *_, diff in rows])
+    return f"worst |power-iteration - exact| = {worst:.2e}", failures
 
 
-def _verify_tail_bounds(grid, seed) -> tuple[bool, str]:
+def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
-    for _ in range(50):
-        c = _random_spectral_field(grid, rng)
-        for cutoff in range(grid.box_radius + 1):
-            if not embedding.tail_bound_check(c, cutoff).holds:
-                return False, f"violated at N={cutoff}"
-    return True, "50 fields, all cutoffs"
+    for field in range(1, 51):
+        _, failures = _check_tail_bounds(_random_spectral_field(grid, rng))
+        if failures:
+            return f"field {field} of 50", failures
+    return "50 fields, all cutoffs", []
 
 
-def _verify_extraction(seed) -> tuple[bool, str]:
-    grid = transform.TorusGrid(1, 17)
-    seq = embedding.random_bounded_sequence(grid, count=64, h1_bound=1.0, seed=seed)
-    indices = embedding.rellich_extract(seq, 0.5)
-    if len(indices) < 2:
-        return False, "fewer than 2 indices"
-    worst = max(embedding.pairwise_l2_distances(seq, indices))
-    return worst <= 0.5, f"{len(indices)} indices, max pairwise L2 {worst:.3f}"
+def _verify_extraction(seed) -> tuple[str, list[str]]:
+    report, failures = _check_extraction(transform.TorusGrid(1, 17), 0.5, seed)
+    count, worst = len(report["indices"]), report["max_pairwise_l2"]
+    return f"{count} indices, max pairwise L2 {worst:.3f}", failures
 
 
-def _verify_solver(grid, seed) -> tuple[bool, str]:
-    f = _random_grid_field(grid, seed)
-    u_mult, rep_mult = solver.solve_multiplier(f)
-    u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
-    gap = transform.grid_l2_norm(u_mult - u_cg)
-    f_l2 = transform.grid_l2_norm(f)
-    ok = (
-        rep_mult.residual_l2 <= 1e-10 * f_l2
-        and rep_cg.residual_l2 <= 1e-10 * f_l2
-        and gap <= 1e-9
-        and transform.grid_l2_norm(u_mult) <= f_l2 * (1 + 1e-12)
-    )
-    return ok, f"disagreement {gap:.2e}, cg iterations {rep_cg.iterations}"
+def _verify_solver(grid, seed) -> tuple[str, list[str]]:
+    _, (_, rep_cg), gap, failures = _check_solve(_random_grid_field(grid, seed))
+    return f"disagreement {gap:.2e}, cg iterations {rep_cg.iterations}", failures
 
 
 def _cmd_verify(args) -> int:
@@ -414,19 +404,15 @@ def _cmd_verify(args) -> int:
         ("rellich-extraction", lambda: _verify_extraction(args.seed)),
         ("solver-agreement", lambda: _verify_solver(grid, args.seed)),
     ]
-    any_failed = False
+    failures = []
     for name, check in groups:
-        ok, detail = check()
-        status = "PASS" if ok else "FAIL"
-        any_failed = any_failed or not ok
-        print(f"{status} {name}: {detail}")
-    return 1 if any_failed else 0
-
-
-def _report_failures(failures: list[str]) -> int:
-    for failure in failures:
-        print(f"check failed: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        start = time.perf_counter()
+        detail, group_failures = check()
+        seconds = time.perf_counter() - start
+        status = "FAIL" if group_failures else "PASS"
+        print(f"{status} {name}: {detail} ({seconds:.3f} s)")
+        failures += [f"{name}: {failure}" for failure in group_failures]
+    return _report_failures(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,6 @@ class SpectrumReport:
     levels: tuple[tuple[float, int], ...]
     truncation: int
 
-    def to_csv(self) -> str:
-        lines = ["eigenvalue,multiplicity"]
-        for eig, mult in self.levels:
-            lines.append(f"{eig!r},{mult}")
-        return "\n".join(lines) + "\n"
-
     def to_doc(self) -> dict:
         return {
             "operator": self.operator,

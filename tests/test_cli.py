@@ -1,9 +1,19 @@
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toruskit import MultiplierSymbol, cli, field_from_doc, spectral as spectral_mod
+from toruskit import embedding as embedding_mod
+from toruskit import operators as operators_mod
+from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv) -> int:
@@ -182,6 +192,17 @@ def test_embed_demo_single_json(tmp_path):
     assert {"tails", "extraction"} <= set(doc)
 
 
+def test_embed_demo_refuses_csv_output_its_sidecar_would_overwrite(tmp_path, capsys):
+    out = tmp_path / "demo.json"
+    code = run(
+        "embed-demo", "--dimension", 1, "--points", 17, "--epsilon", 0.5,
+        "--seed", 3, "--format", "csv", "--output", out,
+    )
+    assert code == 2
+    assert "output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embed_demo_epsilon_too_small(tmp_path, capsys):
     code = run(
         "embed-demo", "--dimension", 1, "--points", 9, "--epsilon", 0.001,
@@ -211,6 +232,9 @@ def test_verify_defaults_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+    # PASS/FAIL first, the group's wall seconds last
+    for line in out.splitlines():
+        assert re.fullmatch(r"PASS [a-z-]+: .+ \(\d+\.\d{3} s\)", line), line
 
 
 def test_verify_other_dimension(capsys):
@@ -254,12 +278,13 @@ def test_verify_refuses_grids_above_its_limit(capsys):
     assert "points" in capsys.readouterr().err
 
 
-def test_dimension_out_of_range(tmp_path):
+def test_dimension_out_of_range(tmp_path, capsys):
     assert (
         run("spectrum", "--dimension", 4, "--level-cap", 1,
             "--output", tmp_path / "s.csv")
         == 2
     )
+    assert "--dimension" in capsys.readouterr().err
 
 
 def test_large_prime_points_transform(tmp_path):
@@ -293,3 +318,199 @@ def test_unknown_command():
 
 def test_help_exits_zero():
     assert run("--help") == 0
+
+
+# ---------------------------------------------------------------------------
+# One writer: a command's CSV table and JSON document carry the same values.
+# ---------------------------------------------------------------------------
+
+TIMING_COLUMNS = ("wall_time", "median_seconds")
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _csv_values(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
+    return [[_cell(row[i]) for i in keep] for row in rows]
+
+
+def _record_values(records):
+    return [[v for k, v in r.items() if k not in TIMING_COLUMNS] for r in records]
+
+
+def _field_values(doc):
+    h = (doc["points_per_axis"] - 1) // 2
+    freqs = itertools.product(range(-h, h + 1), repeat=doc["dimension"])
+    return [[*xi, re_, im] for xi, (re_, im) in zip(freqs, doc["values"])]
+
+
+def _spectrum_values(doc):
+    return [[op, eig, mult] for op in ("laplacian", "resolvent")
+            for eig, mult in doc[op]["levels"]]
+
+
+@pytest.mark.parametrize(
+    "args, json_values",
+    [
+        (("spectrum", "--dimension", 3, "--level-cap", 9), _spectrum_values),
+        (("transform", "--dimension", 2, "--points", 5, "--seed", 2), _field_values),
+        (("truncate", "--dimension", 2, "--points", 11, "--truncation", 2,
+          "--seed", 1), _record_values),
+        (("embed-demo", "--dimension", 1, "--points", 17, "--epsilon", 0.5,
+          "--seed", 3), lambda doc: _record_values(doc["tails"])),
+        (("solve", "--dimension", 2, "--points", 9, "--seed", 4),
+         lambda doc: _record_values(doc["reports"])),
+        (("bench", "--dimension", 1, "--points", 9, "--seed", 1,
+          "--repetitions", 2), _record_values),
+    ],
+    ids=["spectrum", "transform", "truncate", "embed-demo", "solve", "bench"],
+)
+def test_csv_and_json_carry_the_same_values(tmp_path, args, json_values):
+    table, doc_path = tmp_path / "table.csv", tmp_path / "doc.json"
+    assert run(*args, "--output", table) == 0
+    assert run(*args, "--format", "json", "--output", doc_path) == 0
+    doc = json.loads(doc_path.read_text())
+    assert _csv_values(table) == json_values(doc)
+    if args[0] == "embed-demo":
+        assert json.loads((tmp_path / "table.json").read_text()) == doc["extraction"]
+
+
+# ---------------------------------------------------------------------------
+# One self-check per invariant: a tampering fails the command and the
+# matching verify group alike.
+# ---------------------------------------------------------------------------
+
+_inverse = transform_mod.inverse
+_solve_cg = solver_mod.solve_cg
+
+
+def _perturbed_inverse(c):
+    u = _inverse(c)
+    u.values[(0,) * c.grid.dimension] += 1e-6
+    return u
+
+
+def _scaled_cg(f, tol):
+    u, rep = _solve_cg(f, tol=tol)
+    u = u * (1 + 1e-8)
+    residual = solver_mod._residual_l2(u, f)
+    return u, solver_mod.SolveReport(residual, "cg", rep.iterations, rep.wall_time)
+
+
+EMBED_ARGS = ("embed-demo", "--dimension", 1, "--points", 17, "--epsilon", 0.5,
+              "--seed", 3)
+SOLVE_ARGS = ("solve", "--dimension", 2, "--points", 9, "--seed", 4)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, args, group",
+    [
+        (spectral_mod, "truncation_error_exact", lambda n: 0.123,
+         ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1),
+         "operator-norms"),
+        (transform_mod, "inverse", _perturbed_inverse,
+         ("transform", "--dimension", 2, "--points", 9, "--seed", 2),
+         "transform-roundtrip-plancherel"),
+        (embedding_mod, "tail_bound_check",
+         lambda c, n: embedding_mod.TailBound(1.0, 0.5, False), EMBED_ARGS,
+         "tail-bounds"),
+        (embedding_mod, "pairwise_l2_distances", lambda seq, indices: [0.1, 0.9],
+         EMBED_ARGS, "rellich-extraction"),
+        (operators_mod, "resolvent_symbol",
+         lambda: MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k)),
+         SOLVE_ARGS, "solver-agreement"),
+        (solver_mod, "helmholtz_symbol",
+         lambda: MultiplierSymbol("helmholtz", of_norm_sq=lambda k: 2.0 + k),
+         SOLVE_ARGS, "solver-agreement"),
+        (solver_mod, "solve_cg", _scaled_cg, SOLVE_ARGS, "solver-agreement"),
+    ],
+    ids=["norm-law", "inverse", "tail-bound", "extraction", "resolvent-symbol",
+         "helmholtz-symbol", "cg-scaled"],
+)
+def test_tampering_fails_command_and_verify_group(
+    tmp_path, monkeypatch, capsys, module, name, fake, args, group
+):
+    monkeypatch.setattr(module, name, fake)
+    assert run(*args, "--output", tmp_path / "out.csv") == 1
+    assert "check failed" in capsys.readouterr().err
+    assert run("verify") == 1
+    assert f"FAIL {group}:" in capsys.readouterr().out
+
+
+def _perturbed_solution(f, xi, residual):
+    """f's exact solution plus a multiple of the 1-D Fourier mode xi, sized
+    so that ||f - A u|| = residual ||f||, A = Delta + 1."""
+    grid = f.grid
+    exact, _ = solver_mod.solve_multiplier(f)
+    coefficients = np.zeros(grid.shape, dtype=np.complex128)
+    coefficients[xi + grid.box_radius] = 1.0
+    mode = _inverse(transform_mod.SpectralField(grid, coefficients))
+    size = residual * transform_mod.grid_l2_norm(f)
+    return exact + mode * (size / ((1 + xi**2) * transform_mod.grid_l2_norm(mode)))
+
+
+@pytest.mark.parametrize(
+    "xi, residual, expected",
+    [
+        # top mode, where ||A|| = 1 + h^2 is attained: ten times the old
+        # bound 1e-10 ||f||, yet a backward error near 1e-9 / ||A||
+        (50, 1e-9, []),
+        (50, 1e-3, ["cg backward error", "solver disagreement"]),
+        # zero mode: the backward error stays near 1e-8 / ||A||, but the
+        # solvers disagree by 1e-8 ||f||
+        (0, 1e-8, ["solver disagreement"]),
+    ],
+)
+def test_solve_check_on_perturbed_cg_solutions(monkeypatch, xi, residual, expected):
+    f = solver_mod.random_field(transform_mod.TorusGrid(1, 101), np.random.default_rng(0))
+    u = _perturbed_solution(f, xi, residual)
+    report = solver_mod.SolveReport(solver_mod._residual_l2(u, f), "cg", 1, 0.0)
+    monkeypatch.setattr(solver_mod, "solve_cg", lambda f, tol: (u, report))
+
+    _, (_, rep_cg), _, failures = cli._check_solve(f)
+    assert rep_cg.residual_l2 > 1e-10 * transform_mod.grid_l2_norm(f)
+    assert [failure.rsplit(" ", 3)[0] for failure in failures] == expected
+
+
+def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):
+    solve_multiplier = solver_mod.solve_multiplier
+
+    def inflated(f):
+        u, rep = solve_multiplier(f)
+        return u * (2 * transform_mod.grid_l2_norm(f) / transform_mod.grid_l2_norm(u)), rep
+
+    monkeypatch.setattr(solver_mod, "solve_multiplier", inflated)
+    f = solver_mod.random_field(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
+    *_, failures = cli._check_solve(f)
+    assert any(failure.startswith("||u||") for failure in failures)
+
+
+# ---------------------------------------------------------------------------
+# README's CLI examples run as written.
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("toruskit ")]
+
+
+def test_readme_has_cli_examples():
+    assert {argv[0] for argv in _readme_commands()} >= {
+        "spectrum", "transform", "truncate", "embed-demo", "solve", "bench", "verify"
+    }
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0

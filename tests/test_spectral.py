@@ -57,9 +57,6 @@ def test_spectrum_multiplicities_match_lattice():
 
 def test_spectrum_report_serialization():
     report = laplacian_spectrum(2, 2)
-    assert report.to_csv() == (
-        "eigenvalue,multiplicity\n0.0,1\n1.0,4\n2.0,4\n"
-    )
     doc = report.to_doc()
     assert doc["operator"] == "laplacian"
     assert doc["levels"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
