@@ -9,15 +9,19 @@ produce byte-identical data files apart from wall-time columns.
 Each self-check is one `_check_*` function, called by its command and by
 the matching `verify` group, so both apply the same rule.  `verify` prints
 one PASS/FAIL line per group with its wall seconds.  A command's CSV table
-and JSON document are written from the same rows.
+and JSON document are written from the same rows.  Every JSON file is laid
+out exactly as `json.dumps(doc, indent=2)` would write it, byte for byte,
+by the one writer `_json_text`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +59,66 @@ def _write(path: str, text: str) -> None:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, without the
+    pure-Python encoder that `indent` selects for every value: dicts and
+    lists are laid out here, numeric row tables column by column, ints and
+    finite floats by their `repr` as json does, keys by json's own string
+    encoder, and every other leaf by `json.dumps`."""
+    return _json_value(doc, "") + "\n"
+
+
+def _json_value(value, pad: str) -> str:
+    """`json.dumps(value, indent=2)` with every line after the first
+    indented by `pad`; JSON text holds no raw newline inside a string, so
+    that indentation is exactly `json.dumps`'s at this depth."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = pad + "  "
+    if kind is list and value:
+        rows = _json_rows(value, pad)
+        if rows is not None:
+            return rows
+        items = [_json_value(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _json_value(item, inner)
+                 for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # bool, None, str, NaN/inf, tuples, empty containers, non-str keys,
+    # subclasses such as numpy scalars: json.dumps's own encoding
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_rows(rows: list, pad: str) -> str | None:
+    """The `indent=2` text of a list of equal-width list rows whose columns
+    are each all Python ints or all finite Python floats (levels, field
+    values), formatted a column at a time; None for any other list."""
+    if set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        elif kinds == {float} and math.isfinite(sum(column)):
+            # the sum is NaN or inf if any entry is, and json spells those
+            # NaN/Infinity, not float.__repr__'s nan/inf
+            columns.append(map(float.__repr__, column))
+        else:
+            return None
+    row_pad = pad + "  "
+    cell_pad = row_pad + "  "
+    open_row, close_row = "[\n" + cell_pad, "\n" + row_pad + "]"
+    cells = map((",\n" + cell_pad).join, zip(*columns))
+    return ("[\n" + row_pad + open_row
+            + (close_row + ",\n" + row_pad + open_row).join(cells)
+            + close_row + "\n" + pad + "]")
 
 
 def _csv_text(header, rows) -> str:
@@ -222,8 +285,7 @@ def _cmd_transform(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.level_cap < 0:
         raise UsageError(f"level-cap: must be >= 0, got {args.level_cap}")
-    lap = spectral.laplacian_spectrum(args.dimension, args.level_cap)
-    res = spectral.resolvent_spectrum(args.dimension, args.level_cap)
+    lap, res = spectral._spectra(args.dimension, args.level_cap)
     rows = ((r.operator, eig, mult) for r in (lap, res) for eig, mult in r.levels)
     _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows,
                  lambda: {"laplacian": lap.to_doc(), "resolvent": res.to_doc()})

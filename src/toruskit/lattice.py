@@ -116,4 +116,5 @@ def levels_up_to(n: int, cap: int) -> list[tuple[int, int]]:
             square = x * x
             product[square:] += 2 * counts[: cap + 1 - square]
         counts = product
-    return [(k, m) for k, m in enumerate(counts.tolist()) if m]
+    levels = np.flatnonzero(counts)
+    return list(zip(levels.tolist(), counts[levels].tolist()))

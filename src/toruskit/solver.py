@@ -70,10 +70,15 @@ def solve_cg(
 ) -> tuple[GridField, SolveReport]:
     """Conjugate gradients on the grid-side operator.
 
-    Stops once the residual drops to tol * ||f||; in exact arithmetic the
-    iteration count never exceeds the number of distinct eigenvalue levels
-    1 + |xi|^2 present in f's spectral support.  max_iter defaults to the
-    grid size, the exact-arithmetic bound on any space of that dimension.
+    Stops once the recursively updated residual r <- r - alpha A p drops to
+    tol * ||f||.  In floating point that recurrence drifts from the true
+    residual f - A u, and the report's `residual_l2` is the true
+    ||f - A u||, recomputed from the returned u, so it can exceed
+    tol * ||f|| on large grids (2.91e-10 ||f|| at tol=1e-10 on 1-D M=8191,
+    seed 1).  In exact arithmetic the iteration count never exceeds the
+    number of distinct eigenvalue levels 1 + |xi|^2 present in f's spectral
+    support.  max_iter defaults to the grid size, the exact-arithmetic bound
+    on any space of that dimension.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")

@@ -49,14 +49,21 @@ class SpectrumReport:
 
 def laplacian_spectrum(n: int, cap: int) -> SpectrumReport:
     """Eigenvalues k <= cap of the Laplacian on the n-torus, ascending."""
-    levels = tuple((float(k), m) for k, m in levels_up_to(n, cap))
-    return SpectrumReport("laplacian", levels, cap)
+    return _spectra(n, cap)[0]
 
 
 def resolvent_spectrum(n: int, cap: int) -> SpectrumReport:
     """Resolvent eigenvalues 1/(1+k) for k <= cap, descending, in (0, 1]."""
-    levels = tuple((1.0 / (1 + k), m) for k, m in levels_up_to(n, cap))
-    return SpectrumReport("resolvent", levels, cap)
+    return _spectra(n, cap)[1]
+
+
+def _spectra(n: int, cap: int) -> tuple[SpectrumReport, SpectrumReport]:
+    """The Laplacian and the resolvent reports from one lattice count."""
+    levels = levels_up_to(n, cap)
+    return (
+        SpectrumReport("laplacian", tuple((float(k), m) for k, m in levels), cap),
+        SpectrumReport("resolvent", tuple((1.0 / (1 + k), m) for k, m in levels), cap),
+    )
 
 
 def truncation_error_exact(cutoff: int) -> float:

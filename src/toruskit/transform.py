@@ -284,7 +284,7 @@ def field_to_doc(field: GridField | SpectralField) -> dict:
         "dimension": field.grid.dimension,
         "points_per_axis": field.grid.points_per_axis,
         "kind": kind,
-        "values": [[float(z.real), float(z.imag)] for z in flat],
+        "values": list(map(list, zip(flat.real.tolist(), flat.imag.tolist()))),
     }
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruskit import MultiplierSymbol, cli, field_from_doc, spectral as spectral_mod
 from toruskit import embedding as embedding_mod
@@ -48,6 +50,15 @@ def test_spectrum_json_document(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["laplacian"]["levels"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
     assert doc["resolvent"]["levels"][0] == [1.0, 1]
+
+
+def test_spectrum_counts_the_lattice_once(tmp_path, monkeypatch):
+    calls, count = [], spectral_mod.levels_up_to
+    monkeypatch.setattr(spectral_mod, "levels_up_to",
+                        lambda n, cap: calls.append((n, cap)) or count(n, cap))
+    assert run("spectrum", "--dimension", 2, "--level-cap", 50, "--output",
+               tmp_path / "s.json", "--format", "json") == 0
+    assert calls == [(2, 50)]
 
 
 def test_spectrum_rejects_negative_cap(tmp_path):
@@ -514,3 +525,109 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: byte for byte what json.dumps(doc, indent=2) writes.
+# ---------------------------------------------------------------------------
+
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _finite.map(np.float64),
+    st.text(), st.sampled_from(["é", "\u2603", "a\"b\\c\n\t\x00", "\U0001f600"]),
+)
+
+
+@st.composite
+def _numeric_rows(draw):
+    """Equal-width rows; each column is all ints or all floats, possibly with
+    NaN or inf, and now and then one cell of another type."""
+    kinds = draw(st.lists(st.sampled_from([st.integers(), _finite, _finite, st.floats()]),
+                          min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*kinds).map(list), min_size=1, max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, len(kinds) - 1))] = draw(_leaves)
+    return rows
+
+
+_trees = st.recursive(
+    st.one_of(_leaves, _numeric_rows()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=2),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1, 2.0], [True, 3.0]],
+        [[1, 2.0], [3, 4]],
+        [[1.5, 1], [np.float64(2.5), 2]],
+        {"levels": [np.float64(1.5), [np.float64(-0.0), 1]]},
+        [[0.5, float("nan")], [1.5, 2.5]],
+        [[float("inf"), 1], [-float("inf"), 2]],
+        [[], []],
+        [[]],
+        [],
+        {},
+        {"a": [], "b": {}, "c": [[]]},
+        [[1, 2], [3]],
+        [[1.0], [2.0, 3.0]],
+        [(1, 2), (3, 4)],
+        [[1, 2], (3, 4)],
+        {1: [[1, 2]], "x": None},
+    ],
+    ids=["bool-in-row", "mixed-int-float-column", "np-float64-in-column",
+         "np-float64-leaves", "nan-in-row", "inf-in-row", "empty-rows", "one-empty-row",
+         "empty-list", "empty-dict", "nested-empties", "ragged-rows",
+         "ragged-float-rows", "tuple-rows", "list-and-tuple-rows", "int-key"],
+)
+def test_json_writer_named_cases(doc):
+    assert cli._json_text(doc) == _oracle(doc)
+
+
+JSON_COMMANDS = [
+    *(("spectrum", "--dimension", n, "--level-cap", cap, "--format", "json")
+      for n in (1, 2, 3) for cap in (0, 1, 50, 2500)),
+    ("transform", "--dimension", 1, "--points", 17, "--seed", 2, "--format", "json"),
+    ("transform", "--dimension", 3, "--points", 5, "--seed", 2, "--format", "json"),
+    ("solve", "--dimension", 2, "--points", 9, "--seed", 4, "--format", "json"),
+    ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1,
+     "--format", "json"),
+    ("embed-demo", *EMBED_ARGS[1:], "--format", "json"),
+    ("embed-demo", *EMBED_ARGS[1:], "--format", "csv"),
+    ("bench", "--dimension", 1, "--points", 9, "--seed", 1, "--repetitions", 1,
+     "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(map(str, args)))
+def test_every_json_file_has_the_json_dumps_layout(tmp_path, monkeypatch, args):
+    """The document a data command writes, spectral and grid fields included
+    (transform and solve), equals the oracle; so does the JSON file
+    re-encoded from what it reads back, which keeps files comparable byte
+    for byte across versions.  A csv embed-demo writes its JSON sidecar."""
+    docs, write = [], cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda doc: docs.append(doc) or write(doc))
+    assert run(*args, "--output", tmp_path / f"out.{args[-1]}") == 0
+    [doc] = docs
+    assert write(doc) == _oracle(doc)
+    text = (tmp_path / "out.json").read_text()
+    assert text == _oracle(json.loads(text))

@@ -145,6 +145,14 @@ def test_levels_count_exactly_beyond_int64():
     assert all(type(m) is int for _, m in levels)
 
 
+@pytest.mark.parametrize("n, cap", [(2, 50), (1000, 8)], ids=["int64", "object"])
+def test_levels_up_to_returns_a_fresh_list_of_int_pairs(n, cap):
+    first, second = levels_up_to(n, cap), levels_up_to(n, cap)
+    assert type(first) is list and first == second and first is not second
+    assert all(type(level) is tuple and len(level) == 2 for level in first)
+    assert all(type(k) is int and type(m) is int for k, m in first)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("radius", list(range(9)))
 def test_multiplicity_sum_matches_ball_cardinality(n, radius):

@@ -70,6 +70,20 @@ def test_cg_matches_multiplier_on_seeded_input():
     assert report.residual_l2 <= 1e-10 * grid_l2_norm(f)
 
 
+@pytest.mark.parametrize("n, points", [(1, 31), (2, 9), (3, 5)])
+def test_cg_reports_the_true_residual(n, points):
+    # ||f - (Delta + 1) u|| with Delta applied by numpy.fft, not by toruskit;
+    # a loose tol keeps the residual far above roundoff
+    f = random_field(TorusGrid(n, points), np.random.default_rng(5))
+    u, report = solve_cg(f, tol=1e-6)
+    k = np.fft.fftfreq(points, d=1.0 / points)
+    symbol = 1.0 + sum(np.meshgrid(*(k * k,) * n, indexing="ij", sparse=True))
+    residual = f.values - np.fft.ifftn(symbol * np.fft.fftn(u.values))
+    true_l2 = np.linalg.norm(residual.ravel()) / np.sqrt(f.grid.size)
+    assert report.iterations > 0
+    assert report.residual_l2 == pytest.approx(true_l2, rel=1e-8)
+
+
 def test_cg_iteration_count_bounded_by_level_count():
     g = TorusGrid(2, 9)
     rng = np.random.default_rng(13)
