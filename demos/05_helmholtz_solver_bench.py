@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Solving (Delta + 1) u = f two ways: direct division by 1 + |xi|^2 in
 # coefficient space, and conjugate gradients that only ever touch grid
-# fields.  The two agree to solver tolerance, and the benchmark shows what
-# the diagonal shortcut buys.
+# fields.  The two agree to solver tolerance, and their wall times show
+# what the diagonal shortcut buys (`toruskit bench` repeats this on seeded
+# inputs and reports the medians).
 
 import numpy as np
 
@@ -14,19 +15,10 @@ f = tk.random_field(grid, np.random.default_rng(8))
 u_direct, report_direct = tk.solve_multiplier(f)
 u_cg, report_cg = tk.solve_cg(f, tol=1e-10)
 
-print(f"direct:  residual {report_direct.residual_l2:.2e}, "
-      f"{report_direct.iterations} iterations")
-print(f"cg:      residual {report_cg.residual_l2:.2e}, "
-      f"{report_cg.iterations} iterations")
+for name, report in (("direct", report_direct), ("cg", report_cg)):
+    print(f"{name + ':':8} residual {report.residual_l2:.2e}, "
+          f"{report.iterations} iterations, {report.wall_time * 1e3:.2f} ms")
 print("solution gap (L2):", tk.grid_l2_norm(u_direct - u_cg))
 
 # The resolvent is a contraction, so solutions never grow:
 print("||u|| / ||f|| =", tk.grid_l2_norm(u_direct) / tk.grid_l2_norm(f))
-
-# Micro-benchmark on identical seeded inputs (values deterministic,
-# timings not):
-result = tk.bench(2, 9, repetitions=5, seed=42)
-print("\n" + ",".join(tk.solver.BENCH_COLUMNS))
-for row in result.rows:
-    print(",".join(str(row[col]) for col in tk.solver.BENCH_COLUMNS))
-print("worst cross-method gap:", max(result.l2_disagreements))

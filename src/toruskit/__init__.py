@@ -43,10 +43,8 @@ from .operators import (
     truncated_resolvent_symbol,
 )
 from .solver import (
-    BenchResult,
     ConjugateGradientError,
     SolveReport,
-    bench,
     random_field,
     solve_cg,
     solve_multiplier,

@@ -7,11 +7,15 @@ usage/validation errors.  Commands that draw random data require an explicit
 produce byte-identical data files apart from wall-time columns.
 
 Each self-check is one `_check_*` function, called by its command and by
-the matching `verify` group, so both apply the same rule.  `verify` prints
-one PASS/FAIL line per group with its wall seconds.  A command's CSV table
-and JSON document are written from the same rows.  Every JSON file is laid
-out exactly as `json.dumps(doc, indent=2)` would write it, byte for byte,
-by the one writer `_json_text`.
+the matching `verify` group, so both apply the same rule; `bench` runs the
+`solve` check on every repetition.  `verify` prints one PASS/FAIL line per
+group with its wall seconds.  A flag whose rule needs no other flag is
+validated once, by its argparse `type=`, so a bad value exits 2 naming the
+flag before any work is done; `_make_grid` checks `--points` against
+`--dimension`.
+A command's CSV table and JSON document are written from the same rows.
+Every JSON file is laid out exactly as `json.dumps(doc, indent=2)` would
+write it, byte for byte, by the one writer `_json_text`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -34,6 +39,10 @@ MAX_GRID_POINTS = 2**22
 # Largest grid `verify` checks: its fast-vs-naive and eigenpair groups cost
 # O(size**2), seconds at this size and minutes beyond it.
 MAX_VERIFY_POINTS = 2**13
+# Largest `spectrum --level-cap`: in 3-D, cap 2**20 takes about 12 s and
+# 661 MiB and writes 96 MB of JSON, about as long as `verify` at its limit;
+# time grows about 5x per 4x in cap.
+MAX_LEVEL_CAP = 2**20
 
 
 class UsageError(ValueError):
@@ -283,8 +292,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.level_cap < 0:
-        raise UsageError(f"level-cap: must be >= 0, got {args.level_cap}")
     lap, res = spectral._spectra(args.dimension, args.level_cap)
     rows = ((r.operator, eig, mult) for r in (lap, res) for eig, mult in r.levels)
     _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows,
@@ -295,8 +302,6 @@ def _cmd_spectrum(args) -> int:
 def _cmd_truncate(args) -> int:
     grid = _make_grid(args.dimension, args.points)
     cutoff = args.truncation
-    if cutoff < 0:
-        raise UsageError(f"truncation: must be >= 0, got {cutoff}")
     needed = cutoff + 2
     if grid.box_radius < needed:
         raise UsageError(
@@ -310,8 +315,6 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_embed_demo(args) -> int:
     grid = _make_grid(args.dimension, args.points)
-    if args.epsilon <= 0:
-        raise UsageError(f"epsilon: must be positive, got {args.epsilon}")
     side = Path(args.output).with_suffix(".json") if args.format == "csv" else None
     if side == Path(args.output):
         raise UsageError(
@@ -362,17 +365,24 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _make_grid(args.dimension, args.points)
-    if args.repetitions < 1:
-        raise UsageError(f"repetitions: must be >= 1, got {args.repetitions}")
-    result = solver.bench(args.dimension, args.points, args.repetitions, args.seed)
-    rows = [tuple(row[col] for col in solver.BENCH_COLUMNS) for row in result.rows]
-    _write_table(args, solver.BENCH_COLUMNS, rows)
-
-    failures = []
-    for row in result.rows:
-        failures += _exceeds(f"{row['method']} residual", row["residual_l2"], 1e-9)
-    failures += _exceeds("method disagreement", max(result.l2_disagreements), 1e-8)
+    """The `solve` check on each repetition's seeded input; rows hold each
+    method's medians, and a failure on any repetition fails the command."""
+    grid = _make_grid(args.dimension, args.points)
+    rng = np.random.default_rng(args.seed)
+    runs, failures = [], []
+    for repetition in range(1, args.repetitions + 1):
+        _, reports, _, run_failures = _check_solve(solver.random_field(grid, rng))
+        runs.append(reports)
+        failures += [f"repetition {repetition}: {failure}" for failure in run_failures]
+    header = ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations")
+    rows = [
+        (reports[0].method, args.dimension, args.points, args.seed,
+         statistics.median(r.wall_time for r in reports),
+         statistics.median(r.residual_l2 for r in reports),
+         int(round(statistics.median(r.iterations for r in reports))))
+        for reports in zip(*runs)
+    ]
+    _write_table(args, header, rows)
     return _report_failures(failures)
 
 
@@ -482,6 +492,30 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(kind, holds, rule: str):
+    """An argparse `type=`: `kind(text)`, refused unless `holds` of it;
+    argparse then names the flag and exits 2 before any work is done."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_LEVEL_CAP = _checked(int, lambda v: 0 <= v <= MAX_LEVEL_CAP,
+                      f"between 0 and MAX_LEVEL_CAP = {MAX_LEVEL_CAP}")
+_REPETITIONS = _checked(int, lambda v: v >= 1, ">= 1")
+_EPSILON = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_SOBOLEV = _checked(float, math.isfinite, "finite")
+_OUTPUT = _checked(str, lambda v: Path(v).parent.is_dir() and not Path(v).is_dir(),
+                   "a file in an existing directory")
+
+
 def _add_common(sub, *, dimension=None, points=None, seed_required=True):
     if dimension is None:
         sub.add_argument("--dimension", type=int, required=True, choices=_DIMENSIONS)
@@ -492,11 +526,11 @@ def _add_common(sub, *, dimension=None, points=None, seed_required=True):
     else:
         sub.add_argument("--points", type=int, default=points)
     if seed_required:
-        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--seed", type=_NON_NEGATIVE, required=True)
 
 
 def _add_output(sub):
-    sub.add_argument("--output", required=True)
+    sub.add_argument("--output", type=_OUTPUT, required=True)
     sub.add_argument("--format", choices=("json", "csv"), default="csv")
 
 
@@ -511,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "transform", help="forward-transform a seeded random field and self-check"
     )
     _add_common(p)
-    p.add_argument("--sobolev", type=float, default=0.0)
+    p.add_argument("--sobolev", type=_SOBOLEV, default=0.0)
     _add_output(p)
     p.set_defaults(func=_cmd_transform)
 
@@ -519,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", help="eigenvalue levels of the Laplacian and the resolvent"
     )
     p.add_argument("--dimension", type=int, required=True, choices=_DIMENSIONS)
-    p.add_argument("--level-cap", type=int, required=True)
+    p.add_argument("--level-cap", type=_LEVEL_CAP, required=True)
     _add_output(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -528,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact vs power-iteration truncation errors for N = 0..truncation",
     )
     _add_common(p)
-    p.add_argument("--truncation", type=int, required=True)
+    p.add_argument("--truncation", type=_NON_NEGATIVE, required=True)
     _add_output(p)
     p.set_defaults(func=_cmd_truncate)
 
@@ -536,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         "embed-demo", help="tail-bound table and Cauchy-subfamily extraction"
     )
     _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_EPSILON, required=True)
     _add_output(p)
     p.set_defaults(func=_cmd_embed_demo)
 
@@ -545,15 +579,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = subparsers.add_parser("bench", help="micro-benchmark of both solvers")
+    p = subparsers.add_parser(
+        "bench", help="time both solvers, with the solve check on every repetition"
+    )
     _add_common(p)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=_REPETITIONS, default=3)
     _add_output(p)
     p.set_defaults(func=_cmd_bench)
 
     p = subparsers.add_parser("verify", help="run the full invariant suite")
     _add_common(p, dimension=2, points=9, seed_required=False)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=1)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -1,5 +1,5 @@
 """Solve (Delta + 1) u = f on the torus: direct multiplier inversion and a
-conjugate-gradient oracle, plus a micro-benchmark of the two.
+conjugate-gradient oracle.
 
 The direct route divides each Fourier coefficient by 1 + |xi|^2.  The CG
 route deliberately stays on the grid side, applying the operator as
@@ -11,7 +11,6 @@ operator is Hermitian positive definite with eigenvalues in
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -126,57 +125,3 @@ def random_field(grid: TorusGrid, rng: np.random.Generator) -> GridField:
     return GridField(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Benchmark rows for both methods plus per-repetition solution gaps."""
-
-    rows: tuple[dict, ...]
-    l2_disagreements: tuple[float, ...]
-
-
-BENCH_COLUMNS = ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations")
-
-
-def bench(
-    n: int, points_per_axis: int, repetitions: int, seed: int, tol: float = 1e-10
-) -> BenchResult:
-    """Time both solvers on identical seeded inputs; values are deterministic.
-
-    Each repetition draws a fresh input from the seeded stream and runs both
-    methods on it.  Rows report the median wall time and median residual per
-    method; only the timing column varies between runs.
-    """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    grid = TorusGrid(n, points_per_axis)
-    rng = np.random.default_rng(seed)
-    inputs = [random_field(grid, rng) for _ in range(repetitions)]
-
-    times: dict[str, list[float]] = {"multiplier": [], "cg": []}
-    residuals: dict[str, list[float]] = {"multiplier": [], "cg": []}
-    iteration_counts: dict[str, list[int]] = {"multiplier": [], "cg": []}
-    gaps = []
-    for f in inputs:
-        u_mult, rep_mult = solve_multiplier(f)
-        u_cg, rep_cg = solve_cg(f, tol=tol)
-        for rep in (rep_mult, rep_cg):
-            times[rep.method].append(rep.wall_time)
-            residuals[rep.method].append(rep.residual_l2)
-            iteration_counts[rep.method].append(rep.iterations)
-        gaps.append(grid_l2_norm(u_mult - u_cg))
-
-    rows = tuple(
-        {
-            "method": method,
-            "n": n,
-            "M": points_per_axis,
-            "seed": seed,
-            "median_seconds": statistics.median(times[method]),
-            "residual_l2": statistics.median(residuals[method]),
-            "iterations": int(round(statistics.median(iteration_counts[method]))),
-        }
-        for method in ("multiplier", "cg")
-    )
-    return BenchResult(rows=rows, l2_disagreements=tuple(gaps))

@@ -69,6 +69,25 @@ def test_spectrum_rejects_negative_cap(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cap", [cli.MAX_LEVEL_CAP + 1, 10**9])
+def test_spectrum_refuses_a_cap_above_its_limit(tmp_path, monkeypatch, capsys, cap):
+    def never(n, cap):
+        raise AssertionError("the lattice was counted")
+
+    monkeypatch.setattr(spectral_mod, "levels_up_to", never)
+    out = tmp_path / "s.csv"
+    assert run("spectrum", "--dimension", 3, "--level-cap", cap, "--output", out) == 2
+    assert "--level-cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_accepts_the_cap_limit_itself():
+    args = cli.build_parser().parse_args(
+        ["spectrum", "--dimension", "3", "--level-cap", str(cli.MAX_LEVEL_CAP),
+         "--output", "s.csv"])
+    assert args.level_cap == cli.MAX_LEVEL_CAP
+
+
 def test_truncate_table_values(tmp_path):
     out = tmp_path / "trunc.csv"
     code = run(
@@ -125,14 +144,18 @@ def test_bench_deterministic_apart_from_timing(tmp_path):
 def test_bench_csv_schema(tmp_path):
     out = tmp_path / "bench.csv"
     assert (
-        run("bench", "--dimension", 1, "--points", 9, "--seed", 1,
-            "--repetitions", 1, "--output", out)
+        run("bench", "--dimension", 2, "--points", 9, "--seed", 42,
+            "--repetitions", 3, "--output", out)
         == 0
     )
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "method,n,M,seed,median_seconds,residual_l2,iterations"
-    mult = lines[1].split(",")
-    assert mult[0] == "multiplier" and mult[-1] == "0"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["multiplier", "cg"]
+    for row in rows:
+        assert row[1:4] == ["2", "9", "42"]
+        assert float(row[4]) >= 0.0
+    assert rows[0][-1] == "0" and int(rows[1][-1]) > 0
 
 
 def test_transform_json_roundtrips(tmp_path):
@@ -323,6 +346,42 @@ def test_solve_large_1d_grid_converges(tmp_path):
     assert int(rows[2].split(",")[2]) > 1000
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("solve --dimension 1 --points 9 --seed -1 --output {tmp}/o.csv", "--seed"),
+        ("verify --seed -1", "--seed"),
+        ("embed-demo --dimension 1 --points 17 --seed 3 --epsilon nan "
+         "--output {tmp}/o.csv", "--epsilon"),
+        ("embed-demo --dimension 1 --points 17 --seed 3 --epsilon inf "
+         "--output {tmp}/o.csv", "--epsilon"),
+        ("embed-demo --dimension 1 --points 17 --seed 3 --epsilon 0 "
+         "--output {tmp}/o.csv", "--epsilon"),
+        ("transform --dimension 1 --points 9 --seed 2 --sobolev nan "
+         "--output {tmp}/o.csv", "--sobolev"),
+        ("transform --dimension 1 --points 9 --seed 2 --sobolev inf "
+         "--output {tmp}/o.csv", "--sobolev"),
+        ("spectrum --dimension 2 --level-cap -1 --output {tmp}/o.csv", "--level-cap"),
+        ("truncate --dimension 2 --points 11 --truncation -1 --seed 1 "
+         "--output {tmp}/o.csv", "--truncation"),
+        ("bench --dimension 1 --points 9 --seed 1 --repetitions 0 "
+         "--output {tmp}/o.csv", "--repetitions"),
+        ("solve --dimension 1 --points 9 --seed 1 --output {tmp}/missing/o.csv",
+         "--output"),
+        ("spectrum --dimension 1 --level-cap 4 --output {tmp}", "--output"),
+    ],
+    ids=["seed", "verify-seed", "epsilon-nan", "epsilon-inf", "epsilon-zero",
+         "sobolev-nan", "sobolev-inf", "level-cap", "truncation", "repetitions",
+         "output-missing-directory", "output-is-a-directory"],
+)
+def test_usage_error_names_its_flag_before_any_work(tmp_path, capsys, argv, flag):
+    assert run(*shlex.split(argv.format(tmp=tmp_path))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command():
     assert run("frobnicate") == 2
 
@@ -452,6 +511,10 @@ def test_tampering_fails_command_and_verify_group(
     monkeypatch.setattr(module, name, fake)
     assert run(*args, "--output", tmp_path / "out.csv") == 1
     assert "check failed" in capsys.readouterr().err
+    if args == SOLVE_ARGS:
+        assert run("bench", *args[1:], "--repetitions", 2,
+                   "--output", tmp_path / "bench.csv") == 1
+        assert "check failed: repetition 1: " in capsys.readouterr().err
     assert run("verify") == 1
     assert f"FAIL {group}:" in capsys.readouterr().out
 
@@ -489,6 +552,19 @@ def test_solve_check_on_perturbed_cg_solutions(monkeypatch, xi, residual, expect
     _, (_, rep_cg), _, failures = cli._check_solve(f)
     assert rep_cg.residual_l2 > 1e-10 * transform_mod.grid_l2_norm(f)
     assert [failure.rsplit(" ", 3)[0] for failure in failures] == expected
+
+
+def test_bench_accepts_what_solve_accepts(tmp_path, monkeypatch):
+    # a top-mode CG error of 2e-9 ||f||: its backward error is near
+    # 2e-9 / ||A||, so solve accepts it, and bench applies the same rule
+    def perturbed_cg(f, tol):
+        u = _perturbed_solution(f, 50, 2e-9)
+        return u, solver_mod.SolveReport(solver_mod._residual_l2(u, f), "cg", 1, 0.0)
+
+    monkeypatch.setattr(solver_mod, "solve_cg", perturbed_cg)
+    args = ("--dimension", 1, "--points", 101, "--seed", 1)
+    assert run("solve", *args, "--output", tmp_path / "solve.csv") == 0
+    assert run("bench", *args, "--repetitions", 2, "--output", tmp_path / "bench.csv") == 0
 
 
 def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):

@@ -5,7 +5,6 @@ from toruskit import (
     ConjugateGradientError,
     GridField,
     TorusGrid,
-    bench,
     forward,
     grid_l2_norm,
     inverse,
@@ -123,30 +122,3 @@ def test_cg_rejects_bad_tol():
     g = TorusGrid(1, 5)
     with pytest.raises(ValueError):
         solve_cg(GridField(g, np.ones(5, dtype=complex)), tol=-1.0)
-
-
-def test_bench_rows_and_checks():
-    result = bench(2, 9, repetitions=3, seed=42)
-    methods = [row["method"] for row in result.rows]
-    assert methods == ["multiplier", "cg"]
-    for row in result.rows:
-        assert row["n"] == 2 and row["M"] == 9 and row["seed"] == 42
-        assert row["residual_l2"] <= 1e-9
-        assert row["median_seconds"] >= 0.0
-    assert result.rows[0]["iterations"] == 0
-    assert all(gap <= 1e-8 for gap in result.l2_disagreements)
-    assert len(result.l2_disagreements) == 3
-
-
-def test_bench_values_deterministic_across_runs():
-    a = bench(1, 9, repetitions=2, seed=7)
-    b = bench(1, 9, repetitions=2, seed=7)
-    for row_a, row_b in zip(a.rows, b.rows):
-        for key in ("method", "n", "M", "seed", "residual_l2", "iterations"):
-            assert row_a[key] == row_b[key]
-    assert a.l2_disagreements == b.l2_disagreements
-
-
-def test_bench_rejects_zero_repetitions():
-    with pytest.raises(ValueError):
-        bench(1, 5, repetitions=0, seed=0)
