@@ -603,9 +603,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (spectral.PowerIterationError, solver.ConjugateGradientError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

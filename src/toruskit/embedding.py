@@ -25,6 +25,8 @@ from .operators import kept_by_truncation, l2_norm, norm_sq_array, sobolev_norm_
 from .transform import SpectralField
 
 _H1_SLACK = 1e-9
+_ANCHOR_COUNT = 4
+_SPREAD = 0.02
 
 
 class InsufficientResolutionError(ValueError):
@@ -84,15 +86,11 @@ def _kept_mask(c: SpectralField, cutoff: int) -> np.ndarray:
 
 def tail_projection(c: SpectralField, cutoff: int) -> SpectralField:
     """High-frequency part: modes with norm_sq >= (cutoff+1)^2, zero otherwise."""
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     return SpectralField(c.grid, np.where(_kept_mask(c, cutoff), 0.0, c.coefficients))
 
 
 def ball_projection(c: SpectralField, cutoff: int) -> SpectralField:
     """Low-frequency complement of tail_projection; the two sum to c exactly."""
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     return SpectralField(c.grid, np.where(_kept_mask(c, cutoff), c.coefficients, 0.0))
 
 
@@ -111,13 +109,9 @@ def required_cutoff(h1_bound: float, eps: float) -> int:
     """Smallest N with 2 * h1_bound / sqrt(1 + (N+1)^2) <= eps / 2."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    target = (4.0 * h1_bound / eps) ** 2 - 1.0  # need (N+1)^2 >= target
-    np1 = max(1, math.isqrt(max(0, math.ceil(target))))
-    while np1 * np1 < target:
-        np1 += 1
-    while np1 > 1 and (np1 - 1) * (np1 - 1) >= target:
-        np1 -= 1
-    return np1 - 1
+    # need the integer (N+1)^2 >= (4 h1 / eps)^2 - 1, i.e. >= its ceiling
+    needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)
+    return math.isqrt(needed - 1) if needed > 1 else 0
 
 
 def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
@@ -171,15 +165,14 @@ def random_bounded_sequence(
     count: int,
     h1_bound: float,
     seed: int,
-    anchor_count: int = 4,
-    spread: float = 0.02,
 ) -> BoundedSequence:
     """Seeded H^1-bounded family that accumulates near a few anchor fields.
 
-    Items are small H^1 perturbations of anchor_count random anchors, all
-    rescaled to sit strictly inside the H^1 ball of radius h1_bound.  Such a
-    family is what the extractor exists for: most of its mass is spread over
-    finitely many low modes, so large pairwise-close subfamilies exist.
+    Each item is one of four random anchors of H^1 norm 0.8 h1_bound plus a
+    random perturbation of H^1 norm 0.02 h1_bound, so every item sits
+    strictly inside the H^1 ball of radius h1_bound.  Such a family is what
+    the extractor exists for: most of its mass is spread over finitely many
+    low modes, so large pairwise-close subfamilies exist.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -190,9 +183,9 @@ def random_bounded_sequence(
         raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         return _h1_rescaled(SpectralField(grid, raw * weights), scale)
 
-    anchors = [draw(0.8 * h1_bound) for _ in range(anchor_count)]
+    anchors = [draw(0.8 * h1_bound) for _ in range(_ANCHOR_COUNT)]
     items = []
     for i in range(count):
-        anchor = anchors[i % anchor_count]
-        items.append(anchor + draw(spread * h1_bound))
+        anchor = anchors[i % _ANCHOR_COUNT]
+        items.append(anchor + draw(_SPREAD * h1_bound))
     return BoundedSequence(items=items, h1_bound=h1_bound)

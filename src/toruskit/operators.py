@@ -3,8 +3,8 @@
 A multiplier acts coefficient-wise, c(xi) -> sigma(xi) c(xi).  The built-in
 symbols cover the positive Laplacian |xi|^2, the Helmholtz operator
 1 + |xi|^2, its inverse (the resolvent, operator norm 1), and level-cutoff
-truncations of the resolvent.  Each is a function of k = |xi|^2 alone and
-is evaluated on one cached |xi|^2 array per grid.
+truncations of the resolvent.  Every symbol is a function of k = |xi|^2
+alone, computed on one cached |xi|^2 array per grid.
 
 Truncation membership: a cutoff-N truncation keeps the mode xi exactly when
 norm_sq(xi) < (N + 1)^2, so the removed tail starts at squared norm
@@ -17,7 +17,7 @@ applies this rule.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,29 +28,20 @@ from .transform import SpectralField, TorusGrid
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """Real-valued function of the frequency defining a diagonal operator.
+    """Real-valued function of k = |xi|^2 defining a diagonal operator.
 
-    Give exactly one of the two forms.  A radial symbol depends on xi only
-    through k = |xi|^2 and is given by `of_norm_sq`, which maps a float
-    array of k values to the symbol's values elementwise; every built-in
-    symbol is radial.  Any other symbol is given by `eval`, a function of
-    one frequency tuple.
+    `of_norm_sq` maps a float array of k values to the symbol's values
+    elementwise, keeping the array's shape; it is keyword-only.  Calling
+    the symbol on one frequency tuple gives its value at that tuple's k.
+    A multiplier that is not a function of k is applied by multiplying
+    `SpectralField.coefficients` by an array built over the box.
     """
 
     name: str
-    eval: Callable[[Frequency], float] | None = None
-    of_norm_sq: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.eval is None) == (self.of_norm_sq is None):
-            raise ValueError(
-                f"symbol {self.name!r} needs exactly one of eval and of_norm_sq"
-            )
+    of_norm_sq: Callable[[np.ndarray], np.ndarray] = field(kw_only=True)
 
     def __call__(self, xi: Frequency) -> float:
-        if self.of_norm_sq is not None:
-            return float(self.of_norm_sq(np.array(float(norm_sq(xi)))))
-        return self.eval(xi)
+        return float(self.of_norm_sq(np.array(float(norm_sq(xi)))))
 
 
 def kept_by_truncation(k: np.ndarray, cutoff: int) -> np.ndarray:
@@ -103,19 +94,13 @@ def resolvent_tail_symbol(cutoff: int) -> MultiplierSymbol:
 
 
 def symbol_array(symbol: MultiplierSymbol, grid: TorusGrid) -> np.ndarray:
-    """Evaluate a symbol on every stored frequency of the grid's box.
-
-    A radial symbol is evaluated once on the grid's cached |xi|^2 array; any
-    other symbol is called once per frequency tuple.
-    """
-    if symbol.of_norm_sq is not None:
-        values = symbol.of_norm_sq(norm_sq_array(grid))
-    else:
-        values = np.fromiter(
-            (symbol(xi) for xi in grid.frequencies()),
-            dtype=np.float64,
-            count=grid.size,
-        ).reshape(grid.shape)
+    """The symbol on the grid's cached |xi|^2 array: one finite value per mode."""
+    values = symbol.of_norm_sq(norm_sq_array(grid))
+    if np.shape(values) != grid.shape:
+        raise ValueError(
+            f"symbol {symbol.name!r} returned shape {np.shape(values)}, "
+            f"not the box's {grid.shape}"
+        )
     if not np.all(np.isfinite(values)):
         raise ValueError(
             f"symbol {symbol.name!r} produced non-finite values on the box"
@@ -130,7 +115,8 @@ def norm_sq_array(grid: TorusGrid) -> np.ndarray:
     Memoized per grid (the grid is frozen, so equal grids share one entry)
     for the few most recent grids; the array is shared, hence read-only.
     """
-    sq = grid.axis_frequencies().astype(np.float64) ** 2
+    h = grid.box_radius
+    sq = np.arange(-h, h + 1, dtype=np.float64) ** 2
     k = functools.reduce(np.add.outer, (sq,) * grid.dimension)
     k.flags.writeable = False
     return k

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Frequency, levels_up_to
+from .lattice import Frequency, levels_up_to, tail_min_norm_sq
 from .operators import MultiplierSymbol, resolvent_symbol, symbol_array
 from .transform import (
     GridField,
@@ -73,9 +73,7 @@ def truncation_error_exact(cutoff: int) -> float:
     (N+1)^2, attained by (N+1, 0, ..., 0), where the resolvent symbol takes
     this value.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    return 1.0 / ((cutoff + 1) ** 2 + 1)
+    return 1.0 / (tail_min_norm_sq(cutoff) + 1)
 
 
 class PowerIterationError(RuntimeError):

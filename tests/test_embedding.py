@@ -131,6 +131,23 @@ def test_required_cutoff_is_minimal():
         if n > 0:
             assert 2 * h1 / math.sqrt(1 + n**2) > eps / 2
     assert required_cutoff(1.0, 0.5) == 7
+    # targets (4 h1 / eps)^2 - 1 that land exactly on (N+1)^2: N itself is
+    # the smallest cutoff, since the bound holds with equality
+    exact = 0
+    for np1 in range(1, 200):
+        for eps in (1.0, 0.25, 1e-3):
+            h1 = eps * math.sqrt(np1 * np1 + 1) / 4
+            if (4.0 * h1 / eps) ** 2 - 1.0 == np1 * np1:
+                exact += 1
+                assert required_cutoff(h1, eps) == np1 - 1, (h1, eps)
+    assert exact >= 100
+
+
+@pytest.mark.parametrize("check", [tail_projection, ball_projection, tail_bound_check])
+def test_negative_cutoff_rejected(check):
+    c = spectral_delta(TorusGrid(2, 5), (0, 0))
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        check(c, -1)
 
 
 def test_extract_constant_sequence_returns_everything():

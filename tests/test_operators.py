@@ -18,6 +18,7 @@ from toruskit import (
     resolvent,
     resolvent_symbol,
     resolvent_tail_symbol,
+    singular_values,
     sobolev_norm_sq,
     truncated_resolvent,
     truncated_resolvent_symbol,
@@ -182,13 +183,6 @@ def test_helmholtz_symbol_values():
     assert sym((2, 1)) == 6.0
 
 
-def test_non_finite_symbol_rejected(grid_2d_9):
-    c = spectral_delta(grid_2d_9, (0, 0))
-    bad = MultiplierSymbol("explodes", lambda xi: math.inf)
-    with pytest.raises(ValueError, match="explodes"):
-        apply_multiplier(c, bad)
-
-
 def test_non_finite_radial_symbol_rejected(grid_2d_9):
     c = spectral_delta(grid_2d_9, (0, 0))
     bad = MultiplierSymbol("explodes", of_norm_sq=lambda k: np.where(k > 4, np.inf, k))
@@ -196,11 +190,29 @@ def test_non_finite_radial_symbol_rejected(grid_2d_9):
         apply_multiplier(c, bad)
 
 
-def test_symbol_needs_exactly_one_form():
-    with pytest.raises(ValueError, match="exactly one"):
-        MultiplierSymbol("neither")
-    with pytest.raises(ValueError, match="exactly one"):
-        MultiplierSymbol("both", lambda xi: 1.0, np.ones_like)
+def test_symbol_reducing_k_rejected():
+    # a constant return would broadcast to one value, not one per mode
+    half = MultiplierSymbol("half", of_norm_sq=lambda k: 0.5)
+    with pytest.raises(ValueError, match=r"'half' returned shape \(\)"):
+        singular_values(half, TorusGrid(2, 5), 3)
+
+
+def test_symbol_returning_part_of_k_rejected():
+    # k[0] is one row of |xi|^2; broadcast over the box it is not radial
+    row = MultiplierSymbol("first_row", of_norm_sq=lambda k: k[0])
+    c = spectral_delta(TorusGrid(2, 5), (0, 0))
+    with pytest.raises(ValueError, match=r"'first_row' returned shape \(5,\)"):
+        apply_multiplier(c, row)
+
+
+def test_symbol_takes_of_norm_sq_by_keyword_only():
+    with pytest.raises(TypeError):
+        MultiplierSymbol("x")
+    with pytest.raises(TypeError):
+        MultiplierSymbol("x", lambda xi: 1.0)
+    sym = MultiplierSymbol("x", of_norm_sq=lambda k: 2.0 * k)
+    assert sym((1, 1)) == 4.0
+    assert np.array_equal(symbol_array(sym, TorusGrid(1, 3)), [2.0, 0.0, 2.0])
 
 
 def _reference_symbols(cutoff: int) -> list:
