@@ -7,23 +7,23 @@ import toruskit as tk
 
 n, cap = 2, 25
 
-lap = tk.laplacian_spectrum(n, cap)
-res = tk.resolvent_spectrum(n, cap)
+tables = tk.spectra(n, cap)
+lap, res = tables["laplacian"], tables["resolvent"]
 
 print(f"Laplacian levels k = |xi|^2 <= {cap} on the {n}-torus:")
 print("   k  multiplicity     1/(1+k)")
-for (k, mult), (eig, _) in zip(lap.levels, res.levels):
+for (k, mult), (eig, _) in zip(lap, res):
     print(f"  {int(k):2d}  {mult:12d}     {eig:.6f}")
 
-present = {int(k) for k, _ in lap.levels}
+present = {int(k) for k, _ in lap}
 absent = sorted(set(range(cap + 1)) - present)
 print("absent levels (not sums of two squares):", absent)
 
 # The multiplicity of each level is the count of lattice points at that
 # squared radius; summing them over a ball reproduces its cardinality.
 radius = 4
-total = sum(m for k, m in lap.levels if k <= radius**2)
-ball = tk.enumerate_ball(tk.LatticeBall(n, radius))
+total = sum(m for k, m in lap if k <= radius**2)
+ball = tk.enumerate_ball(n, radius)
 print(f"sum of multiplicities up to {radius}^2 = {total} = |ball| = {len(ball)}")
 
 # The resolvent <-> shifted-inverse eigenvalue map and its inverse.

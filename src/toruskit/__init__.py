@@ -20,7 +20,6 @@ from .embedding import (
 )
 from .lattice import (
     Frequency,
-    LatticeBall,
     enumerate_ball,
     level_multiplicity,
     levels_up_to,
@@ -51,16 +50,13 @@ from .solver import (
 )
 from .spectral import (
     PowerIterationError,
-    SpectrumReport,
     eigenpair_residuals,
     lambda_to_mu,
-    laplacian_spectrum,
     mu_to_lambda,
     operator_norm_power_iteration,
-    resolvent_spectrum,
     singular_values,
+    spectra,
     truncation_error_exact,
-    verify_eigenpair,
 )
 from .transform import (
     GridField,

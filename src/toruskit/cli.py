@@ -40,7 +40,7 @@ MAX_GRID_POINTS = 2**22
 # O(size**2), seconds at this size and minutes beyond it.
 MAX_VERIFY_POINTS = 2**13
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 takes about 12 s and
-# 661 MiB and writes 96 MB of JSON, about as long as `verify` at its limit;
+# 544 MiB and writes 96 MB of JSON, about as long as `verify` at its limit;
 # time grows about 5x per 4x in cap.
 MAX_LEVEL_CAP = 2**20
 
@@ -292,10 +292,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    lap, res = spectral._spectra(args.dimension, args.level_cap)
-    rows = ((r.operator, eig, mult) for r in (lap, res) for eig, mult in r.levels)
-    _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows,
-                 lambda: {"laplacian": lap.to_doc(), "resolvent": res.to_doc()})
+    tables = spectral.spectra(args.dimension, args.level_cap)
+    rows = ((name, eig, mult) for name, levels in tables.items() for eig, mult in levels)
+    _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows, lambda: {
+        name: {"operator": name, "truncation": args.level_cap, "levels": levels}
+        for name, levels in tables.items()})
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +111,11 @@ def required_cutoff(h1_bound: float, eps: float) -> int:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     # need the integer (N+1)^2 >= (4 h1 / eps)^2 - 1, i.e. >= its ceiling
-    needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)
+    try:
+        needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)
+    except OverflowError:
+        # the target is beyond float range: take it in exact arithmetic
+        needed = math.ceil((4 * Fraction(h1_bound) / Fraction(eps)) ** 2 - 1)
     return math.isqrt(needed - 1) if needed > 1 else 0
 
 

@@ -14,32 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 Frequency = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LatticeBall:
-    """Finite Euclidean ball {xi in Z^n : |xi| <= radius}."""
-
-    dimension: int
-    radius: int
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-
-    def __contains__(self, xi: Frequency) -> bool:
-        if len(xi) != self.dimension:
-            raise ValueError(
-                f"frequency has {len(xi)} components, ball has dimension {self.dimension}"
-            )
-        return norm_sq(xi) <= self.radius**2
 
 
 def norm_sq(xi: Frequency) -> int:
@@ -65,14 +43,17 @@ def tail_min_norm_sq(cutoff: int) -> int:
     return (cutoff + 1) ** 2
 
 
-def enumerate_ball(ball: LatticeBall) -> list[Frequency]:
-    """All xi with |xi| <= radius, lexicographically sorted, duplicate-free."""
-    n, r = ball.dimension, ball.radius
-    r_sq = r * r
+def enumerate_ball(n: int, radius: int) -> list[Frequency]:
+    """All xi in Z^n with |xi| <= radius, lexicographically sorted, duplicate-free."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    r_sq = radius * radius
     # itertools.product over ascending per-axis ranges is already lexicographic
     return [
         xi
-        for xi in itertools.product(range(-r, r + 1), repeat=n)
+        for xi in itertools.product(range(-radius, radius + 1), repeat=n)
         if norm_sq(xi) <= r_sq
     ]
 

@@ -2,21 +2,20 @@
 singular-value decay, and the resolvent <-> Laplacian eigenvalue map.
 
 The Fourier modes diagonalize every multiplier, so spectra reduce to lattice
-level counts: the Laplacian has eigenvalue k = |xi|^2 with the lattice
-multiplicity of k, and the resolvent has 1/(1+k) at the same multiplicity.
-The operator norm of any multiplier is sup |sigma| over the box; the power
-iteration below re-derives it through the full transform pipeline without
-assuming diagonality, which is what makes it a genuine cross-check.
+level counts: `spectra` tables the Laplacian eigenvalues k = |xi|^2 and the
+resolvent eigenvalues 1/(1+k), each with the lattice multiplicity of k, from
+one count.  The operator norm of any multiplier is sup |sigma| over the box;
+the power iteration below re-derives it through the full transform pipeline
+without assuming diagonality, which is what makes it a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Frequency, levels_up_to, tail_min_norm_sq
+from .lattice import levels_up_to, tail_min_norm_sq
 from .operators import MultiplierSymbol, resolvent_symbol, symbol_array
 from .transform import (
     GridField,
@@ -31,39 +30,18 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalue levels with multiplicities for one operator, in level order."""
+def spectra(n: int, cap: int) -> dict[str, list[list]]:
+    """Eigenvalue levels k <= cap on the n-torus, from one lattice count.
 
-    operator: str
-    levels: tuple[tuple[float, int], ...]
-    truncation: int
-
-    def to_doc(self) -> dict:
-        return {
-            "operator": self.operator,
-            "truncation": self.truncation,
-            "levels": [[eig, mult] for eig, mult in self.levels],
-        }
-
-
-def laplacian_spectrum(n: int, cap: int) -> SpectrumReport:
-    """Eigenvalues k <= cap of the Laplacian on the n-torus, ascending."""
-    return _spectra(n, cap)[0]
-
-
-def resolvent_spectrum(n: int, cap: int) -> SpectrumReport:
-    """Resolvent eigenvalues 1/(1+k) for k <= cap, descending, in (0, 1]."""
-    return _spectra(n, cap)[1]
-
-
-def _spectra(n: int, cap: int) -> tuple[SpectrumReport, SpectrumReport]:
-    """The Laplacian and the resolvent reports from one lattice count."""
+    "laplacian" rows are [float(k), multiplicity], ascending; "resolvent"
+    rows are [1/(1+k), multiplicity], descending in (0, 1].  Rows are lists,
+    as a JSON document holds them.
+    """
     levels = levels_up_to(n, cap)
-    return (
-        SpectrumReport("laplacian", tuple((float(k), m) for k, m in levels), cap),
-        SpectrumReport("resolvent", tuple((1.0 / (1 + k), m) for k, m in levels), cap),
-    )
+    return {
+        "laplacian": [[float(k), m] for k, m in levels],
+        "resolvent": [[1.0 / (1 + k), m] for k, m in levels],
+    }
 
 
 def truncation_error_exact(cutoff: int) -> float:
@@ -177,23 +155,6 @@ def lambda_to_mu(lam: float) -> float:
     return 1.0 / (lam - 1.0)
 
 
-def verify_eigenpair(xi: Frequency, grid: TorusGrid) -> float:
-    """L^2 residual of the eigenpair check for the mode exp(i xi . x).
-
-    The one-mode case of `eigenpair_residuals`: builds the mode on the grid,
-    applies the resolvent through the production transform pair, and
-    returns || T psi - psi / (1 + |xi|^2) ||_{L^2}.
-    """
-    if len(xi) != grid.dimension:
-        raise ValueError(
-            f"frequency {tuple(xi)} has {len(xi)} components, grid dimension is "
-            f"{grid.dimension}"
-        )
-    if any(abs(int(x)) > grid.box_radius for x in xi):
-        raise ValueError(f"frequency {tuple(xi)} outside the stored box")
-    return float(_eigenpair_residuals(grid, np.array([[int(x) for x in xi]]))[0])
-
-
 def eigenpair_residuals(grid: TorusGrid) -> np.ndarray:
     """|| T psi - psi / (1 + |xi|^2) ||_{L^2} for every mode of the box.
 
@@ -202,11 +163,8 @@ def eigenpair_residuals(grid: TorusGrid) -> np.ndarray:
     transforms; the expected eigenvalue comes from the integer frequency
     alone, so a wrong symbol or a wrong transform shows as a residual.
     """
-    return _eigenpair_residuals(grid, _frequency_vectors(grid))
-
-
-def _eigenpair_residuals(grid: TorusGrid, frequencies: np.ndarray) -> np.ndarray:
     n = grid.dimension
+    frequencies = _frequency_vectors(grid)
     multiplier = symbol_array(resolvent_symbol(), grid)
     eigenvalues = 1.0 / (1.0 + np.sum(frequencies**2, axis=1))
     out = np.empty(len(frequencies))

@@ -246,6 +246,18 @@ def test_embed_demo_epsilon_too_small(tmp_path, capsys):
     assert "insufficient resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-200", "5e-324"])
+def test_embed_demo_epsilon_beyond_float_range(tmp_path, capsys, epsilon):
+    # (4 h1 / epsilon)^2 overflows a float; the cutoff is still just too big
+    code = run(
+        "embed-demo", "--dimension", 1, "--points", 17, "--epsilon", epsilon,
+        "--seed", 1, "--output", tmp_path / "d.csv",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: epsilon: insufficient resolution")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [

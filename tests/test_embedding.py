@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ def test_extract_reports_insufficient_resolution():
     err = excinfo.value
     assert err.needed_cutoff == required_cutoff(1.0, 1e-3)
     assert str(err.needed_cutoff) in str(err)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 5e-324])
+def test_cutoff_beyond_float_range_is_insufficient_resolution(eps):
+    # (4 h1 / eps)^2 overflows a float; the cutoff is exact and minimal all
+    # the same, and no stored box holds it
+    needed = required_cutoff(1.0, eps)
+    target = (4 / Fraction(eps)) ** 2
+    assert 1 + (needed + 1) ** 2 >= target > 1 + needed**2
+    seq = random_bounded_sequence(TorusGrid(1, 17), count=4, h1_bound=1.0, seed=1)
+    with pytest.raises(InsufficientResolutionError) as excinfo:
+        rellich_extract(seq, eps)
+    assert excinfo.value.needed_cutoff == needed
 
 
 def test_generated_sequence_is_certified():

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toruskit import (
-    LatticeBall,
     enumerate_ball,
     level_multiplicity,
     levels_up_to,
@@ -39,11 +38,11 @@ def test_norm_sq_rejects_empty():
 
 
 def test_enumerate_ball_1d():
-    assert enumerate_ball(LatticeBall(1, 1)) == [(-1,), (0,), (1,)]
+    assert enumerate_ball(1, 1) == [(-1,), (0,), (1,)]
 
 
 def test_enumerate_ball_2d_radius_1():
-    assert enumerate_ball(LatticeBall(2, 1)) == [
+    assert enumerate_ball(2, 1) == [
         (-1, 0),
         (0, -1),
         (0, 0),
@@ -53,7 +52,7 @@ def test_enumerate_ball_2d_radius_1():
 
 
 def test_enumerate_ball_2d_radius_2_against_box_scan():
-    got = enumerate_ball(LatticeBall(2, 2))
+    got = enumerate_ball(2, 2)
     expected = [
         xi
         for xi in itertools.product(range(-2, 3), repeat=2)
@@ -65,23 +64,15 @@ def test_enumerate_ball_2d_radius_2_against_box_scan():
 
 def test_enumerate_ball_sorted_and_duplicate_free():
     for n in (1, 2, 3):
-        members = enumerate_ball(LatticeBall(n, 3))
+        members = enumerate_ball(n, 3)
         assert members == sorted(set(members))
 
 
 def test_ball_rejects_dimension_zero():
-    with pytest.raises(ValueError):
-        LatticeBall(0, 1)
-    with pytest.raises(ValueError):
-        LatticeBall(2, -1)
-
-
-def test_ball_membership():
-    ball = LatticeBall(2, 2)
-    assert (1, 1) in ball
-    assert (2, 1) not in ball
-    with pytest.raises(ValueError):
-        (1, 1, 1) in ball
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        enumerate_ball(0, 1)
+    with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+        enumerate_ball(2, -1)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +106,7 @@ def test_levels_agree_with_per_level_scan():
 @pytest.mark.parametrize("n, radius", [(1, 50), (2, 30), (3, 12), (4, 6)])
 def test_levels_match_box_scan_well_above_cap_10(n, radius):
     cap = radius * radius
-    scan = Counter(norm_sq(xi) for xi in enumerate_ball(LatticeBall(n, radius)))
+    scan = Counter(norm_sq(xi) for xi in enumerate_ball(n, radius))
     assert levels_up_to(n, cap) == sorted(scan.items())
 
 
@@ -160,7 +151,7 @@ def test_multiplicity_sum_matches_ball_cardinality(n, radius):
         level_multiplicity(n, k)
         for k, _ in levels_up_to(n, radius * radius)
     )
-    assert total == len(enumerate_ball(LatticeBall(n, radius)))
+    assert total == len(enumerate_ball(n, radius))
 
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
@@ -173,5 +164,5 @@ def test_norm_sq_invariant_under_permutation_and_signs(components):
 
 @given(st.integers(1, 3), st.integers(0, 5))
 def test_ball_members_satisfy_membership(n, radius):
-    for xi in enumerate_ball(LatticeBall(n, radius)):
+    for xi in enumerate_ball(n, radius):
         assert norm_sq(xi) <= radius * radius

@@ -15,51 +15,49 @@ from toruskit import (
     identity_symbol,
     inverse,
     lambda_to_mu,
-    laplacian_spectrum,
     level_multiplicity,
     mu_to_lambda,
     operator_norm_power_iteration,
-    resolvent_spectrum,
     resolvent_symbol,
     resolvent_tail_symbol,
     singular_values,
+    spectra,
     truncation_error_exact,
-    verify_eigenpair,
 )
 from toruskit import spectral as spectral_mod
 
 
 def test_laplacian_spectrum_2d():
-    report = laplacian_spectrum(2, 2)
-    assert report.operator == "laplacian"
-    assert report.truncation == 2
-    assert report.levels == ((0.0, 1), (1.0, 4), (2.0, 4))
+    tables = spectra(2, 2)
+    assert list(tables) == ["laplacian", "resolvent"]
+    assert tables["laplacian"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
 
 
 def test_resolvent_spectrum_2d():
-    report = resolvent_spectrum(2, 2)
-    assert report.levels == ((1.0, 1), (0.5, 4), (1 / 3, 4))
-    eigs = [e for e, _ in report.levels]
+    assert spectra(2, 2)["resolvent"] == [[1.0, 1], [0.5, 4], [1 / 3, 4]]
+    eigs = [e for e, _ in spectra(3, 30)["resolvent"]]
     assert eigs == sorted(eigs, reverse=True)
+    assert len(set(eigs)) == len(eigs)
     assert all(0.0 < e <= 1.0 for e in eigs)
 
 
 def test_spectrum_level_cap_zero():
-    assert laplacian_spectrum(1, 0).levels == ((0.0, 1),)
-    assert resolvent_spectrum(1, 0).levels == ((1.0, 1),)
+    assert spectra(1, 0) == {"laplacian": [[0.0, 1]], "resolvent": [[1.0, 1]]}
 
 
 def test_spectrum_multiplicities_match_lattice():
     for n in (1, 2, 3):
-        for k, mult in laplacian_spectrum(n, 12).levels:
-            assert mult == level_multiplicity(n, int(k))
+        tables = spectra(n, 12)
+        for (k, mult), (eig, res_mult) in zip(tables["laplacian"], tables["resolvent"]):
+            assert mult == res_mult == level_multiplicity(n, int(k))
+            assert eig == 1.0 / (1.0 + k)
 
 
-def test_spectrum_report_serialization():
-    report = laplacian_spectrum(2, 2)
-    doc = report.to_doc()
-    assert doc["operator"] == "laplacian"
-    assert doc["levels"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
+def test_spectrum_rows_are_float_int_lists():
+    for levels in spectra(2, 50).values():
+        assert type(levels) is list
+        assert all(type(row) is list and len(row) == 2 for row in levels)
+        assert all(type(eig) is float and type(mult) is int for eig, mult in levels)
 
 
 @pytest.mark.parametrize("cutoff, expected", [(0, 0.5), (1, 0.2), (3, 1 / 17)])
@@ -175,26 +173,23 @@ def test_eigenvalue_maps_are_mutually_inverse():
         assert mu_to_lambda(lambda_to_mu(lam)) == pytest.approx(lam, rel=1e-14)
 
 
+def residual_at(xi, grid):
+    """`eigenpair_residuals(grid)` at the storage index of the mode xi."""
+    return eigenpair_residuals(grid)[list(grid.frequencies()).index(xi)]
+
+
 def test_verify_eigenpair_zero_mode():
-    assert verify_eigenpair((0, 0), TorusGrid(2, 9)) < 1e-13
+    assert residual_at((0, 0), TorusGrid(2, 9)) < 1e-13
 
 
 @pytest.mark.parametrize("xi", [(1, 0), (2, 2), (-4, 3)])
 def test_verify_eigenpair_generic_modes(xi):
-    assert verify_eigenpair(xi, TorusGrid(2, 9)) < 1e-12
+    assert residual_at(xi, TorusGrid(2, 9)) < 1e-12
 
 
 def test_verify_eigenpair_other_dimensions():
-    assert verify_eigenpair((3,), TorusGrid(1, 9)) < 1e-12
-    assert verify_eigenpair((1, -1, 2), TorusGrid(3, 7)) < 1e-12
-
-
-def test_verify_eigenpair_rejects_out_of_box():
-    grid = TorusGrid(2, 9)
-    with pytest.raises(ValueError, match="outside"):
-        verify_eigenpair((5, 0), grid)
-    with pytest.raises(ValueError):
-        verify_eigenpair((1,), grid)
+    assert residual_at((3,), TorusGrid(1, 9)) < 1e-12
+    assert residual_at((1, -1, 2), TorusGrid(3, 7)) < 1e-12
 
 
 def per_mode_residuals(grid, symbol):
@@ -223,8 +218,6 @@ def test_eigenpair_residuals_match_per_mode_check(monkeypatch, n, m, tampered):
     assert got.shape == (grid.size,)
     assert np.max(np.abs(got - expected)) <= 1e-15
     assert (np.max(got) > 0.01) == tampered
-    xi = next(itertools.islice(grid.frequencies(), grid.size - 2, None))
-    assert verify_eigenpair(xi, grid) == pytest.approx(got[grid.size - 2], abs=1e-15)
 
 
 def test_resolvent_singular_values_equal_flattened_spectrum():
@@ -232,7 +225,7 @@ def test_resolvent_singular_values_equal_flattened_spectrum():
     grid = TorusGrid(2, 9)
     cap = grid.box_radius**2
     flat = []
-    for eig, mult in resolvent_spectrum(2, cap).levels:
+    for eig, mult in spectra(2, cap)["resolvent"]:
         flat.extend([eig] * mult)
     got = singular_values(resolvent_symbol(), grid, len(flat))
     assert got == flat
