@@ -16,6 +16,7 @@ from .embedding import (
     rellich_extract,
     required_cutoff,
     tail_bound_check,
+    tail_profile,
     tail_projection,
 )
 from .lattice import (

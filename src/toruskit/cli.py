@@ -37,8 +37,15 @@ _DIMENSIONS = (1, 2, 3)
 # Largest grid a command builds: 2**22 points, 64 MiB per complex field.
 MAX_GRID_POINTS = 2**22
 # Largest grid `verify` checks: its fast-vs-naive and eigenpair groups cost
-# O(size**2), seconds at this size and minutes beyond it.
+# O(size**2).  At 1-D M=8191 (one BLAS thread, 2-core x86-64 VM) the groups
+# take: resolvent-eigenpairs 8.7 s, solver-agreement 13.7 s (6406 CG
+# iterations), fast-vs-naive 1.4 s, tail-bounds 0.13 s, the rest under
+# 0.2 s; 25 s in all, and minutes beyond this size.
 MAX_VERIFY_POINTS = 2**13
+# Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
+# their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB
+# at 2-D M=511, 586 MiB at 1-D M=262143), so about 600 MiB at this size.
+MAX_EMBED_POINTS = 2**18
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 takes about 12 s and
 # 544 MiB and writes 96 MB of JSON, about as long as `verify` at its limit;
 # time grows about 5x per 4x in cap.
@@ -213,12 +220,10 @@ def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
 
 def _check_tail_bounds(c: transform.SpectralField):
     """Rows (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box radius."""
-    rows, failures = [], []
-    for cutoff in range(c.grid.box_radius + 1):
-        bound = embedding.tail_bound_check(c, cutoff)
-        rows.append((cutoff, bound.lhs, bound.rhs))
-        if not bound.holds:
-            failures.append(f"tail bound violated at N={cutoff}")
+    profile = embedding.tail_profile(c)
+    rows = list(zip(range(len(profile.lhs)), profile.lhs.tolist(), profile.rhs.tolist()))
+    failures = [f"tail bound violated at N={cutoff}"
+                for cutoff in np.flatnonzero(~profile.holds).tolist()]
     return rows, failures
 
 
@@ -255,7 +260,7 @@ def _check_solve(f: transform.GridField):
     u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
     gap = transform.grid_l2_norm(u_mult - u_cg)
     f_l2 = transform.grid_l2_norm(f)
-    a_norm = 1 + f.grid.dimension * f.grid.box_radius**2
+    a_norm = solver.helmholtz_norm(f.grid)
     failures = []
     for u, rep in ((u_mult, rep_mult), (u_cg, rep_cg)):
         backward = rep.residual_l2 / (a_norm * transform.grid_l2_norm(u) + f_l2)
@@ -316,6 +321,11 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_embed_demo(args) -> int:
     grid = _make_grid(args.dimension, args.points)
+    if grid.size > MAX_EMBED_POINTS:
+        raise UsageError(
+            f"points: embed-demo builds grids of at most {MAX_EMBED_POINTS} points, "
+            f"{args.points}**{args.dimension} = {grid.size}"
+        )
     side = Path(args.output).with_suffix(".json") if args.format == "csv" else None
     if side == Path(args.output):
         raise UsageError(
@@ -411,16 +421,18 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
 
 def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    fields, spectra = [], []
     for _ in range(3):
-        u = solver.random_field(grid, rng)
+        fields.append(solver.random_field(grid, rng))
+        spectra.append(_random_spectral_field(grid, rng))
+    slow_c = transform.naive_forward(fields)
+    slow_u = transform.naive_inverse(spectra)
+    worst = 0.0
+    for u, c, slow, slow_field in zip(fields, spectra, slow_c, slow_u):
         fast = transform.forward(u).coefficients
-        slow = transform.naive_forward(u).coefficients
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
-        c = _random_spectral_field(grid, rng)
         fast_u = transform.inverse(c).values
-        slow_u = transform.naive_inverse(c).values
-        worst = max(worst, float(np.max(np.abs(fast_u - slow_u))))
+        worst = max(worst, float(np.max(np.abs(fast - slow.coefficients))),
+                    float(np.max(np.abs(fast_u - slow_field.values))))
     failures = _exceeds("max |fast - naive|", worst, 1e-10)
     return f"max |fast - naive| = {worst:.2e}", failures
 

@@ -10,6 +10,11 @@ mode by mode, because every discarded mode carries weight at least
 small tail, in a fixed finite-dimensional coefficient space, and greedy
 clustering there extracts subfamilies that are pairwise close in L^2.
 That is the whole compactness mechanism, made finite.
+
+`tail_profile` evaluates the bound at every cutoff 0..box radius in one
+pass: the modes sorted by |xi|^2 once, the tail energies as one reversed
+cumulative sum, and each cutoff's tail found by a binary search at
+(N+1)^2.  `tail_bound_check`, one masked sum per cutoff, is its oracle.
 """
 
 from __future__ import annotations
@@ -75,10 +80,22 @@ class BoundedSequence:
         return self.items[0].grid
 
 
+# roundoff allowance of the tail bound: it holds when lhs <= rhs + _TAIL_SLACK
+_TAIL_SLACK = 1e-12
+
+
 class TailBound(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
+
+
+class TailProfile(NamedTuple):
+    """Both sides of the tail bound at cutoffs N = 0..box radius, as arrays."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
 
 
 def _kept_mask(c: SpectralField, cutoff: int) -> np.ndarray:
@@ -103,7 +120,30 @@ def tail_bound_check(c: SpectralField, cutoff: int) -> TailBound:
     """
     lhs = l2_norm(tail_projection(c, cutoff))
     rhs = math.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + tail_min_norm_sq(cutoff)))
-    return TailBound(lhs, rhs, lhs <= rhs + 1e-12)
+    return TailBound(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
+
+
+def tail_profile(c: SpectralField) -> TailProfile:
+    """`tail_bound_check` at every cutoff N = 0..box radius, in one pass.
+
+    The modes are sorted stably by k = |xi|^2 once; a cutoff keeps exactly
+    the modes with k < (N+1)^2 (`kept_by_truncation`), which are the sorted
+    prefix up to the left insertion point of (N+1)^2, so the tail is the
+    suffix after it and its energy one entry of the reversed cumulative sum
+    of |c|^2.  rhs is computed as `tail_bound_check` computes it; lhs agrees
+    with it to roundoff, the sums being taken in another order.
+    """
+    k = norm_sq_array(c.grid).ravel()
+    order = np.argsort(k, kind="stable")
+    energy = np.abs(c.coefficients.ravel()[order]) ** 2
+    # tails[i] = energy[i:].sum(); the trailing 0.0 is the empty tail
+    tails = np.append(np.cumsum(energy[::-1])[::-1], 0.0)
+    thresholds = np.array(
+        [tail_min_norm_sq(cutoff) for cutoff in range(c.grid.box_radius + 1)]
+    )
+    lhs = np.sqrt(tails[np.searchsorted(k[order], thresholds, side="left")])
+    rhs = np.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + thresholds))
+    return TailProfile(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
 def required_cutoff(h1_bound: float, eps: float) -> int:

@@ -324,6 +324,26 @@ def test_verify_refuses_grids_above_its_limit(capsys):
     assert "points" in capsys.readouterr().err
 
 
+def test_verify_3d_passes(capsys):
+    assert run("verify", "--dimension", 3, "--points", 9, "--seed", 1) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ") == 7 and "FAIL" not in out
+
+
+def test_embed_demo_refuses_grids_above_its_limit(tmp_path, monkeypatch, capsys):
+    # 2**18 + 1 points: one past the limit, refused before any field is drawn
+    def refuse(*args):
+        raise AssertionError("embed-demo drew a field above its limit")
+
+    monkeypatch.setattr(cli, "_random_spectral_field", refuse)
+    out = tmp_path / "e.csv"
+    assert cli.MAX_EMBED_POINTS == 2**18
+    assert run("embed-demo", "--dimension", 1, "--points", 2**18 + 1,
+               "--epsilon", 0.5, "--seed", 0, "--output", out) == 2
+    assert "points" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_dimension_out_of_range(tmp_path, capsys):
     assert (
         run("spectrum", "--dimension", 4, "--level-cap", 1,
@@ -487,6 +507,13 @@ def _scaled_cg(f, tol):
     return u, solver_mod.SolveReport(residual, "cg", rep.iterations, rep.wall_time)
 
 
+def _violated_profile(c):
+    cutoffs = c.grid.box_radius + 1
+    return embedding_mod.TailProfile(
+        np.ones(cutoffs), np.full(cutoffs, 0.5), np.zeros(cutoffs, dtype=bool)
+    )
+
+
 EMBED_ARGS = ("embed-demo", "--dimension", 1, "--points", 17, "--epsilon", 0.5,
               "--seed", 3)
 SOLVE_ARGS = ("solve", "--dimension", 2, "--points", 9, "--seed", 4)
@@ -501,9 +528,7 @@ SOLVE_ARGS = ("solve", "--dimension", 2, "--points", 9, "--seed", 4)
         (transform_mod, "inverse", _perturbed_inverse,
          ("transform", "--dimension", 2, "--points", 9, "--seed", 2),
          "transform-roundtrip-plancherel"),
-        (embedding_mod, "tail_bound_check",
-         lambda c, n: embedding_mod.TailBound(1.0, 0.5, False), EMBED_ARGS,
-         "tail-bounds"),
+        (embedding_mod, "tail_profile", _violated_profile, EMBED_ARGS, "tail-bounds"),
         (embedding_mod, "pairwise_l2_distances", lambda seq, indices: [0.1, 0.9],
          EMBED_ARGS, "rellich-extraction"),
         (operators_mod, "resolvent_symbol",
@@ -577,6 +602,17 @@ def test_bench_accepts_what_solve_accepts(tmp_path, monkeypatch):
     args = ("--dimension", 1, "--points", 101, "--seed", 1)
     assert run("solve", *args, "--output", tmp_path / "solve.csv") == 0
     assert run("bench", *args, "--repetitions", 2, "--output", tmp_path / "bench.csv") == 0
+
+
+def test_solve_passes_where_tol_lies_below_the_rounding_floor(tmp_path, monkeypatch):
+    # at tol=1e-10 the floor passes tol * ||f|| only on 1-D grids past about
+    # 10^4 points; a tighter tol puts a 1-D M=301 solve in the same state
+    monkeypatch.setattr(solver_mod, "solve_cg", lambda f, tol: _solve_cg(f, tol=1e-13))
+    out = tmp_path / "s.csv"
+    assert run("solve", "--dimension", 1, "--points", 301, "--seed", 0,
+               "--output", out) == 0
+    cg_row = out.read_text().strip().splitlines()[2].split(",")
+    assert cg_row[0] == "cg" and int(cg_row[2]) < 301
 
 
 def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):

@@ -19,6 +19,7 @@ from toruskit import (
     required_cutoff,
     sobolev_norm_sq,
     tail_bound_check,
+    tail_profile,
     tail_projection,
 )
 
@@ -105,6 +106,46 @@ def test_tail_bound_property_sparse_fields(seed, cutoff, sparsity):
     arr = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     arr[rng.random(g.shape) < sparsity] = 0.0
     assert tail_bound_check(SpectralField(g, arr), cutoff).holds
+
+
+def _assert_profile_matches_oracle(c):
+    profile = tail_profile(c)
+    assert len(profile.lhs) == len(profile.rhs) == c.grid.box_radius + 1
+    for cutoff in range(c.grid.box_radius + 1):
+        bound = tail_bound_check(c, cutoff)
+        assert profile.lhs[cutoff] == pytest.approx(bound.lhs, rel=1e-14, abs=0.0)
+        assert profile.rhs[cutoff] == pytest.approx(bound.rhs, rel=1e-14, abs=0.0)
+        assert profile.holds[cutoff] == bound.holds
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (1, 31), (2, 9), (2, 15), (3, 7), (3, 9)])
+def test_tail_profile_matches_the_one_cutoff_oracle(n, m):
+    g = TorusGrid(n, m)
+    _assert_profile_matches_oracle(random_spectral(g, np.random.default_rng(m)))
+    zero = tail_profile(SpectralField(g, np.zeros(g.shape)))
+    assert not zero.lhs.any() and not zero.rhs.any() and zero.holds.all()
+
+
+def test_tail_profile_keeps_what_truncation_keeps():
+    # k = 2 < 4 stays in the head at cutoff 1; k = 4 = (1+1)^2 starts the tail
+    g = TorusGrid(2, 9)
+    assert tail_profile(spectral_delta(g, (1, 1))).lhs.tolist()[:2] == [1.0, 0.0]
+    assert tail_profile(spectral_delta(g, (0, 2))).lhs.tolist()[:3] == [1.0, 1.0, 0.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    m=st.sampled_from([3, 5, 7, 9]),
+    seed=st.integers(0, 10_000),
+    sparsity=st.floats(0.0, 0.95),
+)
+def test_tail_profile_property(n, m, seed, sparsity):
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    arr[rng.random(g.shape) < sparsity] = 0.0
+    _assert_profile_matches_oracle(SpectralField(g, arr))
 
 
 def test_bounded_sequence_rechecks_the_bound():

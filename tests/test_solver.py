@@ -13,6 +13,8 @@ from toruskit import (
     solve_multiplier,
 )
 
+from toruskit.solver import helmholtz_norm
+
 from conftest import spectral_delta
 
 
@@ -81,6 +83,44 @@ def test_cg_reports_the_true_residual(n, points):
     true_l2 = np.linalg.norm(residual.ravel()) / np.sqrt(f.grid.size)
     assert report.iterations > 0
     assert report.residual_l2 == pytest.approx(true_l2, rel=1e-8)
+
+
+def test_cg_true_residual_meets_tol_where_the_recursion_drifts():
+    # the smallest 1-D grid found where the recursively updated residual
+    # passes tol while the true one does not (1.03e-10 ||f|| without the
+    # residual replacement); the residual is recomputed here with numpy.fft
+    points, tol = 2001, 1e-10
+    f = random_field(TorusGrid(1, points), np.random.default_rng(2))
+    u, report = solve_cg(f, tol=tol)
+    k = np.fft.fftfreq(points, d=1.0 / points)
+    residual = f.values - np.fft.ifft((1.0 + k * k) * np.fft.fft(u.values))
+    relative = np.linalg.norm(residual) / np.linalg.norm(f.values)
+    assert relative <= tol
+    assert report.residual_l2 / grid_l2_norm(f) <= tol
+
+
+@pytest.mark.parametrize("n, points", [(1, 3), (1, 301), (2, 9), (3, 5)])
+def test_helmholtz_norm_is_the_largest_symbol_value(n, points):
+    g = TorusGrid(n, points)
+    largest = max(1 + sum(x * x for x in xi) for xi in g.frequencies())
+    assert helmholtz_norm(g) == largest
+
+
+@pytest.mark.parametrize("points, tol, seed", [(301, 1e-13, 0), (301, 1e-13, 1),
+                                               (2001, 1e-12, 2)])
+def test_cg_stops_at_the_rounding_floor_when_tol_lies_below_it(points, tol, seed):
+    # tol * ||f|| lies below what evaluating f - A u can reach here: the true
+    # residual reads 3-30 tol at the first proposed stop, a backward error of
+    # 1-3 eps; replacing the residual there and going on would not reach tol
+    # within max_iter = M iterations
+    g = TorusGrid(1, points)
+    f = random_field(g, np.random.default_rng(seed))
+    u, report = solve_cg(f, tol=tol)
+    assert report.iterations < g.size
+    f_l2 = grid_l2_norm(f)
+    assert report.residual_l2 > tol * f_l2
+    backward = report.residual_l2 / (helmholtz_norm(g) * grid_l2_norm(u) + f_l2)
+    assert backward <= 4 * np.finfo(float).eps
 
 
 def test_cg_iteration_count_bounded_by_level_count():

@@ -18,7 +18,12 @@ from toruskit import (
     naive_inverse,
     plancherel_defect,
 )
-from toruskit.transform import _frequency_vectors, _mode_blocks
+from toruskit.transform import (
+    _analysis,
+    _frequency_vectors,
+    _mode_blocks,
+    _synthesis,
+)
 
 from conftest import random_grid, random_spectral, spectral_delta
 
@@ -139,8 +144,8 @@ def test_naive_oracle_makes_no_fft_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called numpy.fft")
 
-    monkeypatch.setattr(np.fft, "fftn", refuse)
-    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    for name in ("fft", "ifft", "fftn", "ifftn", "fftshift", "ifftshift"):
+        monkeypatch.setattr(np.fft, name, refuse)
     g = TorusGrid(3, 5)
     xi = (2, -1, 1)
     delta = spectral_delta(g, xi)
@@ -149,8 +154,52 @@ def test_naive_oracle_makes_no_fft_call(monkeypatch):
     assert np.max(np.abs(naive_forward(GridField(g, mode)).coefficients
                          - delta.coefficients)) < 1e-14
     assert np.max(np.abs(naive_inverse(delta).values - mode)) < 1e-14
+    for c in naive_forward([GridField(g, mode)] * 2):
+        assert np.max(np.abs(c.coefficients - delta.coefficients)) < 1e-14
+    for u in naive_inverse([delta] * 3):
+        assert np.max(np.abs(u.values - mode)) < 1e-14
     with pytest.raises(AssertionError, match="numpy.fft"):
         forward(GridField(g, mode))
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (1, 2053), (2, 15), (2, 7), (3, 5)])
+def test_naive_oracle_on_a_sequence_matches_it_per_field(n, m):
+    # 2053 is prime, and its 16 one-dimensional lines per block leave a short
+    # last block
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    fields = [random_grid(g, rng) for _ in range(3)]
+    spectra = [random_spectral(g, rng) for _ in range(2)]
+    analysed, synthesised = naive_forward(fields), naive_inverse(spectra)
+    assert len(analysed) == 3 and len(synthesised) == 2
+    for u, c in zip(fields, analysed):
+        assert np.max(np.abs(c.coefficients - naive_forward(u).coefficients)) < 1e-13
+    for c, u in zip(spectra, synthesised):
+        assert np.max(np.abs(u.values - naive_inverse(c).values)) < 1e-13
+    assert naive_forward(fields[:1])[0].grid == g
+
+
+def test_naive_oracle_refuses_a_sequence_on_two_grids():
+    rng = np.random.default_rng(0)
+    mixed = [random_grid(TorusGrid(1, 5), rng), random_grid(TorusGrid(1, 7), rng)]
+    with pytest.raises(ValueError, match="different grids"):
+        naive_forward(mixed)
+
+
+@pytest.mark.parametrize(
+    "n, m, stack",
+    [(1, 3, ()), (1, 9, (4,)), (1, 2053, ()), (2, 5, ()), (2, 15, (3,)),
+     (2, 13, (2, 2)), (3, 3, ()), (3, 9, (5,)), (3, 7, ())],
+)
+def test_box_shift_is_fftshift_bit_for_bit(n, m, stack):
+    rng = np.random.default_rng(n * m)
+    shape = stack + (m,) * n
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(-n, 0))
+    expected = np.fft.fftshift(np.fft.fftn(values, axes=axes, norm="forward"), axes=axes)
+    assert np.array_equal(_analysis(values, n), expected)
+    expected = np.fft.ifftn(np.fft.ifftshift(values, axes=axes), axes=axes, norm="forward")
+    assert np.array_equal(_synthesis(values, n), expected)
 
 
 def test_naive_linearity():
