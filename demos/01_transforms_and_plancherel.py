@@ -31,7 +31,7 @@ print("fast vs naive transform gap:", gap)
 
 # Energy bookkeeping: sum_xi |c|^2 == M^{-n} sum_m |u|^2 with this
 # normalization, so the transform is an isometry between the two sides.
-print("Parseval defect on a random field:", tk.plancherel_defect(noisy))
+print("Parseval defect on a random field:", tk.plancherel_defect(noisy, tk.forward(noisy)))
 
 # Real-valued samples show up as conjugate-symmetric coefficients.
 real = tk.GridField(grid, rng.standard_normal(grid.shape) + 0j)

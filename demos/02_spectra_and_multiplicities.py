@@ -25,8 +25,3 @@ radius = 4
 total = sum(m for k, m in lap if k <= radius**2)
 ball = tk.enumerate_ball(n, radius)
 print(f"sum of multiplicities up to {radius}^2 = {total} = |ball| = {len(ball)}")
-
-# The resolvent <-> shifted-inverse eigenvalue map and its inverse.
-for lam in (0.5, 0.2):
-    mu = tk.lambda_to_mu(lam)
-    print(f"lambda = {lam}  ->  mu = {mu}  ->  back to {tk.mu_to_lambda(mu)}")

@@ -9,9 +9,7 @@ import toruskit as tk
 
 grid = tk.TorusGrid(1, 17)
 rng = np.random.default_rng(3)
-c = tk.SpectralField(
-    grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-)
+c = tk.SpectralField(grid, tk.random_field(grid, rng).values)
 
 print("  N    ||tail||_L2    H^1 bound / sqrt(1+(N+1)^2)")
 for cutoff in range(grid.box_radius + 1):

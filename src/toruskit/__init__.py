@@ -33,27 +33,21 @@ from .operators import (
     helmholtz_symbol,
     identity_symbol,
     l2_norm,
-    laplacian,
     laplacian_symbol,
-    resolvent,
     resolvent_symbol,
     resolvent_tail_symbol,
     sobolev_norm_sq,
-    truncated_resolvent,
     truncated_resolvent_symbol,
 )
 from .solver import (
     ConjugateGradientError,
     SolveReport,
-    random_field,
     solve_cg,
     solve_multiplier,
 )
 from .spectral import (
     PowerIterationError,
     eigenpair_residuals,
-    lambda_to_mu,
-    mu_to_lambda,
     operator_norm_power_iteration,
     singular_values,
     spectra,
@@ -71,6 +65,7 @@ from .transform import (
     naive_forward,
     naive_inverse,
     plancherel_defect,
+    random_field,
 )
 
 __version__ = "0.1.0"

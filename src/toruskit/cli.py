@@ -171,16 +171,10 @@ def _report_failures(failures: list[str]) -> int:
     return 1 if failures else 0
 
 
-def _random_grid_field(grid: transform.TorusGrid, seed: int) -> transform.GridField:
-    return solver.random_field(grid, np.random.default_rng(seed))
-
-
 def _random_spectral_field(
     grid: transform.TorusGrid, rng: np.random.Generator
 ) -> transform.SpectralField:
-    return transform.SpectralField(
-        grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    )
+    return transform.SpectralField(grid, transform.random_field(grid, rng).values)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def _check_transform(u: transform.GridField):
     roundtrip = float(np.max(np.abs(transform.inverse(c).values - u.values))) / float(
         np.max(np.abs(u.values))
     )
-    defect = transform.plancherel_defect(u)
+    defect = transform.plancherel_defect(u, c)
     failures = _exceeds("roundtrip error", roundtrip, 1e-12)
     failures += _exceeds("plancherel defect", defect, 1e-12)
     return c, roundtrip, defect, failures
@@ -278,7 +272,7 @@ def _check_solve(f: transform.GridField):
 def _cmd_transform(args) -> int:
     grid = _make_grid(args.dimension, args.points)
     c, roundtrip, defect, failures = _check_transform(
-        _random_grid_field(grid, args.seed)
+        transform.random_field(grid, np.random.default_rng(args.seed))
     )
     print(f"roundtrip_error = {roundtrip!r}")
     print(f"plancherel_defect = {defect!r}")
@@ -352,7 +346,7 @@ def _cmd_embed_demo(args) -> int:
 
 def _cmd_solve(args) -> int:
     grid = _make_grid(args.dimension, args.points)
-    f = _random_grid_field(grid, args.seed)
+    f = transform.random_field(grid, np.random.default_rng(args.seed))
     u, reports, gap, failures = _check_solve(f)
     rep_mult, rep_cg = reports
     print(f"multiplier residual_l2 = {rep_mult.residual_l2!r}")
@@ -382,7 +376,7 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     runs, failures = [], []
     for repetition in range(1, args.repetitions + 1):
-        _, reports, _, run_failures = _check_solve(solver.random_field(grid, rng))
+        _, reports, _, run_failures = _check_solve(transform.random_field(grid, rng))
         runs.append(reports)
         failures += [f"repetition {repetition}: {failure}" for failure in run_failures]
     header = ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations")
@@ -408,7 +402,7 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
     failures = []
     for _ in range(20):
         _, roundtrip, defect, field_failures = _check_transform(
-            solver.random_field(grid, rng)
+            transform.random_field(grid, rng)
         )
         worst_rt = max(worst_rt, roundtrip)
         worst_defect = max(worst_defect, defect)
@@ -423,7 +417,7 @@ def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
     fields, spectra = [], []
     for _ in range(3):
-        fields.append(solver.random_field(grid, rng))
+        fields.append(transform.random_field(grid, rng))
         spectra.append(_random_spectral_field(grid, rng))
     slow_c = transform.naive_forward(fields)
     slow_u = transform.naive_inverse(spectra)
@@ -469,7 +463,8 @@ def _verify_extraction(seed) -> tuple[str, list[str]]:
 
 
 def _verify_solver(grid, seed) -> tuple[str, list[str]]:
-    _, (_, rep_cg), gap, failures = _check_solve(_random_grid_field(grid, seed))
+    f = transform.random_field(grid, np.random.default_rng(seed))
+    _, (_, rep_cg), gap, failures = _check_solve(f)
     return f"disagreement {gap:.2e}, cg iterations {rep_cg.iterations}", failures
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .lattice import tail_min_norm_sq
 from .operators import kept_by_truncation, l2_norm, norm_sq_array, sobolev_norm_sq
-from .transform import SpectralField
+from .transform import SpectralField, random_field
 
 _H1_SLACK = 1e-9
 _ANCHOR_COUNT = 4
@@ -225,7 +225,7 @@ def random_bounded_sequence(
     weights = 1.0 / (1.0 + norm_sq_array(grid))
 
     def draw(scale: float) -> SpectralField:
-        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        raw = random_field(grid, rng).values
         return _h1_rescaled(SpectralField(grid, raw * weights), scale)
 
     anchors = [draw(0.8 * h1_bound) for _ in range(_ANCHOR_COUNT)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -21,10 +22,11 @@ Frequency = tuple[int, ...]
 
 
 def norm_sq(xi: Frequency) -> int:
-    """Squared Euclidean norm |xi|^2 = sum_j xi_j^2 (a nonnegative integer)."""
+    """Squared Euclidean norm |xi|^2 = sum_j xi_j^2 (a nonnegative integer);
+    a component that is not an integer, such as 1.5, raises TypeError."""
     if len(xi) < 1:
         raise ValueError("frequency must have at least one component")
-    return sum(int(x) * int(x) for x in xi)
+    return sum(x * x for x in map(operator.index, xi))
 
 
 def tail_min_norm_sq(cutoff: int) -> int:

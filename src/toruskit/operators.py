@@ -127,22 +127,6 @@ def apply_multiplier(c: SpectralField, symbol: MultiplierSymbol) -> SpectralFiel
     return SpectralField(c.grid, symbol_array(symbol, c.grid) * c.coefficients)
 
 
-def laplacian(c: SpectralField) -> SpectralField:
-    return apply_multiplier(c, laplacian_symbol())
-
-
-def resolvent(c: SpectralField) -> SpectralField:
-    return apply_multiplier(c, resolvent_symbol())
-
-
-def truncated_resolvent(c: SpectralField, cutoff: int) -> SpectralField:
-    """Resolvent action on modes with norm_sq < (cutoff+1)^2, zero beyond.
-
-    As an operator on the stored box its rank is the number of kept modes.
-    """
-    return apply_multiplier(c, truncated_resolvent_symbol(cutoff))
-
-
 def sobolev_norm_sq(c: SpectralField, order: float) -> float:
     """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box."""
     if not np.isfinite(order):

@@ -1,5 +1,5 @@
 """Spectra of the Laplacian and its resolvent, operator-norm estimation,
-singular-value decay, and the resolvent <-> Laplacian eigenvalue map.
+eigenpair residuals, and singular-value decay.
 
 The Fourier modes diagonalize every multiplier, so spectra reduce to lattice
 level counts: `spectra` tables the Laplacian eigenvalues k = |xi|^2 and the
@@ -27,6 +27,7 @@ from .transform import (
     _synthesis,
     forward,
     inverse,
+    random_field,
 )
 
 
@@ -92,8 +93,7 @@ def operator_norm_power_iteration(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     sq = symbol_array(symbol, grid) ** 2
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    v = random_field(grid, np.random.default_rng(seed)).values
     v /= np.linalg.norm(v.ravel())
     estimate = 0.0
     for _ in range(max_iter):
@@ -135,24 +135,6 @@ def singular_values(
         )
     mags = np.sort(np.abs(symbol_array(symbol, grid)).ravel())[::-1]
     return [float(x) for x in mags[:count]]
-
-
-def mu_to_lambda(mu: float) -> float:
-    """Map an eigenvalue mu of the shifted inverse to lambda = (1 + mu) / mu."""
-    if mu == 0.0:
-        raise ValueError("mu = 0 is outside the domain of the eigenvalue map")
-    return (1.0 + mu) / mu
-
-
-def lambda_to_mu(lam: float) -> float:
-    """Inverse map mu = 1 / (lambda - 1); lambda = 1 (the constant mode,
-    where the shifted operator is singular) is excluded."""
-    if lam == 1.0:
-        raise ValueError(
-            "lambda = 1 is the eigenvalue at the constant mode, where the "
-            "shifted operator is singular"
-        )
-    return 1.0 / (lam - 1.0)
 
 
 def eigenpair_residuals(grid: TorusGrid) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -78,14 +79,10 @@ class TorusGrid:
         """Sample coordinates 2pi m / M along one axis."""
         return 2.0 * math.pi * np.arange(self.points_per_axis) / self.points_per_axis
 
-    def axis_frequencies(self) -> np.ndarray:
-        """Frequencies -h..h along one axis, in storage order."""
-        h = self.box_radius
-        return np.arange(-h, h + 1)
-
     def frequencies(self):
         """Iterate all frequency tuples of the box in row-major storage order."""
-        return itertools.product(self.axis_frequencies().tolist(), repeat=self.dimension)
+        h = self.box_radius
+        return itertools.product(range(-h, h + 1), repeat=self.dimension)
 
 
 def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
@@ -124,6 +121,13 @@ class GridField:
     __rmul__ = __mul__
 
 
+def random_field(grid: TorusGrid, rng: np.random.Generator) -> GridField:
+    """Standard complex Gaussian samples on the grid (test/benchmark input)."""
+    return GridField(
+        grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    )
+
+
 @dataclass
 class SpectralField:
     """Fourier coefficients c(xi) on the symmetric box, shape (M,)*n.
@@ -153,9 +157,9 @@ class SpectralField:
     __rmul__ = __mul__
 
     def __getitem__(self, xi) -> complex:
-        """Coefficient at the frequency tuple xi."""
+        """Coefficient at the integer frequency tuple xi."""
         h = self.grid.box_radius
-        idx = tuple(int(x) + h for x in xi)
+        idx = tuple(operator.index(x) + h for x in xi)
         if len(idx) != self.grid.dimension or any(
             a < 0 or a >= self.grid.points_per_axis for a in idx
         ):
@@ -309,9 +313,8 @@ def grid_l2_norm(u: GridField) -> float:
     return float(np.linalg.norm(u.values.ravel()) / math.sqrt(u.grid.size))
 
 
-def plancherel_defect(u: GridField) -> float:
+def plancherel_defect(u: GridField, c: SpectralField) -> float:
     """|sum_xi |c(xi)|^2 - M^{-n} sum_m |u(x_m)|^2| for c = forward(u)."""
-    c = forward(u)
     spectral_energy = float(np.sum(np.abs(c.coefficients) ** 2))
     grid_energy = float(np.sum(np.abs(u.values) ** 2)) / u.grid.size
     return abs(spectral_energy - grid_energy)

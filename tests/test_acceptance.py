@@ -82,7 +82,8 @@ def test_criterion_03_plancherel():
             grid = TorusGrid(n, m)
             rng = np.random.default_rng(1000 * n + m)
             for _ in range(100):
-                worst = max(worst, plancherel_defect(random_field(grid, rng)))
+                u = random_field(grid, rng)
+                worst = max(worst, plancherel_defect(u, forward(u)))
                 cases += 1
     _report(
         "criterion 3 (Plancherel)",

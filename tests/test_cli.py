@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from toruskit import MultiplierSymbol, cli, field_from_doc, spectral as spectral_mod
 from toruskit import embedding as embedding_mod
-from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
+
+from conftest import random_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -184,6 +185,19 @@ def test_transform_csv_schema(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["-2", "-2"]
     float(first[2]), float(first[3])  # plain parseable floats
+
+
+def test_transform_check_transforms_its_input_once(monkeypatch):
+    analysis, calls = transform_mod._analysis, []
+
+    def counted(values, dimension):
+        calls.append(values.shape)
+        return analysis(values, dimension)
+
+    monkeypatch.setattr(transform_mod, "_analysis", counted)
+    u = random_grid(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
+    *_, failures = cli._check_transform(u)
+    assert failures == [] and calls == [(9, 9)]
 
 
 def test_solve_json_report(tmp_path):
@@ -531,7 +545,7 @@ SOLVE_ARGS = ("solve", "--dimension", 2, "--points", 9, "--seed", 4)
         (embedding_mod, "tail_profile", _violated_profile, EMBED_ARGS, "tail-bounds"),
         (embedding_mod, "pairwise_l2_distances", lambda seq, indices: [0.1, 0.9],
          EMBED_ARGS, "rellich-extraction"),
-        (operators_mod, "resolvent_symbol",
+        (solver_mod, "resolvent_symbol",
          lambda: MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k)),
          SOLVE_ARGS, "solver-agreement"),
         (solver_mod, "helmholtz_symbol",
@@ -581,7 +595,7 @@ def _perturbed_solution(f, xi, residual):
     ],
 )
 def test_solve_check_on_perturbed_cg_solutions(monkeypatch, xi, residual, expected):
-    f = solver_mod.random_field(transform_mod.TorusGrid(1, 101), np.random.default_rng(0))
+    f = transform_mod.random_field(transform_mod.TorusGrid(1, 101), np.random.default_rng(0))
     u = _perturbed_solution(f, xi, residual)
     report = solver_mod.SolveReport(solver_mod._residual_l2(u, f), "cg", 1, 0.0)
     monkeypatch.setattr(solver_mod, "solve_cg", lambda f, tol: (u, report))
@@ -623,7 +637,7 @@ def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):
         return u * (2 * transform_mod.grid_l2_norm(f) / transform_mod.grid_l2_norm(u)), rep
 
     monkeypatch.setattr(solver_mod, "solve_multiplier", inflated)
-    f = solver_mod.random_field(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
+    f = transform_mod.random_field(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
     *_, failures = cli._check_solve(f)
     assert any(failure.startswith("||u||") for failure in failures)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,12 @@ def test_norm_sq_examples():
 def test_norm_sq_rejects_empty():
     with pytest.raises(ValueError):
         norm_sq(())
+
+
+def test_norm_sq_refuses_non_integer_components():
+    assert norm_sq((np.int64(2), np.int32(-1))) == 5
+    with pytest.raises(TypeError):
+        norm_sq((1.5,))
 
 
 def test_enumerate_ball_1d():

@@ -12,15 +12,12 @@ from toruskit import (
     identity_symbol,
     inverse,
     l2_norm,
-    laplacian,
     laplacian_symbol,
     norm_sq,
-    resolvent,
     resolvent_symbol,
     resolvent_tail_symbol,
     singular_values,
     sobolev_norm_sq,
-    truncated_resolvent,
     truncated_resolvent_symbol,
 )
 from toruskit.operators import norm_sq_array, symbol_array
@@ -46,29 +43,29 @@ def test_identity_symbol_leaves_field_unchanged(grid_2d_9):
 
 def test_laplacian_scales_unit_mode(grid_2d_9):
     c = spectral_delta(grid_2d_9, (1, 0))
-    assert laplacian(c)[(1, 0)] == 1.0
+    assert apply_multiplier(c, laplacian_symbol())[(1, 0)] == 1.0
 
 
 def test_resolvent_scales_by_one_fifth(grid_2d_9):
     c = spectral_delta(grid_2d_9, (2, 0))
-    assert resolvent(c)[(2, 0)] == pytest.approx(0.2, abs=0)
+    assert apply_multiplier(c, resolvent_symbol())[(2, 0)] == pytest.approx(0.2, abs=0)
 
 
 def test_laplacian_kills_constants(grid_2d_9):
     c = spectral_delta(grid_2d_9, (0, 0))
-    assert np.max(np.abs(laplacian(c).coefficients)) == 0.0
-    assert resolvent(c)[(0, 0)] == 1.0
+    assert np.max(np.abs(apply_multiplier(c, laplacian_symbol()).coefficients)) == 0.0
+    assert apply_multiplier(c, resolvent_symbol())[(0, 0)] == 1.0
 
 
 def test_resolvent_inverts_helmholtz(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(1))
-    back = resolvent(laplacian(c) + c)
+    back = apply_multiplier(apply_multiplier(c, laplacian_symbol()) + c, resolvent_symbol())
     assert np.max(np.abs(back.coefficients - c.coefficients)) < 1e-13
 
 
 def test_truncation_cutoff_zero_keeps_only_constant(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(2))
-    out = truncated_resolvent(c, 0)
+    out = apply_multiplier(c, truncated_resolvent_symbol(0))
     assert out[(0, 0)] == c[(0, 0)]
     rest = out.coefficients.copy()
     rest[grid_2d_9.box_radius, grid_2d_9.box_radius] = 0.0
@@ -78,17 +75,19 @@ def test_truncation_cutoff_zero_keeps_only_constant(grid_2d_9):
 def test_truncation_covering_the_box_equals_resolvent(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(3))
     # (N+1)^2 > 2 * 4^2 guarantees nothing is discarded
-    full = truncated_resolvent(c, 6)
-    assert np.array_equal(full.coefficients, resolvent(c).coefficients)
+    full = apply_multiplier(c, truncated_resolvent_symbol(6))
+    resolved = apply_multiplier(c, resolvent_symbol())
+    assert np.array_equal(full.coefficients, resolved.coefficients)
 
 
 def test_truncation_membership_straddles_integer_radii(grid_2d_9):
     # the discarded tail starts at squared norm (N+1)^2: |xi|^2 = 2 survives
     # a cutoff-1 truncation while |xi|^2 = 4 does not
     c = spectral_delta(grid_2d_9, (1, 1))
-    assert truncated_resolvent(c, 1)[(1, 1)] == pytest.approx(1 / 3, abs=0)
+    truncation = truncated_resolvent_symbol(1)
+    assert apply_multiplier(c, truncation)[(1, 1)] == pytest.approx(1 / 3, abs=0)
     d = spectral_delta(grid_2d_9, (0, 2))
-    assert truncated_resolvent(d, 1)[(0, 2)] == 0.0
+    assert apply_multiplier(d, truncation)[(0, 2)] == 0.0
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 4])
@@ -99,8 +98,9 @@ def test_truncation_rank_on_stored_box(grid_2d_9, cutoff):
 
 
 def test_truncation_rejects_negative_cutoff(grid_2d_9):
+    c = random_spectral(grid_2d_9, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        truncated_resolvent(random_spectral(grid_2d_9, np.random.default_rng(0)), -1)
+        apply_multiplier(c, truncated_resolvent_symbol(-1))
 
 
 def test_sobolev_norm_single_modes(grid_2d_9):
@@ -154,26 +154,27 @@ def test_resolvent_is_a_contraction(grid_2d_9):
     rng = np.random.default_rng(7)
     for _ in range(5):
         c = random_spectral(grid_2d_9, rng)
-        assert l2_norm(resolvent(c)) <= l2_norm(c)
+        assert l2_norm(apply_multiplier(c, resolvent_symbol())) <= l2_norm(c)
     # equality exactly on fields supported at the zero mode
     c0 = spectral_delta(grid_2d_9, (0, 0))
-    assert l2_norm(resolvent(c0)) == l2_norm(c0)
+    assert l2_norm(apply_multiplier(c0, resolvent_symbol())) == l2_norm(c0)
 
 
 @pytest.mark.parametrize("order", [-1.0, 0.0, 1.5])
 def test_resolvent_smoothing_gains_two_orders(grid_2d_9, order):
     c = random_spectral(grid_2d_9, np.random.default_rng(8))
-    gained = sobolev_norm_sq(resolvent(c), order + 2.0)
+    gained = sobolev_norm_sq(apply_multiplier(c, resolvent_symbol()), order + 2.0)
     assert gained == pytest.approx(sobolev_norm_sq(c, order), rel=1e-12)
 
 
 def test_truncation_plus_tail_is_resolvent_exactly(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(9))
     for cutoff in (0, 1, 3):
-        head = truncated_resolvent(c, cutoff)
+        head = apply_multiplier(c, truncated_resolvent_symbol(cutoff))
         tail = apply_multiplier(c, resolvent_tail_symbol(cutoff))
         assert np.array_equal(
-            (head + tail).coefficients, resolvent(c).coefficients
+            (head + tail).coefficients,
+            apply_multiplier(c, resolvent_symbol()).coefficients,
         )
 
 
@@ -181,6 +182,13 @@ def test_helmholtz_symbol_values():
     sym = helmholtz_symbol()
     assert sym((0, 0)) == 1.0
     assert sym((2, 1)) == 6.0
+
+
+def test_symbol_refuses_non_integer_frequency():
+    sym = resolvent_symbol()
+    assert sym((np.int64(1), 0)) == 0.5
+    with pytest.raises(TypeError):
+        sym((0.5, 0))
 
 
 def test_non_finite_radial_symbol_rejected(grid_2d_9):

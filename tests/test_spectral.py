@@ -14,9 +14,7 @@ from toruskit import (
     grid_l2_norm,
     identity_symbol,
     inverse,
-    lambda_to_mu,
     level_multiplicity,
-    mu_to_lambda,
     operator_norm_power_iteration,
     resolvent_symbol,
     resolvent_tail_symbol,
@@ -147,30 +145,6 @@ def test_singular_values_count_validation():
     with pytest.raises(ValueError):
         singular_values(identity_symbol(), grid, 6)
     assert singular_values(identity_symbol(), grid, 0) == []
-
-
-def test_eigenvalue_map_examples():
-    assert mu_to_lambda(-2.0) == pytest.approx(0.5, abs=0)
-    mu = lambda_to_mu(0.2)
-    assert mu == pytest.approx(-1.25, abs=0)
-    assert mu_to_lambda(mu) == pytest.approx(0.2, rel=1e-15)
-
-
-def test_eigenvalue_map_blows_up_near_zero():
-    assert abs(mu_to_lambda(1e-12)) > 1e11
-    assert abs(mu_to_lambda(-1e-12)) > 1e11
-
-
-def test_eigenvalue_map_domain_errors():
-    with pytest.raises(ValueError):
-        mu_to_lambda(0.0)
-    with pytest.raises(ValueError, match="constant mode"):
-        lambda_to_mu(1.0)
-
-
-def test_eigenvalue_maps_are_mutually_inverse():
-    for lam in (-3.0, 0.5, 1 / 3, 7.25):
-        assert mu_to_lambda(lambda_to_mu(lam)) == pytest.approx(lam, rel=1e-14)
 
 
 def residual_at(xi, grid):

@@ -213,15 +213,18 @@ def test_naive_linearity():
 
 def test_plancherel_trivial_cases():
     g = TorusGrid(1, 5)
-    assert plancherel_defect(GridField(g, np.exp(1j * g.axis_points()))) < 1e-14
-    assert plancherel_defect(GridField(g, np.zeros(5, dtype=complex))) == 0.0
+    u = GridField(g, np.exp(1j * g.axis_points()))
+    assert plancherel_defect(u, forward(u)) < 1e-14
+    zero = GridField(g, np.zeros(5, dtype=complex))
+    assert plancherel_defect(zero, forward(zero)) == 0.0
 
 
 def test_plancherel_seeded_2d():
     g = TorusGrid(2, 9)
     rng = np.random.default_rng(21)
     for _ in range(10):
-        assert plancherel_defect(random_grid(g, rng)) < 1e-12
+        u = random_grid(g, rng)
+        assert plancherel_defect(u, forward(u)) < 1e-12
 
 
 def test_real_fields_have_conjugate_symmetric_coefficients():
@@ -277,6 +280,13 @@ def test_spectral_indexing_outside_box():
         c[(3,)]
 
 
+def test_spectral_indexing_refuses_non_integer_frequencies():
+    c = spectral_delta(TorusGrid(1, 5), (1,))
+    assert c[(np.int64(1),)] == 1.0
+    with pytest.raises(TypeError):
+        c[(1.5,)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(1, 2),
@@ -287,4 +297,4 @@ def test_roundtrip_property(n, m, seed):
     g = TorusGrid(n, m)
     u = random_grid(g, np.random.default_rng(seed))
     assert np.max(np.abs(inverse(forward(u)).values - u.values)) < 1e-12
-    assert plancherel_defect(u) < 1e-12
+    assert plancherel_defect(u, forward(u)) < 1e-12
