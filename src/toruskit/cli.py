@@ -1,18 +1,20 @@
 """Command-line surface: transforms, spectra, truncation tables, embedding
 demos, solves, and benchmarks, emitting JSON or CSV for offline plotting.
 
-Exit codes: 0 on success, 1 when a numerical self-check fails, 2 on
-usage/validation errors.  Commands that draw random data require an explicit
---seed (there is no wall-clock default), and identical configurations
-produce byte-identical data files apart from wall-time columns.
+Exit codes: 0 on success, 1 when a numerical self-check fails or an
+iterative loop does not converge, 2 on usage/validation errors.  Commands
+that draw random data require an explicit --seed (there is no wall-clock
+default), and identical configurations produce byte-identical data files
+apart from wall-time columns.
 
 Each self-check is one `_check_*` function, called by its command and by
 the matching `verify` group, so both apply the same rule; `bench` runs the
 `solve` check on every repetition.  `verify` prints one PASS/FAIL line per
-group with its wall seconds.  A flag whose rule needs no other flag is
+group with its wall seconds; a loop that fails to converge fails its group,
+and the other groups still run.  A flag whose rule needs no other flag is
 validated once, by its argparse `type=`, so a bad value exits 2 naming the
 flag before any work is done; `_make_grid` checks `--points` against
-`--dimension`.
+`--dimension` and the command's grid-size limit.
 A command's CSV table and JSON document are written from the same rows.
 Every JSON file is laid out exactly as `json.dumps(doc, indent=2)` would
 write it, byte for byte, by the one writer `_json_text`.
@@ -56,15 +58,24 @@ class UsageError(ValueError):
     pass
 
 
-def _make_grid(n: int, points: int) -> transform.TorusGrid:
+# A loop that stops without converging; a command exits 1 on it, and in
+# `verify` it is the failure of the group that ran the loop.
+_NUMERICAL_FAILURES = (spectral.PowerIterationError, solver.ConjugateGradientError)
+
+
+def _make_grid(
+    n: int, points: int, limit: int = MAX_GRID_POINTS
+) -> transform.TorusGrid:
+    """The command's grid, refused (exit 2, naming points) above `limit`
+    points, before any field is drawn."""
     try:
         grid = transform.TorusGrid(n, points)
     except ValueError as exc:
         raise UsageError(f"points: {exc}") from exc
-    if grid.size > MAX_GRID_POINTS:
+    if grid.size > limit:
         raise UsageError(
             f"points: a grid of {points}**{n} = {grid.size} points exceeds "
-            f"the limit of {MAX_GRID_POINTS}"
+            f"the limit of {limit}"
         )
     return grid
 
@@ -243,10 +254,9 @@ def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
 def _check_solve(f: transform.GridField):
     """Solve (Delta + 1) u = f by the multiplier and by CG.
 
-    Each solve's normwise backward error ||f - A u|| / (||A|| ||u|| + ||f||)
-    (Rigal & Gaches 1967), with the exact ||A|| = 1 + n h^2 on the box of
-    radius h, must be <= 1e-10; a residual bound in ||f|| alone falls below
-    the roundoff of applying A when ||A|| is large.  The solutions must agree
+    Each solve's normwise backward error, its residual over
+    `solver.backward_error_scale`, must be <= 1e-10; a residual bound in
+    ||f|| alone falls below the roundoff of applying A when ||A|| is large.  The solutions must agree
     to 1e-9, and ||u|| <= ||f|| since the resolvent has norm 1.
     Returns (u, (multiplier report, CG report), disagreement, failures).
     """
@@ -254,10 +264,9 @@ def _check_solve(f: transform.GridField):
     u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
     gap = transform.grid_l2_norm(u_mult - u_cg)
     f_l2 = transform.grid_l2_norm(f)
-    a_norm = solver.helmholtz_norm(f.grid)
     failures = []
     for u, rep in ((u_mult, rep_mult), (u_cg, rep_cg)):
-        backward = rep.residual_l2 / (a_norm * transform.grid_l2_norm(u) + f_l2)
+        backward = rep.residual_l2 / solver.backward_error_scale(u, f)
         failures += _exceeds(f"{rep.method} backward error", backward, 1e-10)
     failures += _exceeds("solver disagreement", gap, 1e-9)
     failures += _exceeds("||u||", transform.grid_l2_norm(u_mult), f_l2 * (1 + 1e-12))
@@ -314,12 +323,7 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_embed_demo(args) -> int:
-    grid = _make_grid(args.dimension, args.points)
-    if grid.size > MAX_EMBED_POINTS:
-        raise UsageError(
-            f"points: embed-demo builds grids of at most {MAX_EMBED_POINTS} points, "
-            f"{args.points}**{args.dimension} = {grid.size}"
-        )
+    grid = _make_grid(args.dimension, args.points, MAX_EMBED_POINTS)
     side = Path(args.output).with_suffix(".json") if args.format == "csv" else None
     if side == Path(args.output):
         raise UsageError(
@@ -469,12 +473,7 @@ def _verify_solver(grid, seed) -> tuple[str, list[str]]:
 
 
 def _cmd_verify(args) -> int:
-    grid = _make_grid(args.dimension, args.points)
-    if grid.size > MAX_VERIFY_POINTS:
-        raise UsageError(
-            f"points: verify checks grids of at most {MAX_VERIFY_POINTS} points, "
-            f"{args.points}**{args.dimension} = {grid.size}"
-        )
+    grid = _make_grid(args.dimension, args.points, MAX_VERIFY_POINTS)
     groups = [
         ("transform-roundtrip-plancherel", lambda: _verify_transforms(grid, args.seed)),
         ("fast-vs-naive-transform", lambda: _verify_fast_vs_naive(grid, args.seed)),
@@ -487,7 +486,11 @@ def _cmd_verify(args) -> int:
     failures = []
     for name, check in groups:
         start = time.perf_counter()
-        detail, group_failures = check()
+        try:
+            detail, group_failures = check()
+        except _NUMERICAL_FAILURES as exc:
+            detail = f"numerical failure: {exc}"
+            group_failures = [detail]
         seconds = time.perf_counter() - start
         status = "FAIL" if group_failures else "PASS"
         print(f"{status} {name}: {detail} ({seconds:.3f} s)")
@@ -524,17 +527,10 @@ _OUTPUT = _checked(str, lambda v: Path(v).parent.is_dir() and not Path(v).is_dir
                    "a file in an existing directory")
 
 
-def _add_common(sub, *, dimension=None, points=None, seed_required=True):
-    if dimension is None:
-        sub.add_argument("--dimension", type=int, required=True, choices=_DIMENSIONS)
-    else:
-        sub.add_argument("--dimension", type=int, default=dimension, choices=_DIMENSIONS)
-    if points is None:
-        sub.add_argument("--points", type=int, required=True)
-    else:
-        sub.add_argument("--points", type=int, default=points)
-    if seed_required:
-        sub.add_argument("--seed", type=_NON_NEGATIVE, required=True)
+def _add_common(sub):
+    sub.add_argument("--dimension", type=int, required=True, choices=_DIMENSIONS)
+    sub.add_argument("--points", type=int, required=True)
+    sub.add_argument("--seed", type=_NON_NEGATIVE, required=True)
 
 
 def _add_output(sub):
@@ -596,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = subparsers.add_parser("verify", help="run the full invariant suite")
-    _add_common(p, dimension=2, points=9, seed_required=False)
+    p.add_argument("--dimension", type=int, default=2, choices=_DIMENSIONS)
+    p.add_argument("--points", type=int, default=9)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=1)
     p.set_defaults(func=_cmd_verify)
 
@@ -611,7 +608,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (spectral.PowerIterationError, solver.ConjugateGradientError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

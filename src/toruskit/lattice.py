@@ -38,8 +38,10 @@ def tail_min_norm_sq(cutoff: int) -> int:
     attained (by (cutoff + 1, 0, ..., 0)); integer frequencies with
     cutoff < |xi| < cutoff + 1, which exist for n >= 2, are kept.  This is
     the membership rule under which the truncation error law
-    1/((cutoff + 1)^2 + 1) is exact in every dimension.
+    1/((cutoff + 1)^2 + 1) is exact in every dimension.  A cutoff that is
+    not an integer, such as 1.5, raises TypeError.
     """
+    cutoff = operator.index(cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     return (cutoff + 1) ** 2

@@ -14,6 +14,7 @@ the condition number up to sqrt(n): `solve --dimension 1 --points 8191
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,21 +36,16 @@ class SolveReport:
             raise ValueError("residual and iteration count must be nonnegative")
 
 
-# Normwise backward error ||f - A u|| / (||A|| ||u|| + ||f||) at or below
-# which a CG residual is rounding in evaluating f - A u.  Where tol * ||f||
-# lies below that floor, the true residual read 0.6-3.0 eps at its first
-# proposed stop (1-D M=301..10001), while the recursion's drift read 6.4 eps
-# or more when it alone pushed the true residual past tol (1-D M=2001..10001).
+# Normwise backward error (see `backward_error_scale`) at or below which a
+# CG residual is rounding in evaluating f - A u.  Where tol * ||f|| lies
+# below that floor, the true residual read 0.6-3.0 eps at its first proposed
+# stop (1-D M=301..10001), while the recursion's drift read 6.4 eps or more
+# when it alone pushed the true residual past tol (1-D M=2001..10001).
 _ROUNDOFF_BACKWARD_ERROR = 4 * np.finfo(float).eps
 
 
 class ConjugateGradientError(RuntimeError):
-    """CG exhausted max_iter; carries the last iterate and its residual."""
-
-    def __init__(self, message: str, last_iterate: GridField, residual: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+    """CG exhausted max_iter before its residual met tol."""
 
 
 def _helmholtz_apply(u: GridField) -> GridField:
@@ -60,6 +56,13 @@ def _helmholtz_apply(u: GridField) -> GridField:
 def helmholtz_norm(grid: TorusGrid) -> float:
     """||Delta + 1|| on the grid's frequency box: 1 + n h^2, h the box radius."""
     return float(1 + grid.dimension * grid.box_radius**2)
+
+
+def backward_error_scale(u: GridField, f: GridField) -> float:
+    """Denominator of the normwise backward error of u as a solution of
+    A u = f, A = Delta + 1: ||f - A u|| / (||A|| ||u|| + ||f||) (Rigal &
+    Gaches 1967), with the exact ||A|| on the grid's box."""
+    return helmholtz_norm(u.grid) * grid_l2_norm(u) + grid_l2_norm(f)
 
 
 def _residual_l2(u: GridField, f: GridField) -> float:
@@ -99,8 +102,8 @@ def solve_cg(
     support.  max_iter defaults to the grid size, the exact-arithmetic bound
     on any space of that dimension.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     grid = f.grid
     if max_iter is None:
         max_iter = grid.size
@@ -115,7 +118,6 @@ def solve_cg(
     p = r.copy()
     rs = float(np.vdot(r, r).real)
     f_l2 = grid_l2_norm(f)
-    a_norm = helmholtz_norm(grid)
     iterations = 0
     for _ in range(max_iter):
         ap = _helmholtz_apply(GridField(grid, p)).values
@@ -128,7 +130,7 @@ def solve_cg(
             u = GridField(grid, x)
             true_residual = f - _helmholtz_apply(u)
             residual_l2 = grid_l2_norm(true_residual)
-            floor = _ROUNDOFF_BACKWARD_ERROR * (a_norm * grid_l2_norm(u) + f_l2)
+            floor = _ROUNDOFF_BACKWARD_ERROR * backward_error_scale(u, f)
             if residual_l2 <= max(tol * f_l2, floor):
                 return u, SolveReport(
                     residual_l2=residual_l2,
@@ -140,9 +142,6 @@ def solve_cg(
             rs_new = float(np.vdot(r, r).real)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    last = GridField(grid, x)
     raise ConjugateGradientError(
-        f"conjugate gradients did not reach tol={tol} within {max_iter} iterations",
-        last_iterate=last,
-        residual=_residual_l2(last, f),
+        f"conjugate gradients did not reach tol={tol} within {max_iter} iterations"
     )

@@ -56,22 +56,7 @@ def truncation_error_exact(cutoff: int) -> float:
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when the iteration exhausts max_iter before reaching tol.
-
-    Carries the last norm estimate and the last iterate vector.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        last_estimate: float,
-        iterations: int,
-        last_iterate: GridField | None = None,
-    ):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.iterations = iterations
-        self.last_iterate = last_iterate
+    """Power iteration exhausted max_iter before its residual met tol."""
 
 
 def operator_norm_power_iteration(
@@ -86,12 +71,15 @@ def operator_norm_power_iteration(
     Runs power iteration on the normal operator (symbol squared) with every
     application routed through the forward/inverse transform pair, so the
     estimate does not reuse the diagonal shortcut it is checking.  The start
-    vector is seeded pseudo-random with support on all modes; convergence is
-    declared when the Rayleigh-quotient residual certifies the estimate to
-    within tol.  Deterministic given the seed.
+    vector is seeded pseudo-random with support on all modes.  The iteration
+    stops when the Rayleigh-quotient residual puts the estimate within tol,
+    relatively, of the square root of *some* eigenvalue of the normal
+    operator, that is of some |sigma(xi)|; that it is the largest, the norm,
+    is what the check against the exact law 1/((N+1)^2+1) confirms.
+    Deterministic given the seed.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     sq = symbol_array(symbol, grid) ** 2
     v = random_field(grid, np.random.default_rng(seed)).values
     v /= np.linalg.norm(v.ravel())
@@ -107,16 +95,14 @@ def operator_norm_power_iteration(
         theta = float(np.vdot(v.ravel(), w.ravel()).real)
         residual = float(np.linalg.norm((w - theta * v).ravel()))
         estimate = math.sqrt(max(theta, 0.0))
-        # |sqrt(theta) - sqrt(lambda_max)| <= residual / sqrt(theta)
+        # some eigenvalue lambda of the normal operator lies within residual
+        # of theta, so |sqrt(theta) - sqrt(lambda)| <= residual / sqrt(theta)
         if estimate > 0.0 and residual <= tol * estimate:
             return estimate
         v = w / wn
     raise PowerIterationError(
         f"power iteration did not reach tol={tol} within {max_iter} iterations "
-        f"(last estimate {estimate})",
-        last_estimate=estimate,
-        iterations=max_iter,
-        last_iterate=GridField(grid, v),
+        f"(last estimate {estimate})"
     )
 
 

@@ -41,12 +41,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform grid with M points per axis on the n-torus, M odd and >= 3."""
+    """Uniform grid with M points per axis on the n-torus, M odd and >= 3.
+
+    Both sizes are integers; one that is not, such as 9.0, raises TypeError.
+    """
 
     dimension: int
     points_per_axis: int
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "points_per_axis"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.points_per_axis < 3:
@@ -343,7 +348,7 @@ def field_to_doc(field: GridField | SpectralField) -> dict:
 
 
 def field_from_doc(doc: dict) -> GridField | SpectralField:
-    grid = TorusGrid(int(doc["dimension"]), int(doc["points_per_axis"]))
+    grid = TorusGrid(doc["dimension"], doc["points_per_axis"])
     pairs = doc["values"]
     arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     kind = doc["kind"]

@@ -643,6 +643,62 @@ def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# A loop that does not converge: a command exits 1 and writes nothing;
+# `verify` reports it as its group's FAIL and runs the other groups.
+# ---------------------------------------------------------------------------
+
+_power_iteration = spectral_mod.operator_norm_power_iteration
+
+
+def _one_power_step(*args, **kwargs):
+    return _power_iteration(*args, **{**kwargs, "max_iter": 1})
+
+
+def _one_cg_step(f, tol):
+    return _solve_cg(f, tol=tol, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, message",
+    [
+        (spectral_mod, "operator_norm_power_iteration", _one_power_step,
+         ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1),
+         "power iteration did not reach tol=1e-09 within 1 iterations"),
+        (solver_mod, "solve_cg", _one_cg_step, SOLVE_ARGS,
+         "conjugate gradients did not reach tol=1e-10 within 1 iterations"),
+        (solver_mod, "solve_cg", _one_cg_step, ("bench", *SOLVE_ARGS[1:]),
+         "conjugate gradients did not reach tol=1e-10 within 1 iterations"),
+    ],
+    ids=["truncate", "solve", "bench"],
+)
+def test_numerical_failure_exits_1_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, module, name, fake, argv, message
+):
+    monkeypatch.setattr(module, name, fake)
+    assert run(*argv, "--output", tmp_path / "out.csv") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"numerical failure: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_reports_a_numerical_failure_as_its_groups_fail(monkeypatch, capsys):
+    monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", _one_power_step)
+    assert run("verify") == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS transform-roundtrip-plancherel", "PASS fast-vs-naive-transform",
+        "PASS resolvent-eigenpairs", "FAIL operator-norms", "PASS tail-bounds",
+        "PASS rellich-extraction", "PASS solver-agreement",
+    ]
+    assert lines[3].startswith("FAIL operator-norms: numerical failure: power iteration "
+                               "did not reach tol=1e-09 within 1 iterations")
+    assert err.startswith("check failed: operator-norms: numerical failure: ")
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
 # README's CLI examples run as written.
 # ---------------------------------------------------------------------------
 

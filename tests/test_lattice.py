@@ -8,10 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toruskit import (
+    SpectralField,
+    TorusGrid,
     enumerate_ball,
     level_multiplicity,
     levels_up_to,
     norm_sq,
+    random_field,
+    tail_bound_check,
+    tail_min_norm_sq,
+    truncated_resolvent_symbol,
+    truncation_error_exact,
 )
 
 
@@ -42,6 +49,18 @@ def test_norm_sq_refuses_non_integer_components():
     assert norm_sq((np.int64(2), np.int32(-1))) == 5
     with pytest.raises(TypeError):
         norm_sq((1.5,))
+
+
+def test_tail_min_norm_sq_refuses_a_non_integer_cutoff():
+    # 1.5 would give the threshold 6.25, which belongs to no truncation
+    assert tail_min_norm_sq(np.int64(2)) == 9
+    assert type(tail_min_norm_sq(np.int32(2))) is int
+    grid = TorusGrid(2, 9)
+    c = SpectralField(grid, random_field(grid, np.random.default_rng(0)).values)
+    for use in (tail_min_norm_sq, truncation_error_exact, truncated_resolvent_symbol,
+                lambda cutoff: tail_bound_check(c, cutoff)):
+        with pytest.raises(TypeError):
+            use(1.5)
 
 
 def test_enumerate_ball_1d():

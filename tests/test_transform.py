@@ -41,6 +41,15 @@ def test_grid_validation():
     assert g.size == 81
 
 
+def test_grid_refuses_non_integer_sizes():
+    g = TorusGrid(np.int64(2), np.int32(9))
+    assert g == TorusGrid(2, 9)
+    assert type(g.dimension) is int and type(g.points_per_axis) is int
+    for dimension, points in ((2, 9.0), (2.5, 9), ("2", 9)):
+        with pytest.raises(TypeError):
+            TorusGrid(dimension, points)
+
+
 def test_rejects_non_finite_values():
     g = TorusGrid(1, 5)
     bad = np.ones(5, dtype=complex)
@@ -255,6 +264,15 @@ def test_serialization_bit_exact_roundtrip():
         arr_back = back.values if isinstance(back, GridField) else back.coefficients
         assert type(back) is type(field)
         assert np.array_equal(arr, arr_back)
+
+
+@pytest.mark.parametrize("key, value", [("dimension", 2.7), ("dimension", "2"),
+                                        ("points_per_axis", 5.0)])
+def test_serialization_refuses_non_integer_sizes(key, value):
+    doc = field_to_doc(random_grid(TorusGrid(2, 5), np.random.default_rng(0)))
+    doc[key] = value
+    with pytest.raises(TypeError):
+        field_from_doc(doc)
 
 
 def test_serialization_rejects_unknown_kind():
