@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Finite-rank truncations of the resolvent obey an exact operator-norm
-# error law: cutting at level N leaves norm 1/((N+1)^2 + 1).  A power
+# error law: cutting at level N leaves norm 1/((N+1)^2 + 1).  A Lanczos
 # iteration that only sees grid fields (never the diagonal shortcut)
 # recovers the same numbers, and their decay to zero is a finite-rank
 # approximation certificate for compactness.
@@ -8,7 +8,7 @@
 import toruskit as tk
 
 n = 2
-print("  N   box M   exact 1/((N+1)^2+1)   power iteration        diff")
+print("  N   box M   exact 1/((N+1)^2+1)   Lanczos                diff")
 for cutoff in range(7):
     grid = tk.TorusGrid(n, 2 * (cutoff + 2) + 1)
     exact = tk.truncation_error_exact(cutoff)

@@ -46,7 +46,7 @@ from .solver import (
     solve_multiplier,
 )
 from .spectral import (
-    PowerIterationError,
+    LanczosError,
     eigenpair_residuals,
     operator_norm_power_iteration,
     singular_values,

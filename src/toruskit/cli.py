@@ -60,7 +60,7 @@ class UsageError(ValueError):
 
 # A loop that stops without converging; a command exits 1 on it, and in
 # `verify` it is the failure of the group that ran the loop.
-_NUMERICAL_FAILURES = (spectral.PowerIterationError, solver.ConjugateGradientError)
+_NUMERICAL_FAILURES = (spectral.LanczosError, solver.ConjugateGradientError)
 
 
 def _make_grid(
@@ -209,7 +209,7 @@ def _check_transform(u: transform.GridField):
 
 
 def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
-    """Rows (N, exact, estimate, diff): the power-iteration norm of each
+    """Rows (N, exact, estimate, diff): the Lanczos norm estimate of each
     resolvent tail against 1/((N+1)^2+1), to 1e-8."""
     rows = []
     for k in cutoffs:
@@ -218,7 +218,7 @@ def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
             operators.resolvent_tail_symbol(k), grid, tol=1e-9, seed=seed
         )
         rows.append((k, exact, estimate, abs(exact - estimate)))
-    failures = [f"N={k}: |exact - power_iteration| = {diff} > 1e-8"
+    failures = [f"N={k}: |exact - lanczos| = {diff} > 1e-8"
                 for k, _, _, diff in rows if diff > 1e-8]
     return rows, failures
 
@@ -446,9 +446,9 @@ def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
         operators.resolvent_symbol(), grid, tol=1e-9, seed=seed
     )
     rows, failures = _check_norm_law(grid, range(min(3, grid.box_radius - 2) + 1), seed)
-    failures += _exceeds("resolvent: |1 - power_iteration|", abs(estimate - 1.0), 1e-8)
+    failures += _exceeds("resolvent: |1 - lanczos|", abs(estimate - 1.0), 1e-8)
     worst = max([abs(estimate - 1.0)] + [diff for *_, diff in rows])
-    return f"worst |power-iteration - exact| = {worst:.2e}", failures
+    return f"worst |lanczos - exact| = {worst:.2e}", failures
 
 
 def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "truncate",
-        help="exact vs power-iteration truncation errors for N = 0..truncation",
+        help="exact vs Lanczos-estimated truncation errors for N = 0..truncation",
     )
     _add_common(p)
     p.add_argument("--truncation", type=_NON_NEGATIVE, required=True)

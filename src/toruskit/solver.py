@@ -107,6 +107,8 @@ def solve_cg(
     grid = f.grid
     if max_iter is None:
         max_iter = grid.size
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     start = time.perf_counter()
     f_norm = float(np.linalg.norm(f.values.ravel()))
     if f_norm == 0.0:

@@ -43,7 +43,8 @@ import numpy as np
 class TorusGrid:
     """Uniform grid with M points per axis on the n-torus, M odd and >= 3.
 
-    Both sizes are integers; one that is not, such as 9.0, raises TypeError.
+    Both sizes are integers; one that is not, such as 9.0 or True, raises
+    TypeError.
     """
 
     dimension: int
@@ -51,7 +52,10 @@ class TorusGrid:
 
     def __post_init__(self) -> None:
         for name in ("dimension", "points_per_axis"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not bool")
+            object.__setattr__(self, name, operator.index(value))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.points_per_axis < 3:

@@ -332,6 +332,54 @@ def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
     assert "FAIL fast-vs-naive-transform" in capsys.readouterr().out
 
 
+def _count_norm_applications(monkeypatch):
+    """Patch the estimator's inverse transform to count applications; the
+    returned list gets one count per estimate."""
+    counts = []
+    inverse = spectral_mod.inverse
+    estimate = spectral_mod.operator_norm_power_iteration
+
+    def counted_inverse(c):
+        counts[-1] += 1
+        return inverse(c)
+
+    def counted_estimate(*args, **kwargs):
+        counts.append(0)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "inverse", counted_inverse)
+    monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", counted_estimate)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_verify_norm_estimates_take_at_most_20_applications(monkeypatch, seed):
+    # the resolvent and the tails N = 0, 1, 2 at 3-D M=9 take 8-15 Lanczos
+    # steps; power iteration took 17-89 on the same estimates
+    counts = _count_norm_applications(monkeypatch)
+    _, failures = cli._verify_operator_norms(transform_mod.TorusGrid(3, 9), seed)
+    assert failures == []
+    assert len(counts) == 4
+    assert all(1 <= count <= 20 for count in counts), counts
+
+
+def test_verify_fails_operator_norms_when_the_routed_transform_is_off(monkeypatch, capsys):
+    # the estimator sees the operator only through its transforms, not
+    # through the diagonal symbol the law is derived from
+    inverse = spectral_mod.inverse
+
+    def scaled(c):
+        u = inverse(c)
+        return transform_mod.GridField(u.grid, u.values * (1 + 1e-6))
+
+    monkeypatch.setattr(spectral_mod, "inverse", scaled)
+    assert run("verify") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL operator-norms"
+    ]
+
+
 def test_verify_refuses_grids_above_its_limit(capsys):
     # 91**2 = 8281 points; the O(size**2) groups would run for minutes
     assert run("verify", "--dimension", 2, "--points", 91) == 2
@@ -663,7 +711,7 @@ def _one_cg_step(f, tol):
     [
         (spectral_mod, "operator_norm_power_iteration", _one_power_step,
          ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1),
-         "power iteration did not reach tol=1e-09 within 1 iterations"),
+         "Lanczos did not reach tol=1e-09 within 1 steps"),
         (solver_mod, "solve_cg", _one_cg_step, SOLVE_ARGS,
          "conjugate gradients did not reach tol=1e-10 within 1 iterations"),
         (solver_mod, "solve_cg", _one_cg_step, ("bench", *SOLVE_ARGS[1:]),
@@ -692,8 +740,8 @@ def test_verify_reports_a_numerical_failure_as_its_groups_fail(monkeypatch, caps
         "PASS resolvent-eigenpairs", "FAIL operator-norms", "PASS tail-bounds",
         "PASS rellich-extraction", "PASS solver-agreement",
     ]
-    assert lines[3].startswith("FAIL operator-norms: numerical failure: power iteration "
-                               "did not reach tol=1e-09 within 1 iterations")
+    assert lines[3].startswith("FAIL operator-norms: numerical failure: Lanczos "
+                               "did not reach tol=1e-09 within 1 steps")
     assert err.startswith("check failed: operator-norms: numerical failure: ")
     assert len(err.splitlines()) == 1
 

@@ -13,6 +13,7 @@ from toruskit import (
     solve_multiplier,
 )
 
+from toruskit import solver as solver_mod
 from toruskit.solver import helmholtz_norm
 
 from conftest import spectral_delta
@@ -157,6 +158,14 @@ def test_cg_non_convergence_raises_naming_tol_and_max_iter():
     assert str(excinfo.value) == (
         "conjugate gradients did not reach tol=1e-14 within 1 iterations"
     )
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_cg_refuses_max_iter_below_one_before_any_transform(monkeypatch, max_iter):
+    monkeypatch.setattr(solver_mod, "forward", None)
+    f = random_field(TorusGrid(2, 9), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_cg(f, max_iter=max_iter)
 
 
 def test_cg_rejects_bad_tol():

@@ -5,8 +5,8 @@ import pytest
 
 from toruskit import (
     GridField,
+    LanczosError,
     MultiplierSymbol,
-    PowerIterationError,
     TorusGrid,
     apply_multiplier,
     eigenpair_residuals,
@@ -109,16 +109,51 @@ def test_power_iteration_zero_symbol():
 
 def test_power_iteration_non_convergence_raises_naming_tol_and_estimate():
     grid = TorusGrid(2, 21)
-    with pytest.raises(PowerIterationError) as excinfo:
+    with pytest.raises(LanczosError) as excinfo:
         operator_norm_power_iteration(
             resolvent_tail_symbol(8), grid, tol=1e-14, max_iter=2, seed=0
         )
     assert isinstance(excinfo.value, RuntimeError)
     message = str(excinfo.value)
     assert message.startswith(
-        "power iteration did not reach tol=1e-14 within 2 iterations (last estimate "
+        "Lanczos did not reach tol=1e-14 within 2 steps (last estimate "
     )
     assert 0.0 < float(message.rsplit(" ", 1)[1].rstrip(")")) < 1.0
+
+
+def test_power_iteration_stops_on_an_invariant_subspace(monkeypatch):
+    # the identity's normal operator maps the start vector to itself, the
+    # zero operator maps it to 0: one application each
+    calls = []
+    inverse = spectral_mod.inverse
+    monkeypatch.setattr(spectral_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    assert operator_norm_power_iteration(
+        identity_symbol(), TorusGrid(2, 7), seed=0
+    ) == pytest.approx(1.0, abs=1e-15)
+    assert operator_norm_power_iteration(
+        resolvent_tail_symbol(10), TorusGrid(1, 5), seed=0
+    ) == 0.0
+    assert len(calls) == 2
+
+
+def test_power_iteration_meets_the_law_at_cutoff_10_within_40_applications(monkeypatch):
+    calls = []
+    inverse = spectral_mod.inverse
+    monkeypatch.setattr(spectral_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    est = operator_norm_power_iteration(resolvent_tail_symbol(10), TorusGrid(2, 65), seed=1)
+    assert est == pytest.approx(1 / 122, abs=1e-12)
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_power_iteration_refuses_max_iter_below_one_before_any_transform(
+    monkeypatch, max_iter
+):
+    monkeypatch.setattr(spectral_mod, "forward", None)
+    with pytest.raises(ValueError, match="max_iter"):
+        operator_norm_power_iteration(
+            resolvent_symbol(), TorusGrid(2, 9), max_iter=max_iter
+        )
 
 
 def test_power_iteration_rejects_bad_tol():

@@ -50,6 +50,13 @@ def test_grid_refuses_non_integer_sizes():
             TorusGrid(dimension, points)
 
 
+@pytest.mark.parametrize("dimension, points", [(True, 9), (2, True), (False, 9)])
+def test_grid_refuses_a_bool_size(dimension, points):
+    # operator.index(True) is 1: without the refusal TorusGrid(True, 9) is 1-D
+    with pytest.raises(TypeError, match="bool"):
+        TorusGrid(dimension, points)
+
+
 def test_rejects_non_finite_values():
     g = TorusGrid(1, 5)
     bad = np.ones(5, dtype=complex)
@@ -273,6 +280,13 @@ def test_serialization_refuses_non_integer_sizes(key, value):
     doc[key] = value
     with pytest.raises(TypeError):
         field_from_doc(doc)
+
+
+def test_serialization_refuses_a_bool_dimension():
+    doc = field_to_doc(random_grid(TorusGrid(1, 5), np.random.default_rng(0)))
+    doc["dimension"] = True
+    with pytest.raises(TypeError, match="bool"):
+        field_from_doc(json.loads(json.dumps(doc)))
 
 
 def test_serialization_rejects_unknown_kind():
