@@ -5,7 +5,9 @@ Exit codes: 0 on success, 1 when a numerical self-check fails or an
 iterative loop does not converge, 2 on usage/validation errors.  Commands
 that draw random data require an explicit --seed (there is no wall-clock
 default), and identical configurations produce byte-identical data files
-apart from wall-time columns.
+apart from wall-time columns, at a fixed BLAS thread count: the Lanczos
+estimates that `truncate` writes can differ in their last digits between
+thread counts, as BLAS sums in another order.
 
 Each self-check is one `_check_*` function, called by its command and by
 the matching `verify` group, so both apply the same rule; `bench` runs the
@@ -15,19 +17,24 @@ and the other groups still run.  A flag whose rule needs no other flag is
 validated once, by its argparse `type=`, so a bad value exits 2 naming the
 flag before any work is done; `_make_grid` checks `--points` against
 `--dimension` and the command's grid-size limit.
-A command's CSV table and JSON document are written from the same rows.
+A command's CSV table and JSON document are written from the same columns.
 Every JSON file is laid out exactly as `json.dumps(doc, indent=2)` would
-write it, byte for byte, by the one writer `_json_text`.
+write it, byte for byte, by the one writer `_json_chunks`.  Tables, in CSV
+and JSON alike, go through one column formatter, `_table_chunks`, and every
+file is written in pieces of at most _CHUNK_ROWS table rows, so neither a
+file's text nor all of its cell strings are held at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import statistics
 import sys
 import time
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -48,10 +55,14 @@ MAX_VERIFY_POINTS = 2**13
 # their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB
 # at 2-D M=511, 586 MiB at 1-D M=262143), so about 600 MiB at this size.
 MAX_EMBED_POINTS = 2**18
-# Largest `spectrum --level-cap`: in 3-D, cap 2**20 takes about 12 s and
-# 544 MiB and writes 96 MB of JSON, about as long as `verify` at its limit;
-# time grows about 5x per 4x in cap.
+# Largest `spectrum --level-cap`: in 3-D, cap 2**20 (one BLAS thread, 2-core
+# x86-64 VM) takes 2.8-3.5 s and peaks at 72 MiB writing 96 MB of JSON, or
+# 111 MiB writing 54 MB of CSV; from cap 2**18 (0.9 s, 41 MiB) time grows
+# about 4x per 4x in cap, the lattice scan about 8x.
 MAX_LEVEL_CAP = 2**20
+# Rows per piece of a table's text: a file is written piece by piece, so
+# neither it nor all of its cell strings are held at once.
+_CHUNK_ROWS = 2**12
 
 
 class UsageError(ValueError):
@@ -80,96 +91,155 @@ def _make_grid(
     return grid
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _write(path: str, chunks) -> None:
+    """Write the text `chunks` to `path` one by one, as they are made."""
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
     print(f"wrote {path}")
 
 
-def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, without the
-    pure-Python encoder that `indent` selects for every value: dicts and
-    lists are laid out here, numeric row tables column by column, ints and
-    finite floats by their `repr` as json does, keys by json's own string
-    encoder, and every other leaf by `json.dumps`."""
-    return _json_value(doc, "") + "\n"
+@dataclass(frozen=True)
+class _Columns:
+    """A table held as equal-length columns (ndarrays, lists or tuples) of
+    numbers or strings: JSON writes it as the list of its row lists, CSV as
+    one line per row."""
+
+    columns: tuple
 
 
-def _json_value(value, pad: str) -> str:
+def _spelling(column, spell):
+    """How each cell of `column` is written: `int.__repr__` if all are ints,
+    `float.__repr__` if all are finite floats (json and csv both write them
+    so), otherwise `spell` of the cell."""
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        kind = column.dtype.kind
+        if kind in "iu":
+            return int.__repr__
+        if kind == "f" and np.isfinite(column).all():
+            return float.__repr__
+        return spell
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return int.__repr__
+    # a sum that overflows, as 2 * 1.7e308 does, still leaves each cell finite
+    if kinds == {float} and (math.isfinite(sum(column))
+                             or all(map(math.isfinite, column))):
+        return float.__repr__
+    return spell
+
+
+def _table_chunks(columns, spellings, open_row, cell_sep, close_row, row_sep):
+    """The rows of `columns`, each `open_row` + its cells spelled by
+    `spellings` and joined by `cell_sep` + `close_row`, rows joined by
+    `row_sep`, in chunks of _CHUNK_ROWS rows: one chunk's cell strings are
+    all of a table's text that is held at a time."""
+    between = close_row + row_sep + open_row
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        cells = [map(spelling, column[start:stop].tolist()
+                     if isinstance(column, np.ndarray) else column[start:stop])
+                 for column, spelling in zip(columns, spellings)]
+        rows = between.join(map(cell_sep.join, zip(*cells)))
+        yield (row_sep if start else "") + open_row + rows + close_row
+
+
+def _csv_chunks(header, columns):
+    """The CSV text of the table: one header line, then one line per row;
+    `str` of an int or a float is its `repr`, so floats read back exactly,
+    and the strings (operator and method names) need no quoting."""
+    yield ",".join(header) + "\n"
+    yield from _table_chunks(columns, [_spelling(c, str) for c in columns],
+                             "", ",", "\n", "")
+
+
+def _json_chunks(doc):
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in pieces, without
+    the pure-Python encoder that `indent` selects for every value: dicts and
+    lists are laid out here, tables (`_Columns`, and lists of equal-width
+    list rows whose columns are each all ints or all finite floats, such as
+    field values) column by column, ints and finite floats by their `repr`
+    as json does, keys by json's own string encoder, and every other leaf
+    by `json.dumps`."""
+    yield from _json_parts(doc, "")
+    yield "\n"
+
+
+def _json_parts(value, pad: str):
     """`json.dumps(value, indent=2)` with every line after the first
     indented by `pad`; JSON text holds no raw newline inside a string, so
     that indentation is exactly `json.dumps`'s at this depth."""
     kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    inner = pad + "  "
-    if kind is list and value:
-        rows = _json_rows(value, pad)
-        if rows is not None:
-            return rows
-        items = [_json_value(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is dict and value and all(type(key) is str for key in value):
-        items = [encode_basestring_ascii(key) + ": " + _json_value(item, inner)
-                 for key, item in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # bool, None, str, NaN/inf, tuples, empty containers, non-str keys,
-    # subclasses such as numpy scalars: json.dumps's own encoding
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    if kind is list and value and (table := _row_table(value)) is not None:
+        yield from _json_table(*table, pad)
+    elif kind is _Columns:
+        columns = value.columns
+        yield from _json_table(columns, [_spelling(c, json.dumps) for c in columns], pad)
+    elif kind is int:
+        yield int.__repr__(value)
+    elif kind is float and math.isfinite(value):
+        yield float.__repr__(value)
+    elif (kind is list and value) or (
+            kind is dict and value and all(type(key) is str for key in value)):
+        inner = pad + "  "
+        entries = (zip(itertools.repeat(""), value) if kind is list else
+                   ((encode_basestring_ascii(key) + ": ", item)
+                    for key, item in value.items()))
+        opening, closing = ("[", "]") if kind is list else ("{", "}")
+        separator = opening + "\n" + inner
+        for label, item in entries:
+            yield separator + label
+            yield from _json_parts(item, inner)
+            separator = ",\n" + inner
+        yield "\n" + pad + closing
+    else:
+        # bool, None, str, NaN/inf, tuples, empty containers, non-str keys,
+        # subclasses such as numpy scalars: json.dumps's own encoding
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _json_rows(rows: list, pad: str) -> str | None:
-    """The `indent=2` text of a list of equal-width list rows whose columns
-    are each all Python ints or all finite Python floats (levels, field
-    values), formatted a column at a time; None for any other list."""
+def _row_table(rows: list):
+    """(columns, spellings) of `rows` transposed, when they are equal-width
+    lists whose columns are each all ints or all finite floats; None for
+    any other list."""
     if set(map(type, rows)) != {list}:
         return None
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths:
         return None
-    columns = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            columns.append(map(int.__repr__, column))
-        elif kinds == {float} and math.isfinite(sum(column)):
-            # the sum is NaN or inf if any entry is, and json spells those
-            # NaN/Infinity, not float.__repr__'s nan/inf
-            columns.append(map(float.__repr__, column))
-        else:
-            return None
+    columns = tuple(zip(*rows))
+    spellings = [_spelling(column, None) for column in columns]
+    return None if None in spellings else (columns, spellings)
+
+
+def _json_table(columns, spellings, pad: str):
+    """The `indent=2` text of the row lists of `columns` at depth `pad`."""
+    if not len(columns[0]):
+        yield "[]"
+        return
     row_pad = pad + "  "
     cell_pad = row_pad + "  "
-    open_row, close_row = "[\n" + cell_pad, "\n" + row_pad + "]"
-    cells = map((",\n" + cell_pad).join, zip(*columns))
-    return ("[\n" + row_pad + open_row
-            + (close_row + ",\n" + row_pad + open_row).join(cells)
-            + close_row + "\n" + pad + "]")
+    yield "[\n" + row_pad
+    yield from _table_chunks(columns, spellings, "[\n" + cell_pad,
+                             ",\n" + cell_pad, "\n" + row_pad + "]", ",\n" + row_pad)
+    yield "\n" + pad + "]"
 
 
-def _csv_text(header, rows) -> str:
-    """Rows of strings, Python ints and Python floats; `str` of an int or a
-    float is its `repr`, so floats read back exactly."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _records(header, rows) -> list[dict]:
+def _records(header, columns) -> list[dict]:
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     return [dict(zip(header, row)) for row in rows]
 
 
-def _write_table(args, header, rows, make_doc=None) -> None:
-    """Write `rows` as CSV, or `make_doc()` (default: one object per row) as
-    JSON; only the format asked for is built, so a field is encoded once."""
+def _write_table(args, header, make_columns, make_doc=None) -> None:
+    """Write the table of `make_columns()` as CSV, or `make_doc()` (default:
+    one object per row of the table) as JSON; only the format asked for is
+    built, so a field is encoded once."""
     if args.format == "csv":
-        text = _csv_text(header, rows)
+        chunks = _csv_chunks(header, make_columns())
     elif make_doc is None:
-        text = _json_text(_records(header, rows))
+        chunks = _json_chunks(_records(header, make_columns()))
     else:
-        text = _json_text(make_doc())
-    _write(args.output, text)
+        chunks = _json_chunks(make_doc())
+    _write(args.output, chunks)
 
 
 def _exceeds(what: str, value: float, bound: float) -> list[str]:
@@ -224,12 +294,13 @@ def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
 
 
 def _check_tail_bounds(c: transform.SpectralField):
-    """Rows (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box radius."""
+    """Columns (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box
+    radius."""
     profile = embedding.tail_profile(c)
-    rows = list(zip(range(len(profile.lhs)), profile.lhs.tolist(), profile.rhs.tolist()))
+    columns = [np.arange(len(profile.lhs)), profile.lhs, profile.rhs]
     failures = [f"tail bound violated at N={cutoff}"
                 for cutoff in np.flatnonzero(~profile.holds).tolist()]
-    return rows, failures
+    return columns, failures
 
 
 def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
@@ -291,20 +362,26 @@ def _cmd_transform(args) -> int:
         "(summed over the stored box only; exact for band-limited fields)"
     )
     header = [f"xi_{j + 1}" for j in range(grid.dimension)] + ["re", "im"]
-    rows = (
-        (*xi, float(z.real), float(z.imag))
-        for xi, z in zip(grid.frequencies(), c.coefficients.ravel())
-    )
-    _write_table(args, header, rows, lambda: transform.field_to_doc(c))
+    flat = c.coefficients.ravel()
+    _write_table(args, header,
+                 lambda: [*transform._frequency_vectors(grid).T, flat.real, flat.imag],
+                 lambda: transform.field_to_doc(c))
     return _report_failures(failures)
 
 
 def _cmd_spectrum(args) -> int:
     tables = spectral.spectra(args.dimension, args.level_cap)
-    rows = ((name, eig, mult) for name, levels in tables.items() for eig, mult in levels)
-    _write_table(args, ("operator", "eigenvalue", "multiplicity"), rows, lambda: {
-        name: {"operator": name, "truncation": args.level_cap, "levels": levels}
-        for name, levels in tables.items()})
+
+    def columns():
+        operators = []
+        for name, (eig, _) in tables.items():
+            operators += [name] * len(eig)
+        return [operators, np.concatenate([eig for eig, _ in tables.values()]),
+                np.concatenate([mult for _, mult in tables.values()])]
+
+    _write_table(args, ("operator", "eigenvalue", "multiplicity"), columns, lambda: {
+        name: {"operator": name, "truncation": args.level_cap, "levels": _Columns(pair)}
+        for name, pair in tables.items()})
     return 0
 
 
@@ -318,7 +395,8 @@ def _cmd_truncate(args) -> int:
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
     rows, failures = _check_norm_law(grid, range(cutoff + 1), args.seed)
-    _write_table(args, ("N", "exact_error", "power_iteration_error", "abs_diff"), rows)
+    _write_table(args, ("N", "exact_error", "power_iteration_error", "abs_diff"),
+                 lambda: list(zip(*rows)))
     return _report_failures(failures)
 
 
@@ -332,7 +410,7 @@ def _cmd_embed_demo(args) -> int:
         )
 
     c = _random_spectral_field(grid, np.random.default_rng(args.seed))
-    tail_rows, failures = _check_tail_bounds(c)
+    tail_columns, failures = _check_tail_bounds(c)
     try:
         extraction, extraction_failures = _check_extraction(
             grid, args.epsilon, args.seed
@@ -341,10 +419,10 @@ def _cmd_embed_demo(args) -> int:
         raise UsageError(f"epsilon: {exc}") from exc
 
     header = ("N", "tail_lhs", "tail_rhs")
-    _write_table(args, header, tail_rows, lambda: {
-        "tails": _records(header, tail_rows), "extraction": extraction})
+    _write_table(args, header, lambda: tail_columns, lambda: {
+        "tails": _records(header, tail_columns), "extraction": extraction})
     if side is not None:
-        _write(str(side), _json_text(extraction))
+        _write(str(side), _json_chunks(extraction))
     return _report_failures(failures + extraction_failures)
 
 
@@ -358,15 +436,16 @@ def _cmd_solve(args) -> int:
     print(f"l2 disagreement = {gap!r}")
 
     header = ("method", "residual_l2", "iterations", "wall_time")
-    rows = [(r.method, r.residual_l2, r.iterations, r.wall_time) for r in reports]
+    columns = list(zip(*((r.method, r.residual_l2, r.iterations, r.wall_time)
+                         for r in reports)))
     _write_table(
         args,
         header,
-        rows,
+        lambda: columns,
         lambda: {
             "input_l2": transform.grid_l2_norm(f),
             "l2_disagreement": gap,
-            "reports": _records(header, rows),
+            "reports": _records(header, columns),
             "solution": transform.field_to_doc(u),
         },
     )
@@ -391,7 +470,7 @@ def _cmd_bench(args) -> int:
          int(round(statistics.median(r.iterations for r in reports))))
         for reports in zip(*runs)
     ]
-    _write_table(args, header, rows)
+    _write_table(args, header, lambda: list(zip(*rows)))
     return _report_failures(failures)
 
 

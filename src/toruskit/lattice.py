@@ -47,8 +47,17 @@ def tail_min_norm_sq(cutoff: int) -> int:
     return (cutoff + 1) ** 2
 
 
+def _refuse_bool(**values) -> None:
+    """A bool is an int to Python but never a dimension, radius, level or
+    cap; refuse one with TypeError naming its argument."""
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, not bool")
+
+
 def enumerate_ball(n: int, radius: int) -> list[Frequency]:
     """All xi in Z^n with |xi| <= radius, lexicographically sorted, duplicate-free."""
+    _refuse_bool(n=n, radius=radius)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if radius < 0:
@@ -64,6 +73,7 @@ def enumerate_ball(n: int, radius: int) -> list[Frequency]:
 
 def level_multiplicity(n: int, k: int) -> int:
     """Number of xi in Z^n with |xi|^2 = k, by exhaustive box scan."""
+    _refuse_bool(n=n, k=k)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if k < 0:
@@ -76,15 +86,19 @@ def level_multiplicity(n: int, k: int) -> int:
     )
 
 
-def levels_up_to(n: int, cap: int) -> list[tuple[int, int]]:
+def levels_up_to(n: int, cap: int) -> np.ndarray:
     """Representable levels k <= cap with their multiplicities, ascending.
 
-    The multiplicities are the coefficients of theta(q)^n up to q^cap, with
-    theta(q) = 1 + 2 sum_{x >= 1} q^(x^2): n times over, the count array is
-    multiplied by theta as one shifted add per square, O(n cap sqrt(cap)) in
-    all.  Levels with zero count are simply never reported, so gaps such as
-    k = 7 for n = 2 are discovered, not assumed.
+    Returns an (L, 2) integer array of rows [k, r_n(k)]: int64, or an object
+    array of Python ints when the counts could pass int64.  The
+    multiplicities are the coefficients of theta(q)^n up to q^cap, with
+    theta(q) = 1 + 2 sum_{x >= 1} q^(x^2): the count array starts as theta
+    and is multiplied by it n - 1 times, as one shifted add of twice the
+    counts per square, O(n cap sqrt(cap)) in all.  Levels with zero count
+    are simply never reported, so gaps such as k = 7 for n = 2 are
+    discovered, not assumed.
     """
+    _refuse_bool(n=n, cap=cap)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if cap < 0:
@@ -95,11 +109,11 @@ def levels_up_to(n: int, cap: int) -> list[tuple[int, int]]:
     exact_in_int64 = (2 * r + 1) ** n <= np.iinfo(np.int64).max
     counts = np.zeros(cap + 1, dtype=np.int64 if exact_in_int64 else object)
     counts[0] = 1
-    for _ in range(n):
-        product = counts.copy()
+    counts[np.arange(1, r + 1) ** 2] = 2
+    for _ in range(n - 1):
+        twice = 2 * counts
         for x in range(1, r + 1):
             square = x * x
-            product[square:] += 2 * counts[: cap + 1 - square]
-        counts = product
+            counts[square:] += twice[: cap + 1 - square]
     levels = np.flatnonzero(counts)
-    return list(zip(levels.tolist(), counts[levels].tolist()))
+    return np.column_stack((levels, counts[levels]))

@@ -3,11 +3,11 @@ eigenpair residuals, and singular-value decay.
 
 The Fourier modes diagonalize every multiplier, so spectra reduce to lattice
 level counts: `spectra` tables the Laplacian eigenvalues k = |xi|^2 and the
-resolvent eigenvalues 1/(1+k), each with the lattice multiplicity of k, from
-one count.  The operator norm of any multiplier is sup |sigma| over the box;
-the Lanczos estimator below re-derives it through the full transform
-pipeline without assuming diagonality, which is what makes it a genuine
-cross-check.  It holds three vectors, whatever the number of steps.
+resolvent eigenvalues 1/(1+k), each with the lattice multiplicity of k, as
+columns from one count.  The operator norm of any multiplier is sup |sigma|
+over the box; the Lanczos estimator below re-derives it through the full
+transform pipeline without assuming diagonality, which is what makes it a
+genuine cross-check.  It holds three vectors, whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -32,18 +32,19 @@ from .transform import (
 )
 
 
-def spectra(n: int, cap: int) -> dict[str, list[list]]:
+def spectra(n: int, cap: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Eigenvalue levels k <= cap on the n-torus, from one lattice count.
 
-    "laplacian" rows are [float(k), multiplicity], ascending; "resolvent"
-    rows are [1/(1+k), multiplicity], descending in (0, 1].  Rows are lists,
-    as a JSON document holds them.
+    Each operator maps to its column pair (eigenvalues, multiplicities):
+    "laplacian" holds float64 k, ascending; "resolvent" holds float64
+    1/(1+k), descending in (0, 1], each correctly rounded like Python's
+    1.0 / (1 + k).  Both share one multiplicity column, int64 or an object
+    array of Python ints as `levels_up_to` returns it.
     """
     levels = levels_up_to(n, cap)
-    return {
-        "laplacian": [[float(k), m] for k, m in levels],
-        "resolvent": [[1.0 / (1 + k), m] for k, m in levels],
-    }
+    k = levels[:, 0].astype(np.float64)
+    multiplicities = levels[:, 1]
+    return {"laplacian": (k, multiplicities), "resolvent": (1.0 / (1.0 + k), multiplicities)}
 
 
 def truncation_error_exact(cutoff: int) -> float:

@@ -110,7 +110,8 @@ def test_criterion_05_spectrum_multiplicities():
         k = xi[0] ** 2 + xi[1] ** 2
         if k <= cap:
             scan[k] = scan.get(k, 0) + 1
-    got = {int(k): m for k, m in spectra(2, cap)["laplacian"]}
+    eigenvalues, multiplicities = spectra(2, cap)["laplacian"]
+    got = dict(zip(map(int, eigenvalues.tolist()), multiplicities.tolist()))
     absent = sorted(set(range(cap + 1)) - set(scan))
     _report(
         "criterion 5 (spectrum multiplicities)",

@@ -1,8 +1,11 @@
+import csv
+import io
 import itertools
 import json
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -778,6 +781,34 @@ def _oracle(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_text(doc) -> str:
+    return "".join(cli._json_chunks(doc))
+
+
+def _table_rows(columns) -> list[list]:
+    """The row lists of a column table, built here by `tolist` and `zip`."""
+    return [list(row) for row in zip(*(
+        column.tolist() if isinstance(column, np.ndarray) else list(column)
+        for column in columns))]
+
+
+def _as_rows(doc):
+    """`doc` with every column table replaced by its row lists."""
+    if isinstance(doc, cli._Columns):
+        return _table_rows(doc.columns)
+    if isinstance(doc, dict):
+        return {key: _as_rows(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_as_rows(value) for value in doc]
+    return doc
+
+
+def _csv_oracle(header, rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), _finite.map(np.float64),
@@ -813,7 +844,7 @@ _trees = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_json_writer_matches_json_dumps(doc):
-    assert cli._json_text(doc) == _oracle(doc)
+    assert _json_text(doc) == _oracle(doc)
 
 
 @pytest.mark.parametrize(
@@ -842,12 +873,88 @@ def test_json_writer_matches_json_dumps(doc):
          "ragged-float-rows", "tuple-rows", "list-and-tuple-rows", "int-key"],
 )
 def test_json_writer_named_cases(doc):
-    assert cli._json_text(doc) == _oracle(doc)
+    assert _json_text(doc) == _oracle(doc)
+
+
+_COLUMN_CELLS = {
+    "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "float64": (st.floats(), np.float64),
+    "big-int": (st.integers(-2**100, 2**100), object),
+    "float-list": (st.floats(), None),
+}
+
+
+@st.composite
+def _column_tables(draw):
+    """Equal-length columns: int64 and float64 arrays (NaN and inf
+    included), object arrays of Python ints, and lists of floats."""
+    length = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1,
+                              max_size=4)):
+        cells, dtype = _COLUMN_CELLS[kind]
+        values = draw(st.lists(cells, min_size=length, max_size=length))
+        columns.append(values if dtype is None else np.array(values, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column_tables(), st.integers(1, 5))
+def test_column_writer_matches_json_dumps_and_csv_writer(columns, chunk_rows):
+    """Both formats, with tables that span several chunks of rows."""
+    rows = _table_rows(columns)
+    header = [f"c{j}" for j in range(len(columns))]
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        assert _json_text(cli._Columns(tuple(columns))) == _oracle(rows)
+        assert _json_text({"levels": cli._Columns(tuple(columns))}) == _oracle(
+            {"levels": rows})
+        assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(header, rows)
+
+
+_HUGE = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.array([0, -1, 2**63 - 1, -2**63], dtype=np.int64),
+         np.array([4, 8, 12, 6], dtype=np.int64)],
+        [np.array([-0.0, 5e-324, 0.1, -2.5]), np.array([_HUGE, _HUGE, -_HUGE, 1.0])],
+        [np.array([_HUGE, _HUGE])],
+        [np.array([2**63, -2**63 - 1, 2**200], dtype=object),
+         np.array([1, 2, 3], dtype=object)],
+        [np.array([float("nan"), float("inf"), -float("inf"), 1.5]),
+         [float("nan"), 0.5, float("inf"), -0.0]],
+        [np.array([1.0]), np.array([7], dtype=np.int64)],
+        [np.array([], dtype=np.float64), np.array([], dtype=np.int64)],
+    ],
+    ids=["int64", "float64-edges", "float64-sum-overflows", "object-past-int64",
+         "nan-and-inf", "one-row", "empty"],
+)
+def test_column_writer_named_cases(columns):
+    rows = _table_rows(columns)
+    header = [f"c{j}" for j in range(len(columns))]
+    text = _json_text(cli._Columns(tuple(columns)))
+    assert text == _oracle(rows)
+    assert _json_text({"levels": cli._Columns(tuple(columns))}) == _oracle({"levels": rows})
+    assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(header, rows)
+    if any(value != value for row in rows for value in row):
+        assert "NaN" in text and "Infinity" in text and "nan" not in text
+
+
+def test_float_columns_whose_sum_overflows_are_written_by_repr():
+    # the finite-cell check is not fooled by a sum that overflows to inf
+    rows = [[_HUGE, 1], [_HUGE, 2]]
+    assert cli._spelling([_HUGE, _HUGE], None) is float.__repr__
+    assert cli._row_table(rows) is not None
+    assert cli._spelling([_HUGE, float("inf")], None) is None
+    assert _json_text(rows) == _oracle(rows)
 
 
 JSON_COMMANDS = [
     *(("spectrum", "--dimension", n, "--level-cap", cap, "--format", "json")
       for n in (1, 2, 3) for cap in (0, 1, 50, 2500)),
+    ("spectrum", "--dimension", 2, "--level-cap", 40000, "--format", "json"),
     ("transform", "--dimension", 1, "--points", 17, "--seed", 2, "--format", "json"),
     ("transform", "--dimension", 3, "--points", 5, "--seed", 2, "--format", "json"),
     ("solve", "--dimension", 2, "--points", 9, "--seed", 4, "--format", "json"),
@@ -863,13 +970,49 @@ JSON_COMMANDS = [
 @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(map(str, args)))
 def test_every_json_file_has_the_json_dumps_layout(tmp_path, monkeypatch, args):
     """The document a data command writes, spectral and grid fields included
-    (transform and solve), equals the oracle; so does the JSON file
+    (transform and solve), equals the oracle applied to the same document
+    with its column tables turned into row lists here; so does the JSON file
     re-encoded from what it reads back, which keeps files comparable byte
     for byte across versions.  A csv embed-demo writes its JSON sidecar."""
-    docs, write = [], cli._json_text
-    monkeypatch.setattr(cli, "_json_text", lambda doc: docs.append(doc) or write(doc))
+    docs, write = [], cli._json_chunks
+    monkeypatch.setattr(cli, "_json_chunks", lambda doc: docs.append(doc) or write(doc))
     assert run(*args, "--output", tmp_path / f"out.{args[-1]}") == 0
     [doc] = docs
-    assert write(doc) == _oracle(doc)
+    assert "".join(write(doc)) == _oracle(_as_rows(doc))
     text = (tmp_path / "out.json").read_text()
     assert text == _oracle(json.loads(text))
+
+
+CSV_COMMANDS = [
+    ("spectrum", "--dimension", 2, "--level-cap", 40000),
+    ("spectrum", "--dimension", 3, "--level-cap", 50),
+    ("transform", "--dimension", 2, "--points", 9, "--seed", 1, "--sobolev", 1.0),
+    ("transform", "--dimension", 3, "--points", 5, "--seed", 2),
+    ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1),
+    EMBED_ARGS,
+    SOLVE_ARGS,
+    ("bench", "--dimension", 1, "--points", 9, "--seed", 1, "--repetitions", 2),
+]
+
+
+@pytest.mark.parametrize("args", CSV_COMMANDS, ids=lambda args: " ".join(map(str, args)))
+def test_every_csv_file_is_what_csv_writer_writes(tmp_path, monkeypatch, args):
+    """The table a data command writes as CSV equals stdlib `csv.writer` on
+    the same rows, built here from its columns, and `csv.reader` reads every
+    float back bit for bit."""
+    tables, write = [], cli._csv_chunks
+    monkeypatch.setattr(cli, "_csv_chunks",
+                        lambda header, columns: tables.append((header, columns))
+                        or write(header, columns))
+    out = tmp_path / "out.csv"
+    assert run(*args, "--format", "csv", "--output", out) == 0
+    [(header, columns)] = tables
+    rows = _table_rows(columns)
+    text = out.read_text()
+    assert text == _csv_oracle(header, rows)
+    header_read, *rows_read = csv.reader(io.StringIO(text))
+    assert header_read == list(header) and len(rows_read) == len(rows)
+    floats = [(cell, value) for line, row in zip(rows_read, rows)
+              for cell, value in zip(line, row) if type(value) is float]
+    assert floats
+    assert all(float(cell).hex() == value.hex() for cell, value in floats)

@@ -111,9 +111,9 @@ def test_level_multiplicity_frozen(n, k, expected):
 
 
 def test_levels_up_to_examples():
-    assert levels_up_to(1, 4) == [(0, 1), (1, 2), (4, 2)]
-    assert levels_up_to(2, 2) == [(0, 1), (1, 4), (2, 4)]
-    assert levels_up_to(3, 1) == [(0, 1), (1, 6)]
+    assert levels_up_to(1, 4).tolist() == [[0, 1], [1, 2], [4, 2]]
+    assert levels_up_to(2, 2).tolist() == [[0, 1], [1, 4], [2, 4]]
+    assert levels_up_to(3, 1).tolist() == [[0, 1], [1, 6]]
 
 
 def test_levels_up_to_discovers_gaps():
@@ -133,7 +133,7 @@ def test_levels_agree_with_per_level_scan():
 def test_levels_match_box_scan_well_above_cap_10(n, radius):
     cap = radius * radius
     scan = Counter(norm_sq(xi) for xi in enumerate_ball(n, radius))
-    assert levels_up_to(n, cap) == sorted(scan.items())
+    assert levels_up_to(n, cap).tolist() == sorted(map(list, scan.items()))
 
 
 def test_levels_discover_3d_gaps():
@@ -157,17 +157,35 @@ def test_levels_count_exactly_beyond_int64():
         )
 
     levels = levels_up_to(n, 8)
-    assert levels == [(k, r(k)) for k in range(9)]
-    assert levels[-1][1] > 2**63
-    assert all(type(m) is int for _, m in levels)
+    assert levels.dtype == object
+    assert levels.tolist() == [[k, r(k)] for k in range(9)]
+    assert levels[-1, 1] > 2**63
+    assert all(type(k) is int and type(m) is int for k, m in levels)
 
 
-@pytest.mark.parametrize("n, cap", [(2, 50), (1000, 8)], ids=["int64", "object"])
-def test_levels_up_to_returns_a_fresh_list_of_int_pairs(n, cap):
+@pytest.mark.parametrize("n, cap, dtype", [(2, 50, np.int64), (1000, 8, object)],
+                         ids=["int64", "object"])
+def test_levels_up_to_returns_a_fresh_array_of_int_pairs(n, cap, dtype):
     first, second = levels_up_to(n, cap), levels_up_to(n, cap)
-    assert type(first) is list and first == second and first is not second
-    assert all(type(level) is tuple and len(level) == 2 for level in first)
-    assert all(type(k) is int and type(m) is int for k, m in first)
+    assert type(first) is np.ndarray and first.dtype == dtype
+    assert first.ndim == 2 and first.shape[1] == 2
+    assert first.tolist() == second.tolist() and not np.shares_memory(first, second)
+    assert all(type(k) is int and type(m) is int for k, m in first.tolist())
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: levels_up_to(True, 4), "n"), (lambda: levels_up_to(2, True), "cap"),
+     (lambda: level_multiplicity(True, 1), "n"), (lambda: level_multiplicity(2, True), "k"),
+     (lambda: enumerate_ball(True, 2), "n"), (lambda: enumerate_ball(2, True), "radius")],
+    ids=["levels-n", "levels-cap", "multiplicity-n", "multiplicity-k", "ball-n",
+         "ball-radius"],
+)
+def test_lattice_scans_refuse_bool_arguments(call, name):
+    # True is the int 1 to Python, so without the check each call would
+    # compute a table, a count or a ball for 1
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not bool$"):
+        call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

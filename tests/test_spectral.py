@@ -25,37 +25,49 @@ from toruskit import (
 from toruskit import spectral as spectral_mod
 
 
+def _rows(pair):
+    """The (eigenvalue, multiplicity) column pair as row lists."""
+    return [list(row) for row in zip(*(column.tolist() for column in pair))]
+
+
 def test_laplacian_spectrum_2d():
     tables = spectra(2, 2)
     assert list(tables) == ["laplacian", "resolvent"]
-    assert tables["laplacian"] == [[0.0, 1], [1.0, 4], [2.0, 4]]
+    assert _rows(tables["laplacian"]) == [[0.0, 1], [1.0, 4], [2.0, 4]]
 
 
 def test_resolvent_spectrum_2d():
-    assert spectra(2, 2)["resolvent"] == [[1.0, 1], [0.5, 4], [1 / 3, 4]]
-    eigs = [e for e, _ in spectra(3, 30)["resolvent"]]
+    assert _rows(spectra(2, 2)["resolvent"]) == [[1.0, 1], [0.5, 4], [1 / 3, 4]]
+    eigs = spectra(3, 30)["resolvent"][0].tolist()
     assert eigs == sorted(eigs, reverse=True)
     assert len(set(eigs)) == len(eigs)
     assert all(0.0 < e <= 1.0 for e in eigs)
 
 
 def test_spectrum_level_cap_zero():
-    assert spectra(1, 0) == {"laplacian": [[0.0, 1]], "resolvent": [[1.0, 1]]}
+    tables = spectra(1, 0)
+    assert {name: _rows(pair) for name, pair in tables.items()} == {
+        "laplacian": [[0.0, 1]], "resolvent": [[1.0, 1]]}
 
 
 def test_spectrum_multiplicities_match_lattice():
     for n in (1, 2, 3):
         tables = spectra(n, 12)
-        for (k, mult), (eig, res_mult) in zip(tables["laplacian"], tables["resolvent"]):
+        for (k, mult), (eig, res_mult) in zip(_rows(tables["laplacian"]),
+                                              _rows(tables["resolvent"])):
             assert mult == res_mult == level_multiplicity(n, int(k))
-            assert eig == 1.0 / (1.0 + k)
+            # the column division is bit-identical to Python's scalar one
+            assert eig == 1.0 / (1 + int(k))
 
 
-def test_spectrum_rows_are_float_int_lists():
-    for levels in spectra(2, 50).values():
-        assert type(levels) is list
-        assert all(type(row) is list and len(row) == 2 for row in levels)
-        assert all(type(eig) is float and type(mult) is int for eig, mult in levels)
+@pytest.mark.parametrize("n, cap, dtype", [(2, 50, np.int64), (1000, 8, object)],
+                         ids=["int64", "object"])
+def test_spectrum_columns_are_float64_and_integer(n, cap, dtype):
+    for eigenvalues, multiplicities in spectra(n, cap).values():
+        assert eigenvalues.dtype == np.float64 and eigenvalues.ndim == 1
+        assert multiplicities.dtype == dtype
+        assert len(eigenvalues) == len(multiplicities)
+        assert all(type(mult) is int for mult in multiplicities.tolist())
 
 
 @pytest.mark.parametrize("cutoff, expected", [(0, 0.5), (1, 0.2), (3, 1 / 17)])
@@ -243,7 +255,7 @@ def test_resolvent_singular_values_equal_flattened_spectrum():
     grid = TorusGrid(2, 9)
     cap = grid.box_radius**2
     flat = []
-    for eig, mult in spectra(2, cap)["resolvent"]:
+    for eig, mult in _rows(spectra(2, cap)["resolvent"]):
         flat.extend([eig] * mult)
     got = singular_values(resolvent_symbol(), grid, len(flat))
     assert got == flat
