@@ -47,8 +47,9 @@ from .solver import (
 )
 from .spectral import (
     LanczosError,
-    eigenpair_residuals,
+    ResolventCertificate,
     operator_norm_power_iteration,
+    resolvent_certificate,
     singular_values,
     spectra,
     truncation_error_exact,

@@ -28,6 +28,7 @@ file's text nor all of its cell strings are held at once.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -45,11 +46,12 @@ from . import embedding, operators, solver, spectral, transform
 _DIMENSIONS = (1, 2, 3)
 # Largest grid a command builds: 2**22 points, 64 MiB per complex field.
 MAX_GRID_POINTS = 2**22
-# Largest grid `verify` checks: its fast-vs-naive and eigenpair groups cost
-# O(size**2).  At 1-D M=8191 (one BLAS thread, 2-core x86-64 VM) the groups
-# take: resolvent-eigenpairs 8.7 s, solver-agreement 13.7 s (6406 CG
-# iterations), fast-vs-naive 1.4 s, tail-bounds 0.13 s, the rest under
-# 0.2 s; 25 s in all, and minutes beyond this size.
+# Largest grid `verify` checks: its fast-vs-naive and eigenpair groups each
+# take direct sums of O(size**2), six and one, and unpreconditioned CG takes
+# O(M) iterations.  At 1-D M=8191 (one BLAS thread, 2-core x86-64 VM) the
+# groups take: solver-agreement 15.2 s (6406 CG iterations), fast-vs-naive
+# 1.7 s, resolvent-eigenpairs 0.76 s, the rest under 0.2 s each; 18 s in
+# all, nearly all of it CG.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
 # their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB
@@ -514,10 +516,17 @@ def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
     return f"max |fast - naive| = {worst:.2e}", failures
 
 
-def _verify_eigenpairs(grid) -> tuple[str, list[str]]:
-    worst = float(np.max(spectral.eigenpair_residuals(grid)))
-    failures = _exceeds("worst eigenpair residual", worst, 1e-12)
-    return f"worst residual {worst:.2e} over {grid.size} modes", failures
+def _verify_eigenpairs(grid, seed) -> tuple[str, list[str]]:
+    certificate = spectral.resolvent_certificate(grid, seed)
+    error = float(np.max(certificate.eigenvalue_error))
+    commutator = float(np.max(certificate.commutator))
+    failures = _exceeds("eigenvalue error", error, spectral.CERTIFICATE_TOL)
+    failures += _exceeds("shift commutator", commutator, spectral.CERTIFICATE_TOL)
+    detail = (f"eigenvalue error {error:.2e} over {grid.size} modes, shift "
+              f"commutator {commutator:.2e}, P(a commutator >= "
+              f"{spectral.COMMUTATOR_FLOOR:.0e} passes) <= "
+              f"{certificate.miss_probability:.1e}")
+    return detail, failures
 
 
 def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
@@ -556,7 +565,7 @@ def _cmd_verify(args) -> int:
     groups = [
         ("transform-roundtrip-plancherel", lambda: _verify_transforms(grid, args.seed)),
         ("fast-vs-naive-transform", lambda: _verify_fast_vs_naive(grid, args.seed)),
-        ("resolvent-eigenpairs", lambda: _verify_eigenpairs(grid)),
+        ("resolvent-eigenpairs", lambda: _verify_eigenpairs(grid, args.seed)),
         ("operator-norms", lambda: _verify_operator_norms(grid, args.seed)),
         ("tail-bounds", lambda: _verify_tail_bounds(grid, args.seed)),
         ("rellich-extraction", lambda: _verify_extraction(args.seed)),
@@ -679,10 +688,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses: building it takes about 1.5 ms, and
+    argparse gives every `parse_args` a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,5 @@
 """Spectra of the Laplacian and its resolvent, operator-norm estimation,
-eigenpair residuals, and singular-value decay.
+the resolvent eigenpair certificate, and singular-value decay.
 
 The Fourier modes diagonalize every multiplier, so spectra reduce to lattice
 level counts: `spectra` tables the Laplacian eigenvalues k = |xi|^2 and the
@@ -8,24 +8,26 @@ columns from one count.  The operator norm of any multiplier is sup |sigma|
 over the box; the Lanczos estimator below re-derives it through the full
 transform pipeline without assuming diagonality, which is what makes it a
 genuine cross-check.  It holds three vectors, whatever the number of steps.
+`resolvent_certificate` checks every eigenpair of the resolvent, as the
+transforms apply it, from one impulse response summed without an FFT and a
+few random probes of its commutators with the unit shifts, in place of one
+round trip per mode.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import transform
 from .lattice import levels_up_to, tail_min_norm_sq
 from .operators import MultiplierSymbol, resolvent_symbol, symbol_array
 from .transform import (
     GridField,
     SpectralField,
     TorusGrid,
-    _analysis,
-    _frequency_vectors,
-    _mode_blocks,
-    _synthesis,
     forward,
     inverse,
     random_field,
@@ -151,22 +153,95 @@ def singular_values(
     return [float(x) for x in mags[:count]]
 
 
-def eigenpair_residuals(grid: TorusGrid) -> np.ndarray:
-    """|| T psi - psi / (1 + |xi|^2) ||_{L^2} for every mode of the box.
+# Both checks of `resolvent_certificate` hold to this tolerance: the
+# eigenvalue error absolutely, the shift commutator relative to the probe.
+CERTIFICATE_TOL = 1e-12
+# The certificate states the chance that a shift commutator of at least
+# this operator norm passes all of its probes.
+COMMUTATOR_FLOOR = 1e-9
+# Complex Gaussian probes, shared by the unit shifts of every axis.
+_PROBES = 3
 
-    One residual per stored frequency, in storage order.  T is the
-    resolvent symbol applied between the production forward and inverse
-    transforms; the expected eigenvalue comes from the integer frequency
-    alone, so a wrong symbol or a wrong transform shows as a residual.
+
+@dataclass(frozen=True)
+class ResolventCertificate:
+    """What `resolvent_certificate` measured.
+
+    eigenvalue_error[i] = |lambda(xi) - 1/(1+|xi|^2)| for the i-th mode in
+    storage order; commutator[j, p] = ||T S_j r_p - S_j T r_p|| / ||r_p||;
+    miss_probability bounds the chance that some ||[T, S_j]|| >=
+    COMMUTATOR_FLOOR passes every probe.
+    """
+
+    eigenvalue_error: np.ndarray
+    commutator: np.ndarray
+    miss_probability: float
+
+
+def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
+    """Certify the eigenpairs (psi_xi, 1/(1+|xi|^2)) of T u = inverse(sigma *
+    forward(u)), sigma the resolvent symbol, without one round trip per mode.
+
+    T goes through the public `transform.forward`/`transform.inverse`,
+    looked up at call time, so a fault planted in either shows here.
+    (a) The impulse response kappa = T delta_0 takes one round trip, and
+    lambda(xi) = M^n naive_forward(kappa)(xi) comes for every xi from one
+    FFT-free direct sum; eigenvalue_error compares it with 1/(1+|xi|^2),
+    |xi|^2 taken from the integer frequency rows.  (b) _PROBES complex
+    Gaussian probes r, drawn from the seed, measure ||T S_j r - S_j T r|| /
+    ||r|| for each axis j, S_j the unit shift np.roll(., 1, axis=j), which
+    needs no transform (Freivalds 1977).
+
+    What they prove, for a linear T.  If T commutes exactly with every S_j,
+    it is the cyclic convolution with kappa, so T psi_xi = lambda(xi) psi_xi
+    and eigenvalue_error is exactly each eigenpair residual ||T psi -
+    psi/(1+|xi|^2)|| / ||psi||.  If only ||[T, S_j]|| <= gamma for every j,
+    then T psi - lambda psi = sum_m psi(m) [T, S^m] delta_0, where ||[T,
+    S^m]|| <= |m| gamma and |m| = sum_j min(m_j, M - m_j) counts the unit
+    shifts that make S^m; so each residual is at most eigenvalue_error +
+    sqrt(N) w gamma, with N = M^n grid points and w = n h (h + 1) / M the
+    mean |m|, h the box radius.  A commutator E = [T, S_j] with ||E|| >=
+    gamma passes one probe only if the probe's direction r / ||r||, uniform
+    on the complex sphere, has |<v, r>|^2 / ||r||^2 <= (CERTIFICATE_TOL /
+    gamma)^2 along E's top right singular vector v: a small ball of the
+    Beta(1, N - 1) law, of probability 1 - (1 - (CERTIFICATE_TOL /
+    gamma)^2)^(N - 1).  So, over the draw of the probes for a T fixed
+    beforehand, some ||[T, S_j]|| >= COMMUTATOR_FLOOR passes all of them
+    with probability at most n times that probability to the power
+    _PROBES: miss_probability.  The checks claim nothing more.
+
+    An affine defect, T u = L u + b, adds b - S_j b to each commutator
+    whatever the probe, nonzero unless b is constant, and a constant b
+    moves lambda(0) by M^n b.  Adding 1e-6 to one coefficient of `forward`
+    gives b = 1e-6 sigma(xi') psi_xi', which both checks see.
+    Deterministic given the seed.
     """
     n = grid.dimension
-    frequencies = _frequency_vectors(grid)
-    multiplier = symbol_array(resolvent_symbol(), grid)
-    eigenvalues = 1.0 / (1.0 + np.sum(frequencies**2, axis=1))
-    out = np.empty(len(frequencies))
-    for rows, kernel in _mode_blocks(grid, frequencies, 1):
-        psi = kernel.reshape((-1,) + grid.shape)
-        t_psi = _synthesis(multiplier * _analysis(psi, n), n)
-        defect = t_psi.reshape(kernel.shape) - kernel * eigenvalues[rows, None]
-        out[rows] = np.linalg.norm(defect, axis=1) / math.sqrt(grid.size)
-    return out
+    sigma = symbol_array(resolvent_symbol(), grid)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        c = transform.forward(GridField(grid, values)).coefficients
+        return transform.inverse(SpectralField(grid, sigma * c)).values
+
+    impulse = np.zeros(grid.shape, dtype=np.complex128)
+    impulse[(0,) * n] = 1.0
+    kappa = GridField(grid, apply(impulse))
+    eigenvalues = grid.size * transform.naive_forward(kappa).coefficients.ravel()
+    norm_sq = np.sum(transform._frequency_vectors(grid) ** 2, axis=1)
+    eigenvalue_error = np.abs(eigenvalues - 1.0 / (1.0 + norm_sq))
+
+    rng = np.random.default_rng(seed)
+    commutator = np.empty((n, _PROBES))
+    for p in range(_PROBES):
+        r = random_field(grid, rng).values
+        t_r = apply(r)
+        r_norm = np.linalg.norm(r.ravel())
+        for j in range(n):
+            gap = apply(np.roll(r, 1, axis=j)) - np.roll(t_r, 1, axis=j)
+            commutator[j, p] = np.linalg.norm(gap.ravel()) / r_norm
+    small_ball = -math.expm1(
+        (grid.size - 1) * math.log1p(-((CERTIFICATE_TOL / COMMUTATOR_FLOOR) ** 2))
+    )
+    return ResolventCertificate(
+        eigenvalue_error, commutator, min(1.0, n * small_ball**_PROBES)
+    )

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from toruskit import GridField, SpectralField, TorusGrid
+from toruskit import (
+    GridField,
+    SpectralField,
+    TorusGrid,
+    apply_multiplier,
+    forward,
+    grid_l2_norm,
+    inverse,
+)
 
 
 @pytest.fixture
@@ -28,3 +36,14 @@ def random_grid(grid: TorusGrid, rng: np.random.Generator) -> GridField:
     return GridField(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
+
+
+def per_mode_residuals(grid, symbol):
+    """The eigenpair residuals one mode at a time, from float phases."""
+    x = np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij")
+    out = []
+    for xi in grid.frequencies():
+        psi = GridField(grid, np.exp(1j * sum(k * axis for k, axis in zip(xi, x))))
+        t_psi = inverse(apply_multiplier(forward(psi), symbol))
+        out.append(grid_l2_norm(t_psi - psi * (1.0 / (1.0 + sum(k * k for k in xi)))))
+    return np.array(out)

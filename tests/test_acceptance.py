@@ -10,8 +10,8 @@ import numpy as np
 
 from toruskit import (
     TorusGrid,
+    MultiplierSymbol,
     cli,
-    eigenpair_residuals,
     forward,
     grid_l2_norm,
     identity_symbol,
@@ -24,6 +24,7 @@ from toruskit import (
     random_bounded_sequence,
     random_field,
     rellich_extract,
+    resolvent_certificate,
     resolvent_symbol,
     resolvent_tail_symbol,
     singular_values,
@@ -33,8 +34,9 @@ from toruskit import (
     tail_bound_check,
     truncation_error_exact,
 )
+from toruskit import spectral as spectral_mod
 
-from conftest import random_spectral
+from conftest import per_mode_residuals, random_spectral
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -92,14 +94,21 @@ def test_criterion_03_plancherel():
     )
 
 
-def test_criterion_04_eigenpairs():
+def test_criterion_04_eigenpairs(monkeypatch):
     grid = TorusGrid(2, 9)
-    residuals = eigenpair_residuals(grid)
-    worst = max(residuals)
+    verdicts = []
+    for symbol in (resolvent_symbol(),
+                   MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))):
+        monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda s=symbol: s)
+        certificate = resolvent_certificate(grid, seed=1)
+        worst = max(np.max(certificate.eigenvalue_error), np.max(certificate.commutator))
+        verdicts.append((worst <= spectral_mod.CERTIFICATE_TOL,
+                         np.max(per_mode_residuals(grid, symbol)) <= 1e-12))
     _report(
         "criterion 4 (eigenpairs)",
-        worst <= 1e-12 and len(residuals) == 81,
-        f"worst residual {worst:.2e} over {len(residuals)} modes",
+        verdicts == [(True, True), (False, False)],
+        f"certificate and per-mode residuals over {grid.size} modes agree: "
+        f"pass on the resolvent, fail on 1/(2+k)",
     )
 
 

@@ -85,6 +85,41 @@ def test_spectrum_refuses_a_cap_above_its_limit(tmp_path, monkeypatch, capsys, c
     assert not out.exists()
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # each call, a usage error among them, exits, prints and writes what it
+    # does with a freshly built parser
+    def outcomes(folder):
+        folder.mkdir()
+        calls = [
+            ("spectrum", "--dimension", 2, "--level-cap", 5, "--output", folder / "s.csv"),
+            ("verify", "--points", 8),
+            ("transform", "--dimension", 1, "--points", 7, "--seed", 1,
+             "--output", folder / "t.json", "--format", "json"),
+            ("spectrum", "--dimension", 2, "--level-cap", "x", "--output", folder / "x.csv"),
+            ("verify", "--dimension", 1, "--points", 9),
+        ]
+        results = []
+        for argv in calls:
+            code = run(*argv)
+            out, err = capsys.readouterr()
+            out = re.sub(r"\(\d+\.\d{3} s\)", "", out.replace(str(folder), ""))
+            files = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+            results.append((code, out, err, files))
+        return results
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    cached = outcomes(tmp_path / "cached")
+    assert len(builds) == 1
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = outcomes(tmp_path / "fresh")
+    assert len(builds) == 1 + len(fresh)
+    assert [code for code, *_ in cached] == [0, 2, 0, 2, 0]
+    assert cached == fresh
+
+
 def test_spectrum_accepts_the_cap_limit_itself():
     args = cli.build_parser().parse_args(
         ["spectrum", "--dimension", "3", "--level-cap", str(cli.MAX_LEVEL_CAP),
@@ -332,7 +367,10 @@ def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
 
     monkeypatch.setattr(transform_mod, "forward", perturbed)
     assert run("verify") == 1
-    assert "FAIL fast-vs-naive-transform" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL fast-vs-naive-transform" in out
+    # the certificate applies the resolvent through the public pair too
+    assert "FAIL resolvent-eigenpairs" in out
 
 
 def _count_norm_applications(monkeypatch):

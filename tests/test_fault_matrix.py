@@ -1,0 +1,97 @@
+"""Faults planted below `verify`'s checks, each on one binding that a check
+calls into and never inside a check, and the groups that must catch them."""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from toruskit import MultiplierSymbol, cli
+from toruskit import operators as operators_mod
+from toruskit import spectral as spectral_mod
+from toruskit import transform as transform_mod
+
+
+def _symbol_off_at_one_mode(monkeypatch):
+    # the cached |xi|^2 array, wrong at the last stored mode by just enough
+    # to move the resolvent there by 1e-9
+    exact = operators_mod.norm_sq_array
+
+    def faulty(grid):
+        k = exact(grid).copy()
+        last = (-1,) * grid.dimension
+        k[last] = 1.0 / (1.0 / (1.0 + k[last]) - 1e-9) - 1.0
+        return k
+
+    monkeypatch.setattr(operators_mod, "norm_sq_array", faulty)
+
+
+def _resolvent_one_over_two_plus_k(monkeypatch):
+    wrong = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))
+    monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: wrong)
+
+
+def _forward_scaled(monkeypatch):
+    exact = transform_mod.forward
+    monkeypatch.setattr(transform_mod, "forward", lambda u: transform_mod.SpectralField(
+        u.grid, exact(u).coefficients * (1 + 1e-9)))
+
+
+def _inverse_off_at_one_point(monkeypatch):
+    exact = transform_mod.inverse
+
+    def faulty(c):
+        u = exact(c)
+        u.values[(-1,) * c.grid.dimension] += 1e-9
+        return u
+
+    monkeypatch.setattr(transform_mod, "inverse", faulty)
+
+
+def _box_shift_off_by_one_mode(monkeypatch):
+    # both directions move one more mode along the last axis, so round
+    # trips still hold and only the frequency labels are wrong
+    exact = transform_mod._box_shift
+    monkeypatch.setattr(transform_mod, "_box_shift", lambda values, n, into_box: np.roll(
+        exact(values, n, into_box), -1 if into_box else 1, axis=-1))
+
+
+def _synthesis_modulated(monkeypatch):
+    # multiplies every synthesized field by 1 + 1e-9 sin(x_1), which no
+    # translation commutes with
+    exact = transform_mod._synthesis
+
+    def faulty(coefficients, n):
+        m = coefficients.shape[-1]
+        weight = 1 + 1e-9 * np.sin(2 * np.pi * np.arange(m) / m)
+        return exact(coefficients, n) * weight.reshape((m,) + (1,) * (n - 1))
+
+    monkeypatch.setattr(transform_mod, "_synthesis", faulty)
+
+
+EIGENPAIR_FAULTS = {
+    "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
+    "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
+    "forward-scaled-1+1e-9": _forward_scaled,
+    "inverse-off-at-one-point": _inverse_off_at_one_point,
+    "box-shift-off-by-one-mode": _box_shift_off_by_one_mode,
+    "synthesis-not-translation-invariant": _synthesis_modulated,
+}
+
+
+def verify_statuses(n, m, seed=1):
+    """{group: "PASS" or "FAIL"} of one in-process `verify` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--dimension", str(n), "--points", str(m), "--seed", str(seed)])
+    return {line.split(":")[0].split(" ", 1)[1]: line.split(" ", 1)[0]
+            for line in out.getvalue().splitlines()}
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 9)])
+@pytest.mark.parametrize("fault", list(EIGENPAIR_FAULTS))
+def test_every_planted_fault_fails_resolvent_eigenpairs(monkeypatch, fault, n, m):
+    EIGENPAIR_FAULTS[fault](monkeypatch)
+    assert verify_statuses(n, m)["resolvent-eigenpairs"] == "FAIL"
+

@@ -9,13 +9,13 @@ from toruskit import (
     MultiplierSymbol,
     TorusGrid,
     apply_multiplier,
-    eigenpair_residuals,
     forward,
     grid_l2_norm,
     identity_symbol,
     inverse,
     level_multiplicity,
     operator_norm_power_iteration,
+    resolvent_certificate,
     resolvent_symbol,
     resolvent_tail_symbol,
     singular_values,
@@ -23,6 +23,8 @@ from toruskit import (
     truncation_error_exact,
 )
 from toruskit import spectral as spectral_mod
+
+from conftest import per_mode_residuals
 
 
 def _rows(pair):
@@ -203,51 +205,71 @@ def test_singular_values_count_validation():
     assert singular_values(identity_symbol(), grid, 0) == []
 
 
-def residual_at(xi, grid):
-    """`eigenpair_residuals(grid)` at the storage index of the mode xi."""
-    return eigenpair_residuals(grid)[list(grid.frequencies()).index(xi)]
+def certificate_passes(grid):
+    certificate = resolvent_certificate(grid, seed=1)
+    worst = max(np.max(certificate.eigenvalue_error), np.max(certificate.commutator))
+    return worst <= spectral_mod.CERTIFICATE_TOL
 
 
-def test_verify_eigenpair_zero_mode():
-    assert residual_at((0, 0), TorusGrid(2, 9)) < 1e-13
+def resolvent_off_at(monkeypatch, grid, xi):
+    """Make the certificate's resolvent 1e-9 too large at the mode xi only;
+    returns that symbol."""
+    bump = np.zeros(grid.shape)
+    bump[tuple(x + grid.box_radius for x in xi)] = 1e-9
+    symbol = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (1.0 + k) + bump)
+    monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: symbol)
+    return symbol
+
+
+def check_mode(monkeypatch, grid, xi, tol=1e-12):
+    """The certificate passes where the per-mode residuals, xi's within
+    tol, all are within 1e-12, and fails once a tamper at xi pushes xi's
+    above it, with its largest eigenvalue error at xi."""
+    index = list(grid.frequencies()).index(xi)
+    residuals = per_mode_residuals(grid, resolvent_symbol())
+    assert residuals[index] < tol and np.max(residuals) <= 1e-12
+    assert certificate_passes(grid)
+    residuals = per_mode_residuals(grid, resolvent_off_at(monkeypatch, grid, xi))
+    assert residuals[index] > 1e-12
+    assert not certificate_passes(grid)
+    errors = resolvent_certificate(grid, seed=1).eigenvalue_error
+    assert np.argmax(errors) == np.argmax(residuals) == index
+
+
+def test_verify_eigenpair_zero_mode(monkeypatch):
+    check_mode(monkeypatch, TorusGrid(2, 9), (0, 0), tol=1e-13)
 
 
 @pytest.mark.parametrize("xi", [(1, 0), (2, 2), (-4, 3)])
-def test_verify_eigenpair_generic_modes(xi):
-    assert residual_at(xi, TorusGrid(2, 9)) < 1e-12
+def test_verify_eigenpair_generic_modes(monkeypatch, xi):
+    check_mode(monkeypatch, TorusGrid(2, 9), xi)
 
 
-def test_verify_eigenpair_other_dimensions():
-    assert residual_at((3,), TorusGrid(1, 9)) < 1e-12
-    assert residual_at((1, -1, 2), TorusGrid(3, 7)) < 1e-12
-
-
-def per_mode_residuals(grid, symbol):
-    """The eigenpair residuals one mode at a time, from float phases."""
-    x = np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij")
-    out = []
-    for xi in grid.frequencies():
-        psi = GridField(grid, np.exp(1j * sum(k * axis for k, axis in zip(xi, x))))
-        t_psi = inverse(apply_multiplier(forward(psi), symbol))
-        out.append(grid_l2_norm(t_psi - psi * (1.0 / (1.0 + sum(k * k for k in xi)))))
-    return np.array(out)
+def test_verify_eigenpair_other_dimensions(monkeypatch):
+    check_mode(monkeypatch, TorusGrid(1, 9), (3,))
+    monkeypatch.undo()
+    check_mode(monkeypatch, TorusGrid(3, 7), (1, -1, 2))
 
 
 @pytest.mark.parametrize("tampered", [False, True])
 @pytest.mark.parametrize("n,m", [(1, 15), (2, 9), (3, 7)])
 def test_eigenpair_residuals_match_per_mode_check(monkeypatch, n, m, tampered):
-    # a wrong symbol makes every residual nonzero and mode-dependent, which
-    # also checks that the rows come back in storage order
+    # a multiplier commutes with every shift, so the certificate's
+    # eigenvalue errors are the residuals themselves; a wrong symbol makes
+    # every one nonzero and mode-dependent, which also checks that they
+    # come back in storage order
     symbol = resolvent_symbol()
     if tampered:
         symbol = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))
         monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: symbol)
     grid = TorusGrid(n, m)
-    got = eigenpair_residuals(grid)
+    certificate = resolvent_certificate(grid, seed=1)
     expected = per_mode_residuals(grid, symbol)
-    assert got.shape == (grid.size,)
-    assert np.max(np.abs(got - expected)) <= 1e-15
-    assert (np.max(got) > 0.01) == tampered
+    assert certificate.eigenvalue_error.shape == (grid.size,)
+    assert np.max(np.abs(certificate.eigenvalue_error - expected)) <= 1e-15
+    assert np.max(certificate.commutator) <= spectral_mod.CERTIFICATE_TOL
+    assert (np.max(expected) > 0.01) == tampered
+    assert certificate_passes(grid) == (np.max(expected) <= 1e-12) == (not tampered)
 
 
 def test_resolvent_singular_values_equal_flattened_spectrum():
