@@ -22,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import transform
 from .lattice import Frequency, norm_sq, tail_min_norm_sq
-from .transform import SpectralField, TorusGrid
+from .transform import GridField, SpectralField, TorusGrid
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,19 @@ def norm_sq_array(grid: TorusGrid) -> np.ndarray:
 def apply_multiplier(c: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
     """Diagonal action: output(xi) = sigma(xi) c(xi) on every stored mode."""
     return SpectralField(c.grid, symbol_array(symbol, c.grid) * c.coefficients)
+
+
+def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Grid values -> inverse(sigma * forward(values)).values, sigma a symbol
+    array over the box: the one grid-side apply of CG, the multiplier solve,
+    Lanczos and the resolvent certificate.  The public transform pair is
+    looked up at each call, so a fault planted in it reaches all four."""
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        c = transform.forward(GridField(grid, values)).coefficients
+        return transform.inverse(SpectralField(grid, sigma * c)).values
+
+    return apply
 
 
 def sobolev_norm_sq(c: SpectralField, order: float) -> float:

@@ -23,15 +23,8 @@ import numpy as np
 
 from . import transform
 from .lattice import levels_up_to, tail_min_norm_sq
-from .operators import MultiplierSymbol, resolvent_symbol, symbol_array
-from .transform import (
-    GridField,
-    SpectralField,
-    TorusGrid,
-    forward,
-    inverse,
-    random_field,
-)
+from .operators import MultiplierSymbol, grid_operator, resolvent_symbol, symbol_array
+from .transform import GridField, TorusGrid, random_field
 
 
 def spectra(n: int, cap: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -73,7 +66,8 @@ def operator_norm_power_iteration(
     """Estimate the l2 -> l2 norm of the multiplier on the stored box.
 
     Runs the Lanczos three-term recurrence on the normal operator (symbol
-    squared) with every application routed through the public
+    squared, evaluated once) with every application made by
+    `operators.grid_operator`, the round trip through the public
     forward/inverse transform pair, so the estimate does not reuse the
     diagonal shortcut it is checking.  The start vector is seeded
     pseudo-random with support on all modes.  Only three vectors are held:
@@ -96,7 +90,7 @@ def operator_norm_power_iteration(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    sq = symbol_array(symbol, grid) ** 2
+    normal = grid_operator(grid, symbol_array(symbol, grid) ** 2)
     v = random_field(grid, np.random.default_rng(seed)).values
     v /= np.linalg.norm(v.ravel())
     v_prev = None
@@ -104,9 +98,7 @@ def operator_norm_power_iteration(
     betas: list[float] = []
     next_check = 1
     for step in range(1, max_iter + 1):
-        w = inverse(
-            SpectralField(grid, sq * forward(GridField(grid, v)).coefficients)
-        ).values
+        w = normal(v)
         # beta_{j-1} v_{j-1} comes off before alpha_j is taken, the ordering
         # that Paige's analysis covers
         if v_prev is not None:
@@ -182,8 +174,9 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     """Certify the eigenpairs (psi_xi, 1/(1+|xi|^2)) of T u = inverse(sigma *
     forward(u)), sigma the resolvent symbol, without one round trip per mode.
 
-    T goes through the public `transform.forward`/`transform.inverse`,
-    looked up at call time, so a fault planted in either shows here.
+    T is `operators.grid_operator`, which looks up the public
+    `transform.forward`/`transform.inverse` at call time, so a fault planted
+    in either shows here.
     (a) The impulse response kappa = T delta_0 takes one round trip, and
     lambda(xi) = M^n naive_forward(kappa)(xi) comes for every xi from one
     FFT-free direct sum; eigenvalue_error compares it with 1/(1+|xi|^2),
@@ -217,12 +210,7 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     Deterministic given the seed.
     """
     n = grid.dimension
-    sigma = symbol_array(resolvent_symbol(), grid)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        c = transform.forward(GridField(grid, values)).coefficients
-        return transform.inverse(SpectralField(grid, sigma * c)).values
-
+    apply = grid_operator(grid, symbol_array(resolvent_symbol(), grid))
     impulse = np.zeros(grid.shape, dtype=np.complex128)
     impulse[(0,) * n] = 1.0
     kappa = GridField(grid, apply(impulse))

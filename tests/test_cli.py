@@ -374,10 +374,11 @@ def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
 
 
 def _count_norm_applications(monkeypatch):
-    """Patch the estimator's inverse transform to count applications; the
-    returned list gets one count per estimate."""
+    """Patch the public inverse transform to count applications; the
+    returned list gets one count per estimate.  Within the operator-norms
+    group only the estimator calls it."""
     counts = []
-    inverse = spectral_mod.inverse
+    inverse = transform_mod.inverse
     estimate = spectral_mod.operator_norm_power_iteration
 
     def counted_inverse(c):
@@ -388,7 +389,7 @@ def _count_norm_applications(monkeypatch):
         counts.append(0)
         return estimate(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_mod, "inverse", counted_inverse)
+    monkeypatch.setattr(transform_mod, "inverse", counted_inverse)
     monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", counted_estimate)
     return counts
 
@@ -406,18 +407,23 @@ def test_verify_norm_estimates_take_at_most_20_applications(monkeypatch, seed):
 
 def test_verify_fails_operator_norms_when_the_routed_transform_is_off(monkeypatch, capsys):
     # the estimator sees the operator only through its transforms, not
-    # through the diagonal symbol the law is derived from
-    inverse = spectral_mod.inverse
+    # through the diagonal symbol the law is derived from; every group that
+    # applies an operator through the public pair fails with it
+    inverse = transform_mod.inverse
 
     def scaled(c):
         u = inverse(c)
         return transform_mod.GridField(u.grid, u.values * (1 + 1e-6))
 
-    monkeypatch.setattr(spectral_mod, "inverse", scaled)
+    monkeypatch.setattr(transform_mod, "inverse", scaled)
     assert run("verify") == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
-        "FAIL operator-norms"
+        "FAIL transform-roundtrip-plancherel",
+        "FAIL fast-vs-naive-transform",
+        "FAIL resolvent-eigenpairs",
+        "FAIL operator-norms",
+        "FAIL solver-agreement",
     ]
 
 

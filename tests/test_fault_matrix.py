@@ -1,5 +1,8 @@
 """Faults planted below `verify`'s checks, each on one binding that a check
-calls into and never inside a check, and the groups that must catch them."""
+calls into and never inside a check, and the groups that must catch them.
+
+`scripts/fault_matrix.py` prints the whole fault x group table from the
+catalogue `FAULTS` and the grids `GRIDS` below."""
 
 import contextlib
 import io
@@ -70,7 +73,7 @@ def _synthesis_modulated(monkeypatch):
     monkeypatch.setattr(transform_mod, "_synthesis", faulty)
 
 
-EIGENPAIR_FAULTS = {
+FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
     "forward-scaled-1+1e-9": _forward_scaled,
@@ -78,6 +81,8 @@ EIGENPAIR_FAULTS = {
     "box-shift-off-by-one-mode": _box_shift_off_by_one_mode,
     "synthesis-not-translation-invariant": _synthesis_modulated,
 }
+# 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
+GRIDS = [(1, 15), (2, 9), (3, 9)]
 
 
 def verify_statuses(n, m, seed=1):
@@ -89,9 +94,17 @@ def verify_statuses(n, m, seed=1):
             for line in out.getvalue().splitlines()}
 
 
-@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 9)])
-@pytest.mark.parametrize("fault", list(EIGENPAIR_FAULTS))
+@pytest.mark.parametrize("n, m", GRIDS)
+@pytest.mark.parametrize("fault", list(FAULTS))
 def test_every_planted_fault_fails_resolvent_eigenpairs(monkeypatch, fault, n, m):
-    EIGENPAIR_FAULTS[fault](monkeypatch)
+    FAULTS[fault](monkeypatch)
     assert verify_statuses(n, m)["resolvent-eigenpairs"] == "FAIL"
 
+
+@pytest.mark.parametrize("n, m", GRIDS)
+@pytest.mark.parametrize("fault", ["forward-scaled-1+1e-9", "inverse-off-at-one-point"])
+def test_public_pair_faults_fail_solver_agreement(monkeypatch, fault, n, m):
+    # CG and the multiplier solve apply their operators through the public
+    # transform pair, looked up at call time
+    FAULTS[fault](monkeypatch)
+    assert verify_statuses(n, m)["solver-agreement"] == "FAIL"

@@ -4,6 +4,7 @@ import pytest
 from toruskit import (
     ConjugateGradientError,
     GridField,
+    MultiplierSymbol,
     TorusGrid,
     forward,
     grid_l2_norm,
@@ -14,6 +15,7 @@ from toruskit import (
 )
 
 from toruskit import solver as solver_mod
+from toruskit import transform as transform_mod
 from toruskit.solver import helmholtz_norm
 
 from conftest import spectral_delta
@@ -61,6 +63,20 @@ def test_cg_converges_in_one_iteration_on_eigenvectors():
         f = inverse(spectral_delta(g, mode))
         _, report = solve_cg(f, tol=1e-12)
         assert report.iterations == 1
+
+
+def test_cg_evaluates_the_helmholtz_symbol_once_per_solve(monkeypatch):
+    # every iteration and every true-residual check reuse one symbol array
+    evaluations = []
+    counted = MultiplierSymbol(
+        "helmholtz", of_norm_sq=lambda k: evaluations.append(1) or 1.0 + k
+    )
+    monkeypatch.setattr(solver_mod, "helmholtz_symbol", lambda: counted)
+    f = random_field(TorusGrid(2, 9), np.random.default_rng(1))
+    u, report = solve_cg(f)
+    assert report.iterations == 15
+    assert len(evaluations) == 1
+    assert grid_l2_norm(u - solve_multiplier(f)[0]) < 1e-9
 
 
 def test_cg_matches_multiplier_on_seeded_input():
@@ -162,7 +178,7 @@ def test_cg_non_convergence_raises_naming_tol_and_max_iter():
 
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_cg_refuses_max_iter_below_one_before_any_transform(monkeypatch, max_iter):
-    monkeypatch.setattr(solver_mod, "forward", None)
+    monkeypatch.setattr(transform_mod, "forward", None)
     f = random_field(TorusGrid(2, 9), np.random.default_rng(0))
     with pytest.raises(ValueError, match="max_iter"):
         solve_cg(f, max_iter=max_iter)

@@ -23,6 +23,7 @@ from toruskit import (
     truncation_error_exact,
 )
 from toruskit import spectral as spectral_mod
+from toruskit import transform as transform_mod
 
 from conftest import per_mode_residuals
 
@@ -139,8 +140,8 @@ def test_power_iteration_stops_on_an_invariant_subspace(monkeypatch):
     # the identity's normal operator maps the start vector to itself, the
     # zero operator maps it to 0: one application each
     calls = []
-    inverse = spectral_mod.inverse
-    monkeypatch.setattr(spectral_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    inverse = transform_mod.inverse
+    monkeypatch.setattr(transform_mod, "inverse", lambda c: calls.append(1) or inverse(c))
     assert operator_norm_power_iteration(
         identity_symbol(), TorusGrid(2, 7), seed=0
     ) == pytest.approx(1.0, abs=1e-15)
@@ -150,10 +151,25 @@ def test_power_iteration_stops_on_an_invariant_subspace(monkeypatch):
     assert len(calls) == 2
 
 
+def test_power_iteration_evaluates_its_symbol_once_per_estimate(monkeypatch):
+    evaluations, applications = [], []
+    counted = MultiplierSymbol(
+        "resolvent", of_norm_sq=lambda k: evaluations.append(1) or 1.0 / (1.0 + k)
+    )
+    inverse = transform_mod.inverse
+    monkeypatch.setattr(
+        transform_mod, "inverse", lambda c: applications.append(1) or inverse(c)
+    )
+    est = operator_norm_power_iteration(counted, TorusGrid(2, 9), seed=1)
+    assert est == pytest.approx(1.0, abs=1e-10)
+    assert len(applications) > 1
+    assert len(evaluations) == 1
+
+
 def test_power_iteration_meets_the_law_at_cutoff_10_within_40_applications(monkeypatch):
     calls = []
-    inverse = spectral_mod.inverse
-    monkeypatch.setattr(spectral_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    inverse = transform_mod.inverse
+    monkeypatch.setattr(transform_mod, "inverse", lambda c: calls.append(1) or inverse(c))
     est = operator_norm_power_iteration(resolvent_tail_symbol(10), TorusGrid(2, 65), seed=1)
     assert est == pytest.approx(1 / 122, abs=1e-12)
     assert len(calls) <= 40
@@ -163,7 +179,7 @@ def test_power_iteration_meets_the_law_at_cutoff_10_within_40_applications(monke
 def test_power_iteration_refuses_max_iter_below_one_before_any_transform(
     monkeypatch, max_iter
 ):
-    monkeypatch.setattr(spectral_mod, "forward", None)
+    monkeypatch.setattr(transform_mod, "forward", None)
     with pytest.raises(ValueError, match="max_iter"):
         operator_norm_power_iteration(
             resolvent_symbol(), TorusGrid(2, 9), max_iter=max_iter
