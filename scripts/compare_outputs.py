@@ -31,9 +31,13 @@ _DATA_COMMANDS = [
     *(("spectrum", "--dimension", str(n), "--level-cap", "2500") for n in (1, 2, 3)),
     ("spectrum", "--dimension", "2", "--level-cap", "40000"),
     ("transform", "--dimension", "2", "--points", "9", "--seed", "1", "--sobolev", "1.0"),
+    # field documents off 2-D, so "dimension" and "points_per_axis" are compared too
+    ("transform", "--dimension", "1", "--points", "15", "--seed", "1"),
+    ("transform", "--dimension", "3", "--points", "5", "--seed", "1"),
     ("truncate", "--dimension", "2", "--points", "11", "--truncation", "2", "--seed", "1"),
     ("embed-demo", "--dimension", "1", "--points", "17", "--epsilon", "0.5", "--seed", "3"),
     ("solve", "--dimension", "2", "--points", "9", "--seed", "4"),
+    ("solve", "--dimension", "3", "--points", "5", "--seed", "4"),
     ("bench", "--dimension", "2", "--points", "9", "--seed", "1", "--repetitions", "2"),
 ]
 COMMANDS = [

@@ -58,8 +58,6 @@ from .transform import (
     GridField,
     SpectralField,
     TorusGrid,
-    field_from_doc,
-    field_to_doc,
     forward,
     grid_l2_norm,
     inverse,

@@ -19,8 +19,9 @@ flag before any work is done; `_make_grid` checks `--points` against
 `--dimension` and the command's grid-size limit.
 A command's CSV table and JSON document are written from the same columns.
 Every JSON file is laid out exactly as `json.dumps(doc, indent=2)` would
-write it, byte for byte, by the one writer `_json_chunks`.  Tables, in CSV
-and JSON alike, go through one column formatter, `_table_chunks`, and every
+write it, byte for byte, by the one writer `_json_chunks`.  Every table,
+a field's `[re, im]` values included, is held as `_Columns`; in CSV and
+JSON alike it goes through one column formatter, `_table_chunks`, and every
 file is written in pieces of at most _CHUNK_ROWS table rows, so neither a
 file's text nor all of its cell strings are held at once.
 """
@@ -157,11 +158,10 @@ def _csv_chunks(header, columns):
 def _json_chunks(doc):
     """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in pieces, without
     the pure-Python encoder that `indent` selects for every value: dicts and
-    lists are laid out here, tables (`_Columns`, and lists of equal-width
-    list rows whose columns are each all ints or all finite floats, such as
-    field values) column by column, ints and finite floats by their `repr`
-    as json does, keys by json's own string encoder, and every other leaf
-    by `json.dumps`."""
+    lists are laid out here, tables (`_Columns`: spectrum levels, field
+    values) column by column, ints and finite floats by their `repr` as
+    json does, keys by json's own string encoder, and every other leaf by
+    `json.dumps`."""
     yield from _json_parts(doc, "")
     yield "\n"
 
@@ -171,11 +171,8 @@ def _json_parts(value, pad: str):
     indented by `pad`; JSON text holds no raw newline inside a string, so
     that indentation is exactly `json.dumps`'s at this depth."""
     kind = type(value)
-    if kind is list and value and (table := _row_table(value)) is not None:
-        yield from _json_table(*table, pad)
-    elif kind is _Columns:
-        columns = value.columns
-        yield from _json_table(columns, [_spelling(c, json.dumps) for c in columns], pad)
+    if kind is _Columns:
+        yield from _json_table(value.columns, pad)
     elif kind is int:
         yield int.__repr__(value)
     elif kind is float and math.isfinite(value):
@@ -199,31 +196,26 @@ def _json_parts(value, pad: str):
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _row_table(rows: list):
-    """(columns, spellings) of `rows` transposed, when they are equal-width
-    lists whose columns are each all ints or all finite floats; None for
-    any other list."""
-    if set(map(type, rows)) != {list}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    columns = tuple(zip(*rows))
-    spellings = [_spelling(column, None) for column in columns]
-    return None if None in spellings else (columns, spellings)
-
-
-def _json_table(columns, spellings, pad: str):
+def _json_table(columns, pad: str):
     """The `indent=2` text of the row lists of `columns` at depth `pad`."""
     if not len(columns[0]):
         yield "[]"
         return
     row_pad = pad + "  "
     cell_pad = row_pad + "  "
+    spellings = [_spelling(c, json.dumps) for c in columns]
     yield "[\n" + row_pad
     yield from _table_chunks(columns, spellings, "[\n" + cell_pad,
                              ",\n" + cell_pad, "\n" + row_pad + "]", ",\n" + row_pad)
     yield "\n" + pad + "]"
+
+
+def _field_doc(grid: transform.TorusGrid, kind: str, values: np.ndarray) -> dict:
+    """The JSON document of a field: `values`, row-major, as `[re, im]`
+    rows; `kind` is "grid" for samples, "spectral" for coefficients."""
+    flat = values.ravel()
+    return {"dimension": grid.dimension, "points_per_axis": grid.points_per_axis,
+            "kind": kind, "values": _Columns((flat.real, flat.imag))}
 
 
 def _records(header, columns) -> list[dict]:
@@ -367,7 +359,7 @@ def _cmd_transform(args) -> int:
     flat = c.coefficients.ravel()
     _write_table(args, header,
                  lambda: [*transform._frequency_vectors(grid).T, flat.real, flat.imag],
-                 lambda: transform.field_to_doc(c))
+                 lambda: _field_doc(grid, "spectral", flat))
     return _report_failures(failures)
 
 
@@ -448,7 +440,7 @@ def _cmd_solve(args) -> int:
             "input_l2": transform.grid_l2_norm(f),
             "l2_disagreement": gap,
             "reports": _records(header, columns),
-            "solution": transform.field_to_doc(u),
+            "solution": _field_doc(grid, "grid", u.values),
         },
     )
     return _report_failures(failures)

@@ -327,37 +327,3 @@ def plancherel_defect(u: GridField, c: SpectralField) -> float:
     spectral_energy = float(np.sum(np.abs(c.coefficients) ** 2))
     grid_energy = float(np.sum(np.abs(u.values) ** 2)) / u.grid.size
     return abs(spectral_energy - grid_energy)
-
-
-# ---------------------------------------------------------------------------
-# JSON-document serialization (bit-exact round trips).
-# ---------------------------------------------------------------------------
-
-
-def field_to_doc(field: GridField | SpectralField) -> dict:
-    """Serialize to {dimension, points_per_axis, kind, values: [[re, im], ...]}."""
-    if isinstance(field, GridField):
-        kind, arr = "grid", field.values
-    elif isinstance(field, SpectralField):
-        kind, arr = "spectral", field.coefficients
-    else:
-        raise TypeError(f"expected GridField or SpectralField, got {type(field)!r}")
-    flat = arr.ravel()
-    return {
-        "dimension": field.grid.dimension,
-        "points_per_axis": field.grid.points_per_axis,
-        "kind": kind,
-        "values": list(map(list, zip(flat.real.tolist(), flat.imag.tolist()))),
-    }
-
-
-def field_from_doc(doc: dict) -> GridField | SpectralField:
-    grid = TorusGrid(doc["dimension"], doc["points_per_axis"])
-    pairs = doc["values"]
-    arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    kind = doc["kind"]
-    if kind == "grid":
-        return GridField(grid, arr)
-    if kind == "spectral":
-        return SpectralField(grid, arr)
-    raise ValueError(f"unknown field kind {kind!r}")

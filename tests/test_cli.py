@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruskit import MultiplierSymbol, cli, field_from_doc, spectral as spectral_mod
+from toruskit import MultiplierSymbol, cli, spectral as spectral_mod
 from toruskit import embedding as embedding_mod
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
@@ -197,6 +198,13 @@ def test_bench_csv_schema(tmp_path):
     assert rows[0][-1] == "0" and int(rows[1][-1]) > 0
 
 
+def _read_field(doc, kind):
+    """The complex array of a field document, read back with numpy alone."""
+    assert doc["kind"] == kind
+    grid = transform_mod.TorusGrid(doc["dimension"], doc["points_per_axis"])
+    return grid, np.asarray(doc["values"]).view(np.complex128).reshape(grid.shape)
+
+
 def test_transform_json_roundtrips(tmp_path):
     out = tmp_path / "field.json"
     assert (
@@ -204,10 +212,49 @@ def test_transform_json_roundtrips(tmp_path):
             "--sobolev", 1.0, "--format", "json", "--output", out)
         == 0
     )
-    doc = json.loads(out.read_text())
-    assert doc["kind"] == "spectral"
-    field = field_from_doc(doc)
-    assert field.grid.points_per_axis == 9
+    with open(out) as fh:
+        grid, values = _read_field(json.load(fh), "spectral")
+    assert grid.points_per_axis == 9 and values.shape == (9,)
+
+
+@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 5)])
+def test_field_documents_read_back_bit_exactly(tmp_path, n, points):
+    """`transform`'s coefficients and `solve`'s solution, read back with
+    `json.load` and `np.asarray`, equal the library's arrays bit for bit."""
+    seed, out = 7, tmp_path / "out.json"
+    grid = transform_mod.TorusGrid(n, points)
+    f = transform_mod.random_field(grid, np.random.default_rng(seed))
+    common = ("--dimension", n, "--points", points, "--seed", seed,
+              "--format", "json", "--output", out)
+    assert run("transform", *common) == 0
+    with open(out) as fh:
+        read_grid, values = _read_field(json.load(fh), "spectral")
+    assert read_grid == grid
+    assert np.array_equal(values, transform_mod.forward(f).coefficients)
+    assert run("solve", *common) == 0
+    with open(out) as fh:
+        read_grid, values = _read_field(json.load(fh)["solution"], "grid")
+    assert read_grid == grid
+    assert np.array_equal(values, solver_mod.solve_multiplier(f)[0].values)
+
+
+def _traced_peak(*argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_transform_peaks_near_the_csv(tmp_path):
+    """A field document is written from the same columns as the CSV table,
+    so the json run holds no more than the csv run: no row list per
+    coefficient."""
+    args = ("transform", "--dimension", 2, "--points", 255, "--seed", 1)
+    csv_peak = _traced_peak(*args, "--format", "csv", "--output", tmp_path / "f.csv")
+    json_peak = _traced_peak(*args, "--format", "json", "--output", tmp_path / "f.json")
+    assert json_peak <= 1.25 * csv_peak, (json_peak, csv_peak)
 
 
 def test_transform_csv_schema(tmp_path):
@@ -988,11 +1035,11 @@ def test_column_writer_named_cases(columns):
 
 def test_float_columns_whose_sum_overflows_are_written_by_repr():
     # the finite-cell check is not fooled by a sum that overflows to inf
-    rows = [[_HUGE, 1], [_HUGE, 2]]
-    assert cli._spelling([_HUGE, _HUGE], None) is float.__repr__
-    assert cli._row_table(rows) is not None
-    assert cli._spelling([_HUGE, float("inf")], None) is None
-    assert _json_text(rows) == _oracle(rows)
+    columns, header = [[_HUGE, _HUGE], [1, 2]], ["c0", "c1"]
+    assert cli._spelling(columns[0], str) is float.__repr__
+    assert cli._spelling([_HUGE, float("inf")], str) is str
+    assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(
+        header, _table_rows(columns))
 
 
 JSON_COMMANDS = [

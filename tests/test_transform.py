@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,6 @@ from toruskit import (
     GridField,
     SpectralField,
     TorusGrid,
-    field_from_doc,
-    field_to_doc,
     forward,
     grid_l2_norm,
     inverse,
@@ -259,42 +255,6 @@ def test_grid_l2_norm_matches_plancherel():
     assert grid_l2_norm(u) == pytest.approx(
         float(np.linalg.norm(c.coefficients)), abs=1e-12
     )
-
-
-def test_serialization_bit_exact_roundtrip():
-    g = TorusGrid(2, 5)
-    rng = np.random.default_rng(11)
-    for field in (random_grid(g, rng), random_spectral(g, rng)):
-        doc = json.loads(json.dumps(field_to_doc(field)))
-        back = field_from_doc(doc)
-        arr = field.values if isinstance(field, GridField) else field.coefficients
-        arr_back = back.values if isinstance(back, GridField) else back.coefficients
-        assert type(back) is type(field)
-        assert np.array_equal(arr, arr_back)
-
-
-@pytest.mark.parametrize("key, value", [("dimension", 2.7), ("dimension", "2"),
-                                        ("points_per_axis", 5.0)])
-def test_serialization_refuses_non_integer_sizes(key, value):
-    doc = field_to_doc(random_grid(TorusGrid(2, 5), np.random.default_rng(0)))
-    doc[key] = value
-    with pytest.raises(TypeError):
-        field_from_doc(doc)
-
-
-def test_serialization_refuses_a_bool_dimension():
-    doc = field_to_doc(random_grid(TorusGrid(1, 5), np.random.default_rng(0)))
-    doc["dimension"] = True
-    with pytest.raises(TypeError, match="bool"):
-        field_from_doc(json.loads(json.dumps(doc)))
-
-
-def test_serialization_rejects_unknown_kind():
-    g = TorusGrid(1, 5)
-    doc = field_to_doc(random_grid(g, np.random.default_rng(0)))
-    doc["kind"] = "mystery"
-    with pytest.raises(ValueError, match="kind"):
-        field_from_doc(doc)
 
 
 def test_field_arithmetic_requires_same_grid():
