@@ -238,6 +238,28 @@ def test_field_documents_read_back_bit_exactly(tmp_path, n, points):
     assert np.array_equal(values, solver_mod.solve_multiplier(f)[0].values)
 
 
+@pytest.mark.parametrize("n, points", [(1, 15), (3, 5)])
+@pytest.mark.parametrize("command, path, kind", [("transform", (), "spectral"),
+                                                 ("solve", ("solution",), "grid")])
+def test_field_documents_hold_integer_sizes_and_pairs(tmp_path, command, path, kind,
+                                                      n, points):
+    """A field document names its grid by two JSON integers, its kind by the
+    command that wrote it, and holds one `[re, im]` pair of floats per value."""
+    out = tmp_path / "out.json"
+    assert run(command, "--dimension", n, "--points", points, "--seed", 3,
+               "--format", "json", "--output", out) == 0
+    doc = json.loads(out.read_text())
+    for key in path:
+        doc = doc[key]
+    assert list(doc) == ["dimension", "points_per_axis", "kind", "values"]
+    assert type(doc["dimension"]) is int and doc["dimension"] == n
+    assert type(doc["points_per_axis"]) is int and doc["points_per_axis"] == points
+    assert doc["kind"] == kind
+    assert len(doc["values"]) == points ** n
+    assert all(len(pair) == 2 and all(type(x) is float for x in pair)
+               for pair in doc["values"])
+
+
 def _traced_peak(*argv) -> int:
     tracemalloc.start()
     try:
