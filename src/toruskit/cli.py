@@ -50,8 +50,8 @@ MAX_GRID_POINTS = 2**22
 # Largest grid `verify` checks: its fast-vs-naive and eigenpair groups each
 # take direct sums of O(size**2), six and one, and unpreconditioned CG takes
 # O(M) iterations.  At 1-D M=8191 (one BLAS thread, 2-core x86-64 VM) the
-# groups take: solver-agreement 15.2 s (6406 CG iterations), fast-vs-naive
-# 1.7 s, resolvent-eigenpairs 0.76 s, the rest under 0.2 s each; 18 s in
+# groups take: solver-agreement 13.6 s (6406 CG iterations), fast-vs-naive
+# 1.2 s, resolvent-eigenpairs 0.55 s, the rest under 0.2 s each; 16 s in
 # all, nearly all of it CG.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and

@@ -12,13 +12,15 @@ clustering there extracts subfamilies that are pairwise close in L^2.
 That is the whole compactness mechanism, made finite.
 
 `tail_profile` evaluates the bound at every cutoff 0..box radius in one
-pass: the modes sorted by |xi|^2 once, the tail energies as one reversed
-cumulative sum, and each cutoff's tail found by a binary search at
-(N+1)^2.  `tail_bound_check`, one masked sum per cutoff, is its oracle.
+pass: the tail energies as one reversed cumulative sum of |c|^2 over the
+modes sorted by |xi|^2, read where each cutoff's tail starts.  The sort
+order and those starts depend on the grid alone and are computed once per
+grid.  `tail_bound_check`, one masked sum per cutoff, is its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ import numpy as np
 
 from .lattice import tail_min_norm_sq
 from .operators import kept_by_truncation, l2_norm, norm_sq_array, sobolev_norm_sq
-from .transform import SpectralField, random_field
+from .transform import SpectralField, TorusGrid, random_field
 
 _H1_SLACK = 1e-9
 _ANCHOR_COUNT = 4
@@ -123,25 +125,40 @@ def tail_bound_check(c: SpectralField, cutoff: int) -> TailBound:
     return TailBound(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
+@functools.lru_cache(maxsize=8)
+def _tail_layout(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, thresholds) of `tail_profile` on one grid.
+
+    order sorts the modes stably by k = |xi|^2; a cutoff N keeps exactly the
+    modes with k < thresholds[N] = (N+1)^2 (`kept_by_truncation`), which are
+    the sorted prefix up to starts[N], the left insertion point of (N+1)^2.
+    Memoized per grid as `norm_sq_array` is; the arrays are read-only.
+    """
+    k = norm_sq_array(grid).ravel()
+    order = np.argsort(k, kind="stable")
+    thresholds = np.array(
+        [tail_min_norm_sq(cutoff) for cutoff in range(grid.box_radius + 1)]
+    )
+    starts = np.searchsorted(k[order], thresholds, side="left")
+    for array in (order, starts, thresholds):
+        array.flags.writeable = False
+    return order, starts, thresholds
+
+
 def tail_profile(c: SpectralField) -> TailProfile:
     """`tail_bound_check` at every cutoff N = 0..box radius, in one pass.
 
-    The modes are sorted stably by k = |xi|^2 once; a cutoff keeps exactly
-    the modes with k < (N+1)^2 (`kept_by_truncation`), which are the sorted
-    prefix up to the left insertion point of (N+1)^2, so the tail is the
-    suffix after it and its energy one entry of the reversed cumulative sum
-    of |c|^2.  rhs is computed as `tail_bound_check` computes it; lhs agrees
-    with it to roundoff, the sums being taken in another order.
+    The tail at cutoff N is the suffix of the modes sorted by |xi|^2 from
+    the grid's start of that tail (`_tail_layout`), so its energy is one
+    entry of the reversed cumulative sum of |c|^2 in that order.  rhs is
+    computed as `tail_bound_check` computes it; lhs agrees with it to
+    roundoff, the sums being taken in another order.
     """
-    k = norm_sq_array(c.grid).ravel()
-    order = np.argsort(k, kind="stable")
+    order, starts, thresholds = _tail_layout(c.grid)
     energy = np.abs(c.coefficients.ravel()[order]) ** 2
     # tails[i] = energy[i:].sum(); the trailing 0.0 is the empty tail
     tails = np.append(np.cumsum(energy[::-1])[::-1], 0.0)
-    thresholds = np.array(
-        [tail_min_norm_sq(cutoff) for cutoff in range(c.grid.box_radius + 1)]
-    )
-    lhs = np.sqrt(tails[np.searchsorted(k[order], thresholds, side="left")])
+    lhs = np.sqrt(tails[starts])
     rhs = np.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + thresholds))
     return TailProfile(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 

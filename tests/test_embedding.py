@@ -22,6 +22,7 @@ from toruskit import (
     tail_profile,
     tail_projection,
 )
+from toruskit.embedding import _tail_layout
 
 from conftest import random_spectral, spectral_delta
 
@@ -124,6 +125,24 @@ def test_tail_profile_matches_the_one_cutoff_oracle(n, m):
     _assert_profile_matches_oracle(random_spectral(g, np.random.default_rng(m)))
     zero = tail_profile(SpectralField(g, np.zeros(g.shape)))
     assert not zero.lhs.any() and not zero.rhs.any() and zero.holds.all()
+
+
+def test_tail_layout_is_sorted_once_per_grid(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(args[0].shape)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    _tail_layout.cache_clear()
+    grids = [TorusGrid(1, 31), TorusGrid(2, 9), TorusGrid(3, 7)]
+    for g in grids:
+        rng = np.random.default_rng(g.size)
+        for _ in range(4):
+            _assert_profile_matches_oracle(random_spectral(g, rng))
+    assert calls == [(g.size,) for g in grids]
 
 
 def test_tail_profile_keeps_what_truncation_keeps():

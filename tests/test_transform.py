@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from toruskit import (
     naive_inverse,
     plancherel_defect,
 )
+import toruskit.transform as transform_mod
 from toruskit.transform import (
     _analysis,
     _frequency_vectors,
@@ -138,18 +141,58 @@ def test_fast_path_composite_lengths(m):
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_kernel_rows_match_exponentials_across_blocks(sign):
-    # 225 modes at 18 rows per block: the last block is short
+    # 225 modes at 72 rows per block: the last block is short
     g = TorusGrid(2, 15)
     xis = _frequency_vectors(g)
     assert xis.tolist() == [list(xi) for xi in g.frequencies()]
     blocks = list(_mode_blocks(g, xis, sign))
     rows = [r for r, _ in blocks]
-    assert rows[0] == slice(0, 18) and rows[-1] == slice(216, 225)
+    assert rows[0] == slice(0, 72) and rows[-1] == slice(216, 225)
     assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
     kernel = np.concatenate([k for _, k in blocks])
     meshes = np.meshgrid(g.axis_points(), g.axis_points(), indexing="ij")
     phase = xis[:, :1] * meshes[0].ravel() + xis[:, 1:] * meshes[1].ravel()
     assert np.max(np.abs(kernel - np.exp(sign * 1j * phase))) < 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (1, 101), (2, 15), (3, 5), (3, 7), (3, 9)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_kernel_blocks_are_the_full_phase_lookup_bit_for_bit(n, m, sign):
+    # the per-axis phase tables pick, entry by entry, the root that the
+    # integer phase (xi . m) mod M picks
+    g = TorusGrid(n, m)
+    xis = _frequency_vectors(g)
+    points = np.indices(g.shape).reshape(n, g.size)
+    roots = np.exp(sign * 2j * np.pi * np.arange(m) / m)
+    kernel = np.concatenate([k for _, k in _mode_blocks(g, xis, sign)])
+    assert np.array_equal(kernel, roots[(xis @ points) % m])
+
+
+@pytest.mark.parametrize("n, m", [(3, 15), (2, 89)])
+def test_one_oracle_sweep_peaks_far_below_a_whole_kernel(n, m):
+    # a whole kernel would take 174 MB at 3-D M=15 and 960 MB at 2-D M=89;
+    # one block of kernel rows and its phase take well under 1 MiB
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    for oracle, arg in ((naive_forward, random_grid(g, rng)),
+                        (naive_inverse, random_spectral(g, rng))):
+        tracemalloc.start()
+        try:
+            oracle(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{oracle.__name__} peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("oracle", [naive_forward, naive_inverse])
+@pytest.mark.parametrize("empty", [[], ()])
+def test_naive_oracle_on_an_empty_stack_returns_an_empty_list(oracle, empty, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built a kernel for no field")
+
+    monkeypatch.setattr(transform_mod, "_mode_blocks", refuse)
+    assert oracle(empty) == []
 
 
 def test_naive_oracle_makes_no_fft_call(monkeypatch):
