@@ -36,6 +36,9 @@ _DATA_COMMANDS = [
     ("transform", "--dimension", "3", "--points", "5", "--seed", "1"),
     ("truncate", "--dimension", "2", "--points", "11", "--truncation", "2", "--seed", "1"),
     ("embed-demo", "--dimension", "1", "--points", "17", "--epsilon", "0.5", "--seed", "3"),
+    # 4097 tail rows, N = 0..4096: a keyed table across two pieces of
+    # cli._CHUNK_ROWS = 4096 rows, so the boundary between pieces is compared
+    ("embed-demo", "--dimension", "1", "--points", "8193", "--epsilon", "0.5", "--seed", "3"),
     ("solve", "--dimension", "2", "--points", "9", "--seed", "4"),
     ("solve", "--dimension", "3", "--points", "5", "--seed", "4"),
     ("bench", "--dimension", "2", "--points", "9", "--seed", "1", "--repetitions", "2"),

@@ -56,6 +56,7 @@ from .spectral import (
 )
 from .transform import (
     GridField,
+    NonFiniteError,
     SpectralField,
     TorusGrid,
     forward,

@@ -1,27 +1,33 @@
 """Command-line surface: transforms, spectra, truncation tables, embedding
 demos, solves, and benchmarks, emitting JSON or CSV for offline plotting.
 
-Exit codes: 0 on success, 1 when a numerical self-check fails or an
-iterative loop does not converge, 2 on usage/validation errors.  Commands
-that draw random data require an explicit --seed (there is no wall-clock
-default), and identical configurations produce byte-identical data files
-apart from wall-time columns, at a fixed BLAS thread count: the Lanczos
-estimates that `truncate` writes can differ in their last digits between
-thread counts, as BLAS sums in another order.
+Exit codes: 0 on success, 1 when a numerical self-check fails, an
+iterative loop does not converge or a computed field or symbol holds NaN
+or inf, 2 on usage/validation errors.  Commands that draw random data
+require an explicit --seed (there is no wall-clock default), and identical
+configurations produce byte-identical data files apart from wall-time
+columns, at a fixed BLAS thread count: the Lanczos estimates that
+`truncate` writes can differ in their last digits between thread counts, as
+BLAS sums in another order.
 
 Each self-check is one `_check_*` function, called by its command and by
 the matching `verify` group, so both apply the same rule; `bench` runs the
 `solve` check on every repetition.  `verify` prints one PASS/FAIL line per
-group with its wall seconds; a loop that fails to converge fails its group,
-and the other groups still run.  A flag whose rule needs no other flag is
-validated once, by its argparse `type=`, so a bad value exits 2 naming the
-flag before any work is done; `_make_grid` checks `--points` against
-`--dimension` and the command's grid-size limit.
+group with its wall seconds; a loop that fails to converge, or a field or
+symbol that holds NaN or inf, fails its group, and the other groups still
+run.  A flag whose rule needs no other flag is validated once, by its
+argparse `type=`, so a bad value exits 2 naming the flag before any work is
+done; `_make_grid` checks `--points` against `--dimension` and the
+command's grid-size limit.
 A command's CSV table and JSON document are written from the same columns.
-Every JSON file is laid out exactly as `json.dumps(doc, indent=2)` would
-write it, byte for byte, by the one writer `_json_chunks`.  Every table,
-a field's `[re, im]` values included, is held as `_Columns`; in CSV and
-JSON alike it goes through one column formatter, `_table_chunks`, and every
+Every table is one type, `_Columns`, of ndarray columns: a field's
+`[re, im]` values and the spectrum levels, and the record tables (the rows
+of `truncate`, `bench` and `embed-demo`'s tails, `solve`'s reports), whose
+keys are the CSV header and key each JSON row object.  Every JSON file is
+laid out exactly as `json.dumps(doc, indent=2)` would write it, byte for
+byte, by the one writer `_json_chunks`: `json.dumps` lays out the document
+around its tables, and each table is written in its place.  In CSV and JSON
+alike a table goes through one column formatter, `_table_chunks`, and every
 file is written in pieces of at most _CHUNK_ROWS table rows, so neither a
 file's text nor all of its cell strings are held at once.
 """
@@ -30,14 +36,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +64,7 @@ MAX_VERIFY_POINTS = 2**13
 MAX_EMBED_POINTS = 2**18
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 (one BLAS thread, 2-core
 # x86-64 VM) takes 2.8-3.5 s and peaks at 72 MiB writing 96 MB of JSON, or
-# 111 MiB writing 54 MB of CSV; from cap 2**18 (0.9 s, 41 MiB) time grows
+# 104 MiB writing 54 MB of CSV; from cap 2**18 (0.9 s, 41 MiB) time grows
 # about 4x per 4x in cap, the lattice scan about 8x.
 MAX_LEVEL_CAP = 2**20
 # Rows per piece of a table's text: a file is written piece by piece, so
@@ -72,9 +76,11 @@ class UsageError(ValueError):
     pass
 
 
-# A loop that stops without converging; a command exits 1 on it, and in
-# `verify` it is the failure of the group that ran the loop.
-_NUMERICAL_FAILURES = (spectral.LanczosError, solver.ConjugateGradientError)
+# A loop that stops without converging, or a computed field or symbol that
+# holds NaN or inf; a command exits 1 on it, and in `verify` it is the
+# failure of the group that ran into it.
+_NUMERICAL_FAILURES = (spectral.LanczosError, solver.ConjugateGradientError,
+                       transform.NonFiniteError)
 
 
 def _make_grid(
@@ -103,110 +109,104 @@ def _write(path: str, chunks) -> None:
 
 @dataclass(frozen=True)
 class _Columns:
-    """A table held as equal-length columns (ndarrays, lists or tuples) of
-    numbers or strings: JSON writes it as the list of its row lists, CSV as
-    one line per row."""
+    """A table held as equal-length ndarray columns of numbers or strings.
+    With `keys`, CSV writes them as its header line and JSON writes each row
+    as an object keyed by them; without, JSON writes each row as a list."""
 
     columns: tuple
+    keys: tuple | None = None
 
 
-def _spelling(column, spell):
-    """How each cell of `column` is written: `int.__repr__` if all are ints,
-    `float.__repr__` if all are finite floats (json and csv both write them
-    so), otherwise `spell` of the cell."""
-    if isinstance(column, np.ndarray) and column.dtype != object:
-        kind = column.dtype.kind
-        if kind in "iu":
-            return int.__repr__
-        if kind == "f" and np.isfinite(column).all():
-            return float.__repr__
-        return spell
-    kinds = set(map(type, column))
-    if kinds == {int}:
+def _spelling(column: np.ndarray, spell):
+    """How each cell of `column` is written: `int.__repr__` for an integer
+    dtype, `float.__repr__` for a float dtype whose cells are all finite
+    (json and csv both write them so), otherwise `spell` of the cell."""
+    kind = column.dtype.kind
+    if kind in "iu":
         return int.__repr__
-    # a sum that overflows, as 2 * 1.7e308 does, still leaves each cell finite
-    if kinds == {float} and (math.isfinite(sum(column))
-                             or all(map(math.isfinite, column))):
+    if kind == "f" and np.isfinite(column).all():
         return float.__repr__
     return spell
 
 
-def _table_chunks(columns, spellings, open_row, cell_sep, close_row, row_sep):
+def _table_chunks(columns, spellings, open_row, cell_sep, close_row, row_sep,
+                  labels=None):
     """The rows of `columns`, each `open_row` + its cells spelled by
-    `spellings` and joined by `cell_sep` + `close_row`, rows joined by
-    `row_sep`, in chunks of _CHUNK_ROWS rows: one chunk's cell strings are
-    all of a table's text that is held at a time."""
+    `spellings`, each after its column's label in `labels` if given, joined
+    by `cell_sep` + `close_row`, rows joined by `row_sep`, in chunks of
+    _CHUNK_ROWS rows: one chunk's cell strings are all of a table's text
+    that is held at a time."""
     between = close_row + row_sep + open_row
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
-        cells = [map(spelling, column[start:stop].tolist()
-                     if isinstance(column, np.ndarray) else column[start:stop])
+        cells = [map(spelling, column[start:stop].tolist())
                  for column, spelling in zip(columns, spellings)]
+        if labels:
+            cells = [map(label.__add__, column) for label, column in zip(labels, cells)]
         rows = between.join(map(cell_sep.join, zip(*cells)))
         yield (row_sep if start else "") + open_row + rows + close_row
 
 
-def _csv_chunks(header, columns):
-    """The CSV text of the table: one header line, then one line per row;
-    `str` of an int or a float is its `repr`, so floats read back exactly,
-    and the strings (operator and method names) need no quoting."""
-    yield ",".join(header) + "\n"
+def _csv_chunks(table: _Columns):
+    """The CSV text of the keyed table: its keys as the header line, then
+    one line per row; `str` of an int or a float is its `repr`, so floats
+    read back exactly, and the strings (operator and method names) need no
+    quoting."""
+    yield ",".join(table.keys) + "\n"
+    columns = table.columns
     yield from _table_chunks(columns, [_spelling(c, str) for c in columns],
                              "", ",", "\n", "")
 
 
 def _json_chunks(doc):
-    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in pieces, without
-    the pure-Python encoder that `indent` selects for every value: dicts and
-    lists are laid out here, tables (`_Columns`: spectrum levels, field
-    values) column by column, ints and finite floats by their `repr` as
-    json does, keys by json's own string encoder, and every other leaf by
-    `json.dumps`."""
-    yield from _json_parts(doc, "")
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, in pieces.
+    `json.dumps` lays out the document with a placeholder string standing
+    for each table (`_Columns`), and `_json_table` writes each table at its
+    placeholder.  A placeholder whose quoted text occurs more often than
+    once per table is also spelled by some key or string of the document,
+    so another is tried: no data string is taken for a table."""
+    tables = []
+
+    def stand_in(value):
+        if type(value) is not _Columns:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        tables.append(value)
+        return placeholder
+
+    attempt = 0
+    while True:
+        placeholder = f"toruskit-table-{attempt}"
+        tables.clear()
+        text = json.dumps(doc, indent=2, default=stand_in)
+        quoted = json.dumps(placeholder)
+        if text.count(quoted) == len(tables):
+            break
+        attempt += 1
+    pieces = text.split(quoted)
+    yield pieces[0]
+    for table, before, after in zip(tables, pieces, pieces[1:]):
+        line = before.rpartition("\n")[2]
+        yield from _json_table(table, line[:len(line) - len(line.lstrip(" "))])
+        yield after
     yield "\n"
 
 
-def _json_parts(value, pad: str):
-    """`json.dumps(value, indent=2)` with every line after the first
-    indented by `pad`; JSON text holds no raw newline inside a string, so
-    that indentation is exactly `json.dumps`'s at this depth."""
-    kind = type(value)
-    if kind is _Columns:
-        yield from _json_table(value.columns, pad)
-    elif kind is int:
-        yield int.__repr__(value)
-    elif kind is float and math.isfinite(value):
-        yield float.__repr__(value)
-    elif (kind is list and value) or (
-            kind is dict and value and all(type(key) is str for key in value)):
-        inner = pad + "  "
-        entries = (zip(itertools.repeat(""), value) if kind is list else
-                   ((encode_basestring_ascii(key) + ": ", item)
-                    for key, item in value.items()))
-        opening, closing = ("[", "]") if kind is list else ("{", "}")
-        separator = opening + "\n" + inner
-        for label, item in entries:
-            yield separator + label
-            yield from _json_parts(item, inner)
-            separator = ",\n" + inner
-        yield "\n" + pad + closing
-    else:
-        # bool, None, str, NaN/inf, tuples, empty containers, non-str keys,
-        # subclasses such as numpy scalars: json.dumps's own encoding
-        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
-def _json_table(columns, pad: str):
-    """The `indent=2` text of the row lists of `columns` at depth `pad`."""
+def _json_table(table: _Columns, pad: str):
+    """The `indent=2` text of the rows of `table` at depth `pad`: objects
+    keyed by its keys, or lists if it has none."""
+    columns = table.columns
     if not len(columns[0]):
         yield "[]"
         return
     row_pad = pad + "  "
     cell_pad = row_pad + "  "
-    spellings = [_spelling(c, json.dumps) for c in columns]
+    opening, closing = "[]" if table.keys is None else "{}"
+    labels = table.keys and [json.dumps(key) + ": " for key in table.keys]
     yield "[\n" + row_pad
-    yield from _table_chunks(columns, spellings, "[\n" + cell_pad,
-                             ",\n" + cell_pad, "\n" + row_pad + "]", ",\n" + row_pad)
+    yield from _table_chunks(columns, [_spelling(c, json.dumps) for c in columns],
+                             opening + "\n" + cell_pad, ",\n" + cell_pad,
+                             "\n" + row_pad + closing, ",\n" + row_pad, labels)
     yield "\n" + pad + "]"
 
 
@@ -218,21 +218,19 @@ def _field_doc(grid: transform.TorusGrid, kind: str, values: np.ndarray) -> dict
             "kind": kind, "values": _Columns((flat.real, flat.imag))}
 
 
-def _records(header, columns) -> list[dict]:
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return [dict(zip(header, row)) for row in rows]
+def _record_table(keys, rows) -> _Columns:
+    """The keyed table of `rows`, one ndarray column per key."""
+    return _Columns(tuple(map(np.array, zip(*rows))), keys)
 
 
-def _write_table(args, header, make_columns, make_doc=None) -> None:
-    """Write the table of `make_columns()` as CSV, or `make_doc()` (default:
-    one object per row of the table) as JSON; only the format asked for is
-    built, so a field is encoded once."""
+def _write_table(args, make_table, make_doc=None) -> None:
+    """Write the keyed table of `make_table()` as CSV, or `make_doc()`
+    (default: the table, one object per row) as JSON; only the format asked
+    for is built, so a field is encoded once."""
     if args.format == "csv":
-        chunks = _csv_chunks(header, make_columns())
-    elif make_doc is None:
-        chunks = _json_chunks(_records(header, make_columns()))
+        chunks = _csv_chunks(make_table())
     else:
-        chunks = _json_chunks(make_doc())
+        chunks = _json_chunks((make_doc or make_table)())
     _write(args.output, chunks)
 
 
@@ -288,13 +286,14 @@ def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
 
 
 def _check_tail_bounds(c: transform.SpectralField):
-    """Columns (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box
+    """The table (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box
     radius."""
     profile = embedding.tail_profile(c)
-    columns = [np.arange(len(profile.lhs)), profile.lhs, profile.rhs]
+    table = _Columns((np.arange(len(profile.lhs)), profile.lhs, profile.rhs),
+                     ("N", "tail_lhs", "tail_rhs"))
     failures = [f"tail bound violated at N={cutoff}"
                 for cutoff in np.flatnonzero(~profile.holds).tolist()]
-    return columns, failures
+    return table, failures
 
 
 def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
@@ -355,25 +354,25 @@ def _cmd_transform(args) -> int:
         f"{operators.sobolev_norm_sq(c, args.sobolev)!r} "
         "(summed over the stored box only; exact for band-limited fields)"
     )
-    header = [f"xi_{j + 1}" for j in range(grid.dimension)] + ["re", "im"]
+    keys = (*(f"xi_{j + 1}" for j in range(grid.dimension)), "re", "im")
     flat = c.coefficients.ravel()
-    _write_table(args, header,
-                 lambda: [*transform._frequency_vectors(grid).T, flat.real, flat.imag],
-                 lambda: _field_doc(grid, "spectral", flat))
+    _write_table(args, lambda: _Columns(
+        (*transform._frequency_vectors(grid).T, flat.real, flat.imag), keys),
+        lambda: _field_doc(grid, "spectral", flat))
     return _report_failures(failures)
 
 
 def _cmd_spectrum(args) -> int:
     tables = spectral.spectra(args.dimension, args.level_cap)
 
-    def columns():
-        operators = []
-        for name, (eig, _) in tables.items():
-            operators += [name] * len(eig)
-        return [operators, np.concatenate([eig for eig, _ in tables.values()]),
-                np.concatenate([mult for _, mult in tables.values()])]
+    def table():
+        # an object array holds each name once, where a str array copies it
+        names = np.repeat(np.array(list(tables), dtype=object),
+                          [len(eig) for eig, _ in tables.values()])
+        return _Columns((names, *map(np.concatenate, zip(*tables.values()))),
+                        ("operator", "eigenvalue", "multiplicity"))
 
-    _write_table(args, ("operator", "eigenvalue", "multiplicity"), columns, lambda: {
+    _write_table(args, table, lambda: {
         name: {"operator": name, "truncation": args.level_cap, "levels": _Columns(pair)}
         for name, pair in tables.items()})
     return 0
@@ -389,8 +388,8 @@ def _cmd_truncate(args) -> int:
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
     rows, failures = _check_norm_law(grid, range(cutoff + 1), args.seed)
-    _write_table(args, ("N", "exact_error", "power_iteration_error", "abs_diff"),
-                 lambda: list(zip(*rows)))
+    _write_table(args, lambda: _record_table(
+        ("N", "exact_error", "power_iteration_error", "abs_diff"), rows))
     return _report_failures(failures)
 
 
@@ -404,7 +403,7 @@ def _cmd_embed_demo(args) -> int:
         )
 
     c = _random_spectral_field(grid, np.random.default_rng(args.seed))
-    tail_columns, failures = _check_tail_bounds(c)
+    tails, failures = _check_tail_bounds(c)
     try:
         extraction, extraction_failures = _check_extraction(
             grid, args.epsilon, args.seed
@@ -412,9 +411,7 @@ def _cmd_embed_demo(args) -> int:
     except embedding.InsufficientResolutionError as exc:
         raise UsageError(f"epsilon: {exc}") from exc
 
-    header = ("N", "tail_lhs", "tail_rhs")
-    _write_table(args, header, lambda: tail_columns, lambda: {
-        "tails": _records(header, tail_columns), "extraction": extraction})
+    _write_table(args, lambda: tails, lambda: {"tails": tails, "extraction": extraction})
     if side is not None:
         _write(str(side), _json_chunks(extraction))
     return _report_failures(failures + extraction_failures)
@@ -429,17 +426,16 @@ def _cmd_solve(args) -> int:
     print(f"cg residual_l2 = {rep_cg.residual_l2!r} after {rep_cg.iterations} iterations")
     print(f"l2 disagreement = {gap!r}")
 
-    header = ("method", "residual_l2", "iterations", "wall_time")
-    columns = list(zip(*((r.method, r.residual_l2, r.iterations, r.wall_time)
-                         for r in reports)))
+    table = _record_table(("method", "residual_l2", "iterations", "wall_time"),
+                          [(r.method, r.residual_l2, r.iterations, r.wall_time)
+                           for r in reports])
     _write_table(
         args,
-        header,
-        lambda: columns,
+        lambda: table,
         lambda: {
             "input_l2": transform.grid_l2_norm(f),
             "l2_disagreement": gap,
-            "reports": _records(header, columns),
+            "reports": table,
             "solution": _field_doc(grid, "grid", u.values),
         },
     )
@@ -456,7 +452,6 @@ def _cmd_bench(args) -> int:
         _, reports, _, run_failures = _check_solve(transform.random_field(grid, rng))
         runs.append(reports)
         failures += [f"repetition {repetition}: {failure}" for failure in run_failures]
-    header = ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations")
     rows = [
         (reports[0].method, args.dimension, args.points, args.seed,
          statistics.median(r.wall_time for r in reports),
@@ -464,7 +459,8 @@ def _cmd_bench(args) -> int:
          int(round(statistics.median(r.iterations for r in reports))))
         for reports in zip(*runs)
     ]
-    _write_table(args, header, lambda: list(zip(*rows)))
+    _write_table(args, lambda: _record_table(
+        ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations"), rows))
     return _report_failures(failures)
 
 

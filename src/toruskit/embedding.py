@@ -40,14 +40,6 @@ _SPREAD = 0.02
 class InsufficientResolutionError(ValueError):
     """The stored box is too small for the cutoff the tolerance requires."""
 
-    def __init__(self, needed_cutoff: int, box_radius: int):
-        super().__init__(
-            f"insufficient resolution: extraction needs cutoff N={needed_cutoff} "
-            f"but the stored box only holds frequencies up to {box_radius} per axis"
-        )
-        self.needed_cutoff = needed_cutoff
-        self.box_radius = box_radius
-
 
 @dataclass
 class BoundedSequence:
@@ -191,7 +183,10 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
     cutoff = required_cutoff(seq.h1_bound, eps)
     grid = seq.grid
     if cutoff > grid.box_radius:
-        raise InsufficientResolutionError(cutoff, grid.box_radius)
+        raise InsufficientResolutionError(
+            f"insufficient resolution: extraction needs cutoff N={cutoff} but "
+            f"the stored box only holds frequencies up to {grid.box_radius} per axis"
+        )
 
     kept = [ball_projection(c, cutoff).coefficients.ravel() for c in seq.items]
     join_radius = eps / 4.0

@@ -103,7 +103,7 @@ def symbol_array(symbol: MultiplierSymbol, grid: TorusGrid) -> np.ndarray:
             f"not the box's {grid.shape}"
         )
     if not np.all(np.isfinite(values)):
-        raise ValueError(
+        raise transform.NonFiniteError(
             f"symbol {symbol.name!r} produced non-finite values on the box"
         )
     return values

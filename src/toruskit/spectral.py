@@ -85,6 +85,10 @@ def operator_norm_power_iteration(
     1/((N+1)^2+1) confirms.  The pair comes from a dense eigh of T_j, taken
     every step while j < 32 and then every j // 16 steps, so the check stays
     a small share of the work.  Deterministic given the seed.
+
+    The name, and the `power_iteration_error` column of `truncate`'s table,
+    outlived the power iteration they were named for: perfbench's norm-law
+    check reads that column, and its layer sets time this function by name.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -96,6 +96,11 @@ class TorusGrid:
         return itertools.product(range(-h, h + 1), repeat=self.dimension)
 
 
+class NonFiniteError(ValueError):
+    """A field, or a symbol's values on the box, holds NaN or inf: whatever
+    computed it has failed numerically."""
+
+
 def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size != grid.size:
@@ -104,7 +109,7 @@ def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
         )
     arr = arr.reshape(grid.shape)
     if not np.isfinite(arr).all():
-        raise ValueError(f"{what} contains non-finite entries")
+        raise NonFiniteError(f"{what} contains non-finite entries")
     return arr
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from toruskit import MultiplierSymbol, cli, spectral as spectral_mod
 from toruskit import embedding as embedding_mod
+from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
 
@@ -862,6 +863,58 @@ def test_verify_reports_a_numerical_failure_as_its_groups_fail(monkeypatch, caps
     assert len(err.splitlines()) == 1
 
 
+_analysis = transform_mod._analysis
+_norm_sq_array = operators_mod.norm_sq_array
+
+
+def _nan_at_one_mode(values, dimension):
+    coefficients = _analysis(values, dimension)
+    coefficients[(..., *(0,) * dimension)] = np.nan
+    return coefficients
+
+
+def _nan_norm_sq_at_one_mode(grid):
+    k = _norm_sq_array(grid).copy()
+    k[(-1,) * grid.dimension] = np.nan
+    return k
+
+
+_NON_FINITE_FIELD = (transform_mod, "_analysis", _nan_at_one_mode,
+                     "spectral field contains non-finite entries")
+_NON_FINITE_SYMBOL = (operators_mod, "norm_sq_array", _nan_norm_sq_at_one_mode,
+                      "symbol 'resolvent' produced non-finite values on the box")
+
+
+@pytest.mark.parametrize("plant, statuses", [(_NON_FINITE_FIELD, "FFFFPPF"),
+                                             (_NON_FINITE_SYMBOL, "PPFFFFF")],
+                         ids=["field", "symbol"])
+def test_non_finite_values_fail_the_groups_that_meet_them(monkeypatch, capsys, plant,
+                                                          statuses):
+    # a numerical failure of its group, not a usage error (exit 2)
+    module, name, fake, message = plant
+    monkeypatch.setattr(module, name, fake)
+    assert run("verify", "--dimension", 2, "--points", 9, "--seed", 1) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "".join(line[0] for line in lines) == statuses
+    assert f": numerical failure: {message} (" in out
+    assert not err.startswith("error:")
+
+
+@pytest.mark.parametrize("plant, argv", [
+    (_NON_FINITE_FIELD, ("transform", "--dimension", 2, "--points", 9, "--seed", 1)),
+    (_NON_FINITE_FIELD, SOLVE_ARGS),
+    (_NON_FINITE_SYMBOL, SOLVE_ARGS),
+], ids=["field-transform", "field-solve", "symbol-solve"])
+def test_non_finite_values_exit_1_and_write_nothing(tmp_path, monkeypatch, capsys, plant,
+                                                    argv):
+    module, name, fake, message = plant
+    monkeypatch.setattr(module, name, fake)
+    assert run(*argv, "--output", tmp_path / "out.csv") == 1
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # README's CLI examples run as written.
 # ---------------------------------------------------------------------------
@@ -900,18 +953,18 @@ def _json_text(doc) -> str:
 
 def _table_rows(columns) -> list[list]:
     """The row lists of a column table, built here by `tolist` and `zip`."""
-    return [list(row) for row in zip(*(
-        column.tolist() if isinstance(column, np.ndarray) else list(column)
-        for column in columns))]
+    return [list(row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _as_rows(doc):
-    """`doc` with every column table replaced by its row lists."""
+    """`doc` with every column table replaced by its rows: a keyed table's
+    as one dict per row, an unkeyed table's as row lists."""
     if isinstance(doc, cli._Columns):
-        return _table_rows(doc.columns)
+        rows = _table_rows(doc.columns)
+        return rows if doc.keys is None else [dict(zip(doc.keys, row)) for row in rows]
     if isinstance(doc, dict):
         return {key: _as_rows(value) for key, value in doc.items()}
-    if isinstance(doc, list):
+    if isinstance(doc, (list, tuple)):
         return [_as_rows(value) for value in doc]
     return doc
 
@@ -942,8 +995,34 @@ def _numeric_rows(draw):
     return rows
 
 
+_COLUMN_CELLS = {
+    "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "float64": (st.floats(), np.float64),
+    "big-int": (st.integers(-2**100, 2**100), object),
+}
+
+
+@st.composite
+def _column_tables(draw, max_rows=12):
+    """Keyed tables of equal-length columns: int64 and float64 arrays (NaN
+    and inf included) and object arrays of Python ints, under distinct keys
+    of any text."""
+    length = draw(st.integers(0, max_rows))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1, max_size=4))
+    keys = draw(st.lists(st.text(max_size=5), min_size=len(kinds), max_size=len(kinds),
+                         unique=True))
+    columns = []
+    for kind in kinds:
+        cells, dtype = _COLUMN_CELLS[kind]
+        columns.append(np.array(draw(st.lists(cells, min_size=length, max_size=length)),
+                                dtype=dtype))
+    return cli._Columns(tuple(columns), tuple(keys))
+
+
+_tables = _column_tables(max_rows=4)
 _trees = st.recursive(
-    st.one_of(_leaves, _numeric_rows()),
+    st.one_of(_leaves, _numeric_rows(), _tables,
+              _tables.map(lambda table: cli._Columns(table.columns))),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -957,7 +1036,14 @@ _trees = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_json_writer_matches_json_dumps(doc):
-    assert _json_text(doc) == _oracle(doc)
+    """Any document, with keyed and unkeyed tables nested at any depth,
+    against json.dumps on the same document with its tables as rows."""
+    assert _json_text(doc) == _oracle(_as_rows(doc))
+
+
+# The text `_json_chunks` tries first for a table's placeholder string.
+_PLACEHOLDER = "toruskit-table-0"
+_TABLE = cli._Columns((np.array([1, 2]), np.array([0.5, float("nan")])), ("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -979,49 +1065,56 @@ def test_json_writer_matches_json_dumps(doc):
         [(1, 2), (3, 4)],
         [[1, 2], (3, 4)],
         {1: [[1, 2]], "x": None},
+        {"text": _PLACEHOLDER, "table": _TABLE},
+        {_PLACEHOLDER: _TABLE, "next": ["toruskit-table-1", _TABLE]},
+        # an escaped quote before the text also spells the quoted placeholder
+        [_PLACEHOLDER, f"\\\"{_PLACEHOLDER}", f'"{_PLACEHOLDER}"', _TABLE],
+        [_PLACEHOLDER],
+        _TABLE,
+        {"outer": [{"inner": cli._Columns(_TABLE.columns)}], "keyed": (_TABLE,)},
     ],
     ids=["bool-in-row", "mixed-int-float-column", "np-float64-in-column",
          "np-float64-leaves", "nan-in-row", "inf-in-row", "empty-rows", "one-empty-row",
          "empty-list", "empty-dict", "nested-empties", "ragged-rows",
-         "ragged-float-rows", "tuple-rows", "list-and-tuple-rows", "int-key"],
+         "ragged-float-rows", "tuple-rows", "list-and-tuple-rows", "int-key",
+         "placeholder-text", "placeholder-key-and-next", "placeholder-after-escaped-quote",
+         "placeholder-text-no-table",
+         "top-level-table", "nested-tables"],
 )
 def test_json_writer_named_cases(doc):
-    assert _json_text(doc) == _oracle(doc)
+    assert _json_text(doc) == _oracle(_as_rows(doc))
 
 
-_COLUMN_CELLS = {
-    "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
-    "float64": (st.floats(), np.float64),
-    "big-int": (st.integers(-2**100, 2**100), object),
-    "float-list": (st.floats(), None),
-}
+@pytest.mark.parametrize("value", [object(), np.int64(3), {1, 2}, np.zeros(2)],
+                         ids=["object", "np-int64", "set", "ndarray"])
+def test_json_writer_raises_what_json_dumps_raises(value):
+    doc = {"table": _TABLE, "value": value}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        _json_text(doc)
 
 
-@st.composite
-def _column_tables(draw):
-    """Equal-length columns: int64 and float64 arrays (NaN and inf
-    included), object arrays of Python ints, and lists of floats."""
-    length = draw(st.integers(0, 12))
-    columns = []
-    for kind in draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1,
-                              max_size=4)):
-        cells, dtype = _COLUMN_CELLS[kind]
-        values = draw(st.lists(cells, min_size=length, max_size=length))
-        columns.append(values if dtype is None else np.array(values, dtype=dtype))
-    return columns
+def _check_both_formats(table):
+    """Check a keyed table and its unkeyed copy in JSON, alone and nested,
+    and the keyed table in CSV under plain keys (CSV keys are never quoted);
+    returns the unkeyed copy's JSON text."""
+    rows = _table_rows(table.columns)
+    unkeyed = cli._Columns(table.columns)
+    for doc in (table, unkeyed, {"levels": table}, {"levels": [unkeyed]}):
+        assert _json_text(doc) == _oracle(_as_rows(doc))
+    header = [f"c{j}" for j in range(len(table.columns))]
+    csv_table = cli._Columns(table.columns, tuple(header))
+    assert "".join(cli._csv_chunks(csv_table)) == _csv_oracle(header, rows)
+    return _json_text(unkeyed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_column_tables(), st.integers(1, 5))
-def test_column_writer_matches_json_dumps_and_csv_writer(columns, chunk_rows):
+def test_column_writer_matches_json_dumps_and_csv_writer(table, chunk_rows):
     """Both formats, with tables that span several chunks of rows."""
-    rows = _table_rows(columns)
-    header = [f"c{j}" for j in range(len(columns))]
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
-        assert _json_text(cli._Columns(tuple(columns))) == _oracle(rows)
-        assert _json_text({"levels": cli._Columns(tuple(columns))}) == _oracle(
-            {"levels": rows})
-        assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(header, rows)
+        _check_both_formats(table)
 
 
 _HUGE = 1.7976931348623157e308
@@ -1037,7 +1130,7 @@ _HUGE = 1.7976931348623157e308
         [np.array([2**63, -2**63 - 1, 2**200], dtype=object),
          np.array([1, 2, 3], dtype=object)],
         [np.array([float("nan"), float("inf"), -float("inf"), 1.5]),
-         [float("nan"), 0.5, float("inf"), -0.0]],
+         np.array([float("nan"), 0.5, float("inf"), -0.0])],
         [np.array([1.0]), np.array([7], dtype=np.int64)],
         [np.array([], dtype=np.float64), np.array([], dtype=np.int64)],
     ],
@@ -1045,23 +1138,10 @@ _HUGE = 1.7976931348623157e308
          "nan-and-inf", "one-row", "empty"],
 )
 def test_column_writer_named_cases(columns):
-    rows = _table_rows(columns)
-    header = [f"c{j}" for j in range(len(columns))]
-    text = _json_text(cli._Columns(tuple(columns)))
-    assert text == _oracle(rows)
-    assert _json_text({"levels": cli._Columns(tuple(columns))}) == _oracle({"levels": rows})
-    assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(header, rows)
-    if any(value != value for row in rows for value in row):
+    keys = tuple(f"k{j}" for j in range(len(columns)))
+    text = _check_both_formats(cli._Columns(tuple(columns), keys))
+    if any(value != value for row in _table_rows(columns) for value in row):
         assert "NaN" in text and "Infinity" in text and "nan" not in text
-
-
-def test_float_columns_whose_sum_overflows_are_written_by_repr():
-    # the finite-cell check is not fooled by a sum that overflows to inf
-    columns, header = [[_HUGE, _HUGE], [1, 2]], ["c0", "c1"]
-    assert cli._spelling(columns[0], str) is float.__repr__
-    assert cli._spelling([_HUGE, float("inf")], str) is str
-    assert "".join(cli._csv_chunks(header, columns)) == _csv_oracle(
-        header, _table_rows(columns))
 
 
 JSON_COMMANDS = [
@@ -1115,12 +1195,11 @@ def test_every_csv_file_is_what_csv_writer_writes(tmp_path, monkeypatch, args):
     float back bit for bit."""
     tables, write = [], cli._csv_chunks
     monkeypatch.setattr(cli, "_csv_chunks",
-                        lambda header, columns: tables.append((header, columns))
-                        or write(header, columns))
+                        lambda table: tables.append(table) or write(table))
     out = tmp_path / "out.csv"
     assert run(*args, "--format", "csv", "--output", out) == 0
-    [(header, columns)] = tables
-    rows = _table_rows(columns)
+    [table] = tables
+    header, rows = table.keys, _table_rows(table.columns)
     text = out.read_text()
     assert text == _csv_oracle(header, rows)
     header_read, *rows_read = csv.reader(io.StringIO(text))

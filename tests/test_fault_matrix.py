@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from toruskit import MultiplierSymbol, cli
+from toruskit import embedding as embedding_mod
 from toruskit import operators as operators_mod
 from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
@@ -73,6 +74,23 @@ def _synthesis_modulated(monkeypatch):
     monkeypatch.setattr(transform_mod, "_synthesis", faulty)
 
 
+def _truncation_keeps_its_boundary(monkeypatch):
+    # the truncation symbols keep |xi|^2 = (N+1)^2 too, so each resolvent
+    # tail loses its largest eigenvalue 1/((N+1)^2+1)
+    monkeypatch.setattr(operators_mod, "kept_by_truncation",
+                        lambda k, cutoff: k <= operators_mod.tail_min_norm_sq(cutoff))
+
+
+def _h1_norm_without_weight(monkeypatch):
+    # the embedding's H^1 norms drop the weight (1 + |xi|^2)
+    exact = embedding_mod.sobolev_norm_sq
+    monkeypatch.setattr(embedding_mod, "sobolev_norm_sq", lambda c, order: exact(c, 0.0))
+
+
+def _cutoff_always_zero(monkeypatch):
+    monkeypatch.setattr(embedding_mod, "required_cutoff", lambda h1_bound, eps: 0)
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -80,6 +98,16 @@ FAULTS = {
     "inverse-off-at-one-point": _inverse_off_at_one_point,
     "box-shift-off-by-one-mode": _box_shift_off_by_one_mode,
     "synthesis-not-translation-invariant": _synthesis_modulated,
+    "truncation-keeps-k=(N+1)^2": _truncation_keeps_its_boundary,
+    "h1-norm-without-weight": _h1_norm_without_weight,
+    "extraction-cutoff-0": _cutoff_always_zero,
+}
+# Faults that only one group's computation reaches, and that group; every
+# other fault lies in the transforms or the symbols.
+ONE_GROUP_FAULTS = {
+    "truncation-keeps-k=(N+1)^2": "operator-norms",
+    "h1-norm-without-weight": "tail-bounds",
+    "extraction-cutoff-0": "rellich-extraction",
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]
@@ -95,10 +123,18 @@ def verify_statuses(n, m, seed=1):
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
-@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("fault", [f for f in FAULTS if f not in ONE_GROUP_FAULTS])
 def test_every_planted_fault_fails_resolvent_eigenpairs(monkeypatch, fault, n, m):
     FAULTS[fault](monkeypatch)
     assert verify_statuses(n, m)["resolvent-eigenpairs"] == "FAIL"
+
+
+@pytest.mark.parametrize("n, m", GRIDS)
+@pytest.mark.parametrize("fault", list(ONE_GROUP_FAULTS))
+def test_one_group_faults_fail_their_group_alone(monkeypatch, fault, n, m):
+    FAULTS[fault](monkeypatch)
+    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
+    assert failed == [ONE_GROUP_FAULTS[fault]]
 
 
 @pytest.mark.parametrize("n, m", GRIDS)

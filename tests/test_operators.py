@@ -6,6 +6,7 @@ import pytest
 
 from toruskit import (
     MultiplierSymbol,
+    NonFiniteError,
     TorusGrid,
     apply_multiplier,
     helmholtz_symbol,
@@ -269,3 +270,10 @@ def test_norm_sq_array_is_shared_and_read_only():
     assert not k.flags.writeable
     with pytest.raises(ValueError):
         k[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symbol_with_a_non_finite_value_raises_non_finite_error(grid_2d_9, bad):
+    pole = MultiplierSymbol("pole", of_norm_sq=lambda k: np.where(k == 1, bad, k))
+    with pytest.raises(NonFiniteError, match="^symbol 'pole' produced non-finite values"):
+        symbol_array(pole, grid_2d_9)

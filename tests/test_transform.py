@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toruskit import (
     GridField,
+    NonFiniteError,
     SpectralField,
     TorusGrid,
     forward,
@@ -60,18 +61,18 @@ def test_rejects_non_finite_values():
     g = TorusGrid(1, 5)
     bad = np.ones(5, dtype=complex)
     bad[2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(NonFiniteError, match="non-finite"):
         GridField(g, bad)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(NonFiniteError, match="non-finite"):
         SpectralField(g, bad)
     # one non-finite part is enough: a NaN only in the imaginary part, an
     # infinity only in the real part
     for value in (complex(1.0, np.nan), complex(np.inf, 0.0)):
         bad = np.ones(5, dtype=complex)
         bad[3] = value
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             GridField(g, bad)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             SpectralField(g, bad)
 
 
