@@ -51,12 +51,12 @@ from . import embedding, operators, solver, spectral, transform
 _DIMENSIONS = (1, 2, 3)
 # Largest grid a command builds: 2**22 points, 64 MiB per complex field.
 MAX_GRID_POINTS = 2**22
-# Largest grid `verify` checks: its fast-vs-naive and eigenpair groups each
-# take direct sums of O(size**2), six and one, and unpreconditioned CG takes
-# O(M) iterations.  At 1-D M=8191 (one BLAS thread, 2-core x86-64 VM) the
-# groups take: solver-agreement 13.6 s (6406 CG iterations), fast-vs-naive
-# 1.2 s, resolvent-eigenpairs 0.55 s, the rest under 0.2 s each; 16 s in
-# all, nearly all of it CG.
+# Largest grid `verify` checks: unpreconditioned CG takes O(M) iterations,
+# and the fast-vs-naive and eigenpair groups take direct sums, six and one,
+# of O(n M**(n+1)), which is O(size**2) in 1-D.  At 1-D M=8191 (one BLAS
+# thread, 2-core x86-64 VM) the groups take: solver-agreement 11.4 s (6406
+# CG iterations), fast-vs-naive 1.1 s, resolvent-eigenpairs 0.5 s, the rest
+# under 0.2 s each; 13.3 s in all, nearly all of it CG.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
 # their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB

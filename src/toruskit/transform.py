@@ -21,12 +21,11 @@ numpy's order k = 0..M-1 into the box xi = -h..h with the 2**n block copies
 that `np.fft.fftshift` makes, from (destination, source) slices cached per
 (M, n, direction), so the output is the same permutation, bit for bit,
 without fftshift's per-call bookkeeping.  The oracle that cross-checks it
-is a blocked direct sum, O(M^{2n}) and with no FFT: each block of kernel
-rows exp(-+i xi . x_m) is gathered from the M roots of unity by an exact
-integer phase, the broadcast sum of the per-axis tables (xi_j m_j) mod M,
-which lies in [0, n(M-1)] and indexes a root table wrapped to that length,
-so each entry is the root at (xi . m) mod M.  A block serves every field
-of a stack, one matrix-vector product per field.
+is a direct sum with no FFT, taken one axis at a time: the kernel exp(-+i
+xi . x_m) is the product of its per-axis factors, so the sum is n
+contractions of the grid with the M x M axis table, O(n M^{n+1}) in all.
+Each block of table rows is gathered from the M roots of unity by the exact
+integer phase (xi_j m_j) mod M, and serves every field of a stack at once.
 """
 
 from __future__ import annotations
@@ -243,16 +242,17 @@ def inverse(c: SpectralField) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# Oracle path: blocked direct summation, O(M^{2n}).
+# Oracle path: direct summation one axis at a time, O(n M^{n+1}).
 # ---------------------------------------------------------------------------
 
-# Complex entries per block of kernel rows (256 KiB).  At 3-D M=9 a block
-# of 2**14 holds 22 rows instead of the 5 of 2**12, and one sweep of the
-# 729 x 729 kernel took 2.2 ms instead of 3.8 ms (one BLAS thread, 2-core
-# x86-64 VM); 2**16 took 2.1 ms at four times the memory.
+# Complex entries per block of axis-table rows (256 KiB).  The table has M^2
+# entries, so up to M=127 one block holds it.  At 2-D M=255 `naive_forward`
+# of three fields took 25, 19 and 17 ms at 2**12, 2**14 and 2**16 entries,
+# and in 1-D at M=511 to 8191 the three were within 10% (one BLAS thread,
+# 2-core x86-64 VM).
 _BLOCK_ENTRIES = 2**14
-# A block never holds fewer than this many one-dimensional lines of M
-# points, so a long 1-D grid does not pay one call per kernel row.
+# A block never holds fewer than this many rows, so a long 1-D grid does not
+# pay one call per row.
 _BLOCK_LINES = 16
 
 
@@ -262,30 +262,39 @@ def _frequency_vectors(grid: TorusGrid) -> np.ndarray:
     return indices.T - grid.box_radius
 
 
-def _mode_blocks(grid: TorusGrid, frequencies: np.ndarray, sign: int):
-    """Yield (rows, kernel) over blocks of the integer frequency rows given.
+def _axis_blocks(outputs: np.ndarray, inputs: np.ndarray, sign: int):
+    """Yield (rows, table) over blocks of rows of the M x M axis table.
 
-    kernel[r, m] = exp(sign * i * xi_r . x_m) over the flattened grid, for
-    the frequencies frequencies[rows].  The phase xi . m is an exact integer,
-    so each entry is the root of unity exp(sign * 2 pi i j / M) at
-    j = (xi . m) mod M, looked up instead of evaluated: the per-axis tables
-    (xi_j m_j) mod M, of shape (rows, M), summed by broadcasting give a
-    phase in [0, n(M-1)] congruent to xi . m, and the root table is wrapped
-    to that length.
+    table[r, k] = exp(sign * 2 pi i outputs[r] inputs[k] / M), one row per
+    output index in outputs[rows].  The phase is an exact integer, so each
+    entry is the root of unity at (outputs[r] * inputs[k]) mod M, looked up
+    instead of evaluated.
     """
-    m, n = grid.points_per_axis, grid.dimension
+    m = len(inputs)
     roots = np.exp(sign * 2j * math.pi * np.arange(m) / m)
-    wrapped = roots[np.arange(n * (m - 1) + 1) % m]
-    axis = np.arange(m)
-    step = max(_BLOCK_ENTRIES // grid.size, -(-_BLOCK_LINES * m // grid.size))
-    for start in range(0, len(frequencies), step):
-        xis = frequencies[start:start + step]
-        count = len(xis)
-        phase = (xis[:, 0, None] * axis) % m
-        for j in range(1, n):
-            table = (xis[:, j, None] * axis) % m
-            phase = phase[..., None] + table.reshape((count,) + (1,) * j + (m,))
-        yield slice(start, start + count), wrapped[phase.reshape(count, grid.size)]
+    step = max(_BLOCK_ENTRIES // m, _BLOCK_LINES)
+    for start in range(0, len(outputs), step):
+        rows = slice(start, min(start + step, len(outputs)))
+        yield rows, roots[np.multiply.outer(outputs[rows], inputs) % m]
+
+
+def _direct_sum(values: np.ndarray, dimension: int, sign: int) -> np.ndarray:
+    """The direct sum over the trailing `dimension` axes of a stack: the
+    analysis sum at each xi for sign -1, the synthesis sum at each x_m for
+    +1.  Each pass moves the first of those axes last and multiplies it,
+    block by block, by the axis table's transpose, so after `dimension`
+    passes the axes are back in order."""
+    m = values.shape[-1]
+    modes, points = np.arange(m) - m // 2, np.arange(m)
+    outputs, inputs = (modes, points) if sign < 0 else (points, modes)
+    stack = values.reshape(len(values), m, -1)
+    for _ in range(dimension):
+        lines = stack.transpose(0, 2, 1)
+        out = np.empty(lines.shape, dtype=np.complex128)
+        for rows, table in _axis_blocks(outputs, inputs, sign):
+            out[..., rows] = lines @ table.T
+        stack = out.reshape(len(values), m, -1)
+    return stack.reshape(len(values), -1)
 
 
 def _one_grid(fields) -> TorusGrid:
@@ -296,42 +305,33 @@ def _one_grid(fields) -> TorusGrid:
 
 
 def naive_forward(u: GridField | Sequence[GridField]):
-    """Direct-sum analysis: one full-grid sum per stored frequency.
+    """Direct-sum analysis, M^{-n} sum_m u(x_m) exp(-i xi . x_m), by axis.
 
     Given a sequence of fields on one grid rather than one field, returns
-    the list of their transforms from a single sweep over the kernel blocks.
-    Each field takes one matrix-vector product per block: at 3-D M=9 and
-    M=19 that measured faster than one matrix-matrix product for the stack,
-    and it leaves BLAS's matrix-matrix work buffers untouched.  An empty
-    sequence gives an empty list, and no kernel is built.
+    the list of their transforms, contracted together as one stack.  An
+    empty sequence gives an empty list, and no axis table is built.
     """
     fields = [u] if isinstance(u, GridField) else list(u)
     if not fields:
         return []
     grid = _one_grid(fields)
-    analysed = np.empty((len(fields), grid.size), dtype=np.complex128)
-    for rows, kernel in _mode_blocks(grid, _frequency_vectors(grid), -1):
-        for field, out in zip(fields, analysed):
-            out[rows] = kernel @ field.values.ravel()
+    analysed = _direct_sum(np.stack([f.values for f in fields]), grid.dimension, -1)
     spectra = [SpectralField(grid, row / grid.size) for row in analysed]
     return spectra[0] if isinstance(u, GridField) else spectra
 
 
 def naive_inverse(c: SpectralField | Sequence[SpectralField]):
-    """Direct-sum synthesis: accumulate c(xi) exp(i xi . x) block by block.
+    """Direct-sum synthesis: sum_xi c(xi) exp(i xi . x_m), one axis at a time.
 
     Given a sequence of spectral fields on one grid, returns the list of
-    their syntheses from a single sweep, as `naive_forward` does; an empty
-    sequence gives an empty list, and no kernel is built.
+    their syntheses as `naive_forward` does; an empty sequence gives an
+    empty list, and no axis table is built.
     """
     spectra = [c] if isinstance(c, SpectralField) else list(c)
     if not spectra:
         return []
     grid = _one_grid(spectra)
-    synthesised = np.zeros((len(spectra), grid.size), dtype=np.complex128)
-    for rows, kernel in _mode_blocks(grid, _frequency_vectors(grid), 1):
-        for spectrum, out in zip(spectra, synthesised):
-            out += spectrum.coefficients.ravel()[rows] @ kernel
+    synthesised = _direct_sum(np.stack([s.coefficients for s in spectra]), grid.dimension, 1)
     fields = [GridField(grid, row) for row in synthesised]
     return fields[0] if isinstance(c, SpectralField) else fields
 

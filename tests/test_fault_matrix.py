@@ -74,6 +74,20 @@ def _synthesis_modulated(monkeypatch):
     monkeypatch.setattr(transform_mod, "_synthesis", faulty)
 
 
+def _axis_table_root_off(monkeypatch):
+    # the direct-sum oracle's axis table holds the root exp(sign 2 pi i / M)
+    # off by 1e-9 wherever the phase is 1 mod M
+    exact = transform_mod._axis_blocks
+
+    def faulty(outputs, inputs, sign):
+        m = len(inputs)
+        for rows, table in exact(outputs, inputs, sign):
+            at_one = np.multiply.outer(outputs[rows], inputs) % m == 1
+            yield rows, np.where(at_one, table + 1e-9, table)
+
+    monkeypatch.setattr(transform_mod, "_axis_blocks", faulty)
+
+
 def _truncation_keeps_its_boundary(monkeypatch):
     # the truncation symbols keep |xi|^2 = (N+1)^2 too, so each resolvent
     # tail loses its largest eigenvalue 1/((N+1)^2+1)
@@ -98,6 +112,7 @@ FAULTS = {
     "inverse-off-at-one-point": _inverse_off_at_one_point,
     "box-shift-off-by-one-mode": _box_shift_off_by_one_mode,
     "synthesis-not-translation-invariant": _synthesis_modulated,
+    "axis-table-root-off-1e-9": _axis_table_root_off,
     "truncation-keeps-k=(N+1)^2": _truncation_keeps_its_boundary,
     "h1-norm-without-weight": _h1_norm_without_weight,
     "extraction-cutoff-0": _cutoff_always_zero,
@@ -144,3 +159,11 @@ def test_public_pair_faults_fail_solver_agreement(monkeypatch, fault, n, m):
     # transform pair, looked up at call time
     FAULTS[fault](monkeypatch)
     assert verify_statuses(n, m)["solver-agreement"] == "FAIL"
+
+
+@pytest.mark.parametrize("n, m", GRIDS)
+def test_an_oracle_fault_fails_the_two_oracle_groups_alone(monkeypatch, n, m):
+    # only fast-vs-naive-transform and resolvent-eigenpairs take direct sums
+    FAULTS["axis-table-root-off-1e-9"](monkeypatch)
+    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
+    assert failed == ["fast-vs-naive-transform", "resolvent-eigenpairs"]

@@ -20,8 +20,8 @@ from toruskit import (
 import toruskit.transform as transform_mod
 from toruskit.transform import (
     _analysis,
+    _axis_blocks,
     _frequency_vectors,
-    _mode_blocks,
     _synthesis,
 )
 
@@ -140,39 +140,66 @@ def test_fast_path_composite_lengths(m):
     assert np.max(np.abs(inverse(fast).values - u.values)) < 1e-11
 
 
+def test_frequency_vectors_are_the_box_in_storage_order():
+    g = TorusGrid(2, 15)
+    assert _frequency_vectors(g).tolist() == [list(xi) for xi in g.frequencies()]
+
+
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_kernel_rows_match_exponentials_across_blocks(sign):
-    # 225 modes at 72 rows per block: the last block is short
-    g = TorusGrid(2, 15)
-    xis = _frequency_vectors(g)
-    assert xis.tolist() == [list(xi) for xi in g.frequencies()]
-    blocks = list(_mode_blocks(g, xis, sign))
-    rows = [r for r, _ in blocks]
-    assert rows[0] == slice(0, 72) and rows[-1] == slice(216, 225)
-    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
-    kernel = np.concatenate([k for _, k in blocks])
-    meshes = np.meshgrid(g.axis_points(), g.axis_points(), indexing="ij")
-    phase = xis[:, :1] * meshes[0].ravel() + xis[:, 1:] * meshes[1].ravel()
-    assert np.max(np.abs(kernel - np.exp(sign * 1j * phase))) < 1e-13
+    # the axis table of the analysis (rows xi) and of the synthesis (rows
+    # x): one block at M=15, 64 rows of 2**14 entries at M=255 and the
+    # 16-row floor at the prime 2053, each of the last two with a short
+    # last block
+    for m, first, last in ((15, slice(0, 15), slice(0, 15)),
+                           (255, slice(0, 64), slice(192, 255)),
+                           (2053, slice(0, 16), slice(2048, 2053))):
+        modes, points = np.arange(m) - m // 2, np.arange(m)
+        roots = np.exp(sign * 2j * np.pi * np.arange(m) / m)
+        for outputs, inputs in ((modes, points), (points, modes)):
+            blocks = list(_axis_blocks(outputs, inputs, sign))
+            rows = [r for r, _ in blocks]
+            assert rows[0] == first and rows[-1] == last
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            for r, block in blocks:
+                assert np.array_equal(block, roots[np.multiply.outer(outputs[r], inputs) % m])
+            table = np.concatenate([t for _, t in blocks])
+            # a float phase reaches pi M, and its rounding error grows with it
+            phase = np.multiply.outer(outputs, 2 * np.pi * inputs / m)
+            assert np.max(np.abs(table - np.exp(sign * 1j * phase))) < 1e-15 * m
 
 
 @pytest.mark.parametrize("n, m", [(1, 15), (1, 101), (2, 15), (3, 5), (3, 7), (3, 9)])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_kernel_blocks_are_the_full_phase_lookup_bit_for_bit(n, m, sign):
-    # the per-axis phase tables pick, entry by entry, the root that the
-    # integer phase (xi . m) mod M picks
-    g = TorusGrid(n, m)
-    xis = _frequency_vectors(g)
-    points = np.indices(g.shape).reshape(n, g.size)
+    # each block of the axis table is the root that the integer phase
+    # (xi x) mod M picks, bit for bit; and the axis-by-axis sum is the
+    # literal kernel over the whole grid, the root at (xi . m) mod M,
+    # applied as one matrix-vector product
+    modes, points = np.arange(m) - m // 2, np.arange(m)
     roots = np.exp(sign * 2j * np.pi * np.arange(m) / m)
-    kernel = np.concatenate([k for _, k in _mode_blocks(g, xis, sign)])
-    assert np.array_equal(kernel, roots[(xis @ points) % m])
+    for outputs, inputs in ((modes, points), (points, modes)):
+        table = np.concatenate([t for _, t in _axis_blocks(outputs, inputs, sign)])
+        assert np.array_equal(table, roots[np.multiply.outer(outputs, inputs) % m])
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(10 * n + m)
+    kernel = roots[(_frequency_vectors(g) @ np.indices(g.shape).reshape(n, g.size)) % m]
+    if sign < 0:
+        u = random_grid(g, rng)
+        got = naive_forward(u).coefficients.ravel()
+        expected = kernel @ u.values.ravel() / g.size
+    else:
+        # the coefficients of a unit field, so the sums are O(1)
+        c = forward(random_grid(g, rng))
+        got = naive_inverse(c).values.ravel()
+        expected = c.coefficients.ravel() @ kernel
+    assert np.max(np.abs(got - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("n, m", [(3, 15), (2, 89)])
 def test_one_oracle_sweep_peaks_far_below_a_whole_kernel(n, m):
     # a whole kernel would take 174 MB at 3-D M=15 and 960 MB at 2-D M=89;
-    # one block of kernel rows and its phase take well under 1 MiB
+    # the axis table and the stack's copies peak at about 0.7 MiB at 2-D M=89
     g = TorusGrid(n, m)
     rng = np.random.default_rng(m)
     for oracle, arg in ((naive_forward, random_grid(g, rng)),
@@ -190,9 +217,9 @@ def test_one_oracle_sweep_peaks_far_below_a_whole_kernel(n, m):
 @pytest.mark.parametrize("empty", [[], ()])
 def test_naive_oracle_on_an_empty_stack_returns_an_empty_list(oracle, empty, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle built a kernel for no field")
+        raise AssertionError("the oracle built an axis table for no field")
 
-    monkeypatch.setattr(transform_mod, "_mode_blocks", refuse)
+    monkeypatch.setattr(transform_mod, "_axis_blocks", refuse)
     assert oracle(empty) == []
 
 
@@ -220,8 +247,7 @@ def test_naive_oracle_makes_no_fft_call(monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(1, 9), (1, 2053), (2, 15), (2, 7), (3, 5)])
 def test_naive_oracle_on_a_sequence_matches_it_per_field(n, m):
-    # 2053 is prime, and its 16 one-dimensional lines per block leave a short
-    # last block
+    # 2053 is prime, and its 16 table rows per block leave a short last block
     g = TorusGrid(n, m)
     rng = np.random.default_rng(m)
     fields = [random_grid(g, rng) for _ in range(3)]
@@ -233,6 +259,20 @@ def test_naive_oracle_on_a_sequence_matches_it_per_field(n, m):
     for c, u in zip(spectra, synthesised):
         assert np.max(np.abs(u.values - naive_inverse(c).values)) < 1e-13
     assert naive_forward(fields[:1])[0].grid == g
+
+
+@pytest.mark.parametrize("n, m", [(2, 255), (3, 45)])
+def test_naive_oracle_matches_the_fft_past_the_verify_cap(n, m):
+    # 65025 and 91125 points, past cli.MAX_VERIFY_POINTS; the syntheses are
+    # of coefficients of unit fields, so both directions compare O(1) values
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    fields = [random_grid(g, rng) for _ in range(2)]
+    spectra = [forward(random_grid(g, rng)) for _ in range(2)]
+    for u, c in zip(fields, naive_forward(fields)):
+        assert np.max(np.abs(c.coefficients - forward(u).coefficients)) < 1e-12
+    for c, u in zip(spectra, naive_inverse(spectra)):
+        assert np.max(np.abs(u.values - inverse(c).values)) < 1e-12
 
 
 def test_naive_oracle_refuses_a_sequence_on_two_grids():
