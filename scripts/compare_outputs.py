@@ -35,7 +35,11 @@ _DATA_COMMANDS = [
     ("transform", "--dimension", "1", "--points", "15", "--seed", "1"),
     ("transform", "--dimension", "3", "--points", "5", "--seed", "1"),
     ("truncate", "--dimension", "2", "--points", "11", "--truncation", "2", "--seed", "1"),
+    # nine lockstep Lanczos runs in one stack, which stop at different steps
+    ("truncate", "--dimension", "2", "--points", "31", "--truncation", "8", "--seed", "1"),
     ("embed-demo", "--dimension", "1", "--points", "17", "--epsilon", "0.5", "--seed", "3"),
+    # a 2-D family, drawn and extracted on stacked rows
+    ("embed-demo", "--dimension", "2", "--points", "33", "--epsilon", "0.5", "--seed", "3"),
     # 4097 tail rows, N = 0..4096: a keyed table across two pieces of
     # cli._CHUNK_ROWS = 4096 rows, so the boundary between pieces is compared
     ("embed-demo", "--dimension", "1", "--points", "8193", "--epsilon", "0.5", "--seed", "3"),

@@ -54,17 +54,17 @@ MAX_GRID_POINTS = 2**22
 # Largest grid `verify` checks: unpreconditioned CG takes O(M) iterations,
 # and the fast-vs-naive and eigenpair groups take direct sums, six and one,
 # of O(n M**(n+1)), which is O(size**2) in 1-D.  At 1-D M=8191 (one BLAS
-# thread, 2-core x86-64 VM) the groups take: solver-agreement 11.4 s (6406
-# CG iterations), fast-vs-naive 1.1 s, resolvent-eigenpairs 0.5 s, the rest
-# under 0.2 s each; 13.3 s in all, nearly all of it CG.
+# thread, 2-core x86-64 VM) the groups take: solver-agreement 11-15 s (6406
+# CG iterations), fast-vs-naive 0.7 s, resolvent-eigenpairs 0.3 s, the rest
+# under 0.1 s each; nearly all of it is CG.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
 # their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB
 # at 2-D M=511, 586 MiB at 1-D M=262143), so about 600 MiB at this size.
 MAX_EMBED_POINTS = 2**18
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 (one BLAS thread, 2-core
-# x86-64 VM) takes 2.8-3.5 s and peaks at 72 MiB writing 96 MB of JSON, or
-# 104 MiB writing 54 MB of CSV; from cap 2**18 (0.9 s, 41 MiB) time grows
+# x86-64 VM) takes 2.8-3.8 s and peaks at 73 MiB writing 96 MB of JSON or
+# 54 MB of CSV; from cap 2**18 (0.9 s, 41 MiB) time grows
 # about 4x per 4x in cap, the lattice scan about 8x.
 MAX_LEVEL_CAP = 2**20
 # Rows per piece of a table's text: a file is written piece by piece, so
@@ -147,15 +147,18 @@ def _table_chunks(columns, spellings, open_row, cell_sep, close_row, row_sep,
         yield (row_sep if start else "") + open_row + rows + close_row
 
 
-def _csv_chunks(table: _Columns):
-    """The CSV text of the keyed table: its keys as the header line, then
-    one line per row; `str` of an int or a float is its `repr`, so floats
-    read back exactly, and the strings (operator and method names) need no
+def _csv_chunks(table):
+    """The CSV text of a keyed table, or of a tuple of keyed tables with the
+    same keys, one after another: the keys as the header line, then one
+    line per row; `str` of an int or a float is its `repr`, so floats read
+    back exactly, and the strings (operator and method names) need no
     quoting."""
-    yield ",".join(table.keys) + "\n"
-    columns = table.columns
-    yield from _table_chunks(columns, [_spelling(c, str) for c in columns],
-                             "", ",", "\n", "")
+    tables = table if isinstance(table, tuple) else (table,)
+    yield ",".join(tables[0].keys) + "\n"
+    for table in tables:
+        columns = table.columns
+        yield from _table_chunks(columns, [_spelling(c, str) for c in columns],
+                                 "", ",", "\n", "")
 
 
 def _json_chunks(doc):
@@ -224,7 +227,7 @@ def _record_table(keys, rows) -> _Columns:
 
 
 def _write_table(args, make_table, make_doc=None) -> None:
-    """Write the keyed table of `make_table()` as CSV, or `make_doc()`
+    """Write the keyed table (or tables) of `make_table()` as CSV, or `make_doc()`
     (default: the table, one object per row) as JSON; only the format asked
     for is built, so a field is encoded once."""
     if args.format == "csv":
@@ -256,33 +259,50 @@ def _random_spectral_field(
 # ---------------------------------------------------------------------------
 
 
-def _check_transform(u: transform.GridField):
-    """Forward-transform u; round trip (relative to max|u|, so independent
-    of scale) and Parseval must hold to 1e-12.  Returns (c, roundtrip error,
-    Parseval defect, failures)."""
+def _check_transform(u):
+    """Forward-transform u, one field or a sequence of fields on one grid
+    (one stacked call each way); for each field the round trip (relative to
+    its max|u|, so independent of scale) and Parseval must hold to 1e-12.
+    Returns (forward(u), the worst roundtrip error, the worst Parseval
+    defect, failures)."""
     c = transform.forward(u)
-    roundtrip = float(np.max(np.abs(transform.inverse(c).values - u.values))) / float(
-        np.max(np.abs(u.values))
-    )
-    defect = transform.plancherel_defect(u, c)
-    failures = _exceeds("roundtrip error", roundtrip, 1e-12)
-    failures += _exceeds("plancherel defect", defect, 1e-12)
-    return c, roundtrip, defect, failures
-
-
-def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int):
-    """Rows (N, exact, estimate, diff): the Lanczos norm estimate of each
-    resolvent tail against 1/((N+1)^2+1), to 1e-8."""
-    rows = []
-    for k in cutoffs:
-        exact = spectral.truncation_error_exact(k)
-        estimate = spectral.operator_norm_power_iteration(
-            operators.resolvent_tail_symbol(k), grid, tol=1e-9, seed=seed
+    back = transform.inverse(c)
+    triples = [(u, c, back)] if isinstance(u, transform.GridField) else zip(u, c, back)
+    worst_rt = worst_defect = 0.0
+    failures = []
+    for field, spectrum, field_back in triples:
+        roundtrip = float(np.max(np.abs(field_back.values - field.values))) / float(
+            np.max(np.abs(field.values))
         )
+        defect = transform.plancherel_defect(field, spectrum)
+        failures += _exceeds("roundtrip error", roundtrip, 1e-12)
+        failures += _exceeds("plancherel defect", defect, 1e-12)
+        worst_rt, worst_defect = max(worst_rt, roundtrip), max(worst_defect, defect)
+    return c, worst_rt, worst_defect, failures
+
+
+def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int, leading=()):
+    """Rows (N, exact, estimate, diff): the Lanczos norm estimate of each
+    resolvent tail against 1/((N+1)^2+1), to 1e-8.  All estimates, those of
+    the symbols `leading` first, run in one lockstep call.  Returns (rows,
+    failures, the estimates of `leading`)."""
+    cutoffs = list(cutoffs)
+    estimates = spectral.operator_norm_power_iteration(
+        [*leading, *map(operators.resolvent_tail_symbol, cutoffs)], grid, tol=1e-9, seed=seed
+    )
+    rows = []
+    for k, estimate in zip(cutoffs, estimates[len(leading):]):
+        exact = spectral.truncation_error_exact(k)
         rows.append((k, exact, estimate, abs(exact - estimate)))
     failures = [f"N={k}: |exact - lanczos| = {diff} > 1e-8"
                 for k, _, _, diff in rows if diff > 1e-8]
-    return rows, failures
+    return rows, failures, estimates[:len(leading)]
+
+
+def _tail_failures(holds: np.ndarray) -> list[str]:
+    """The failures of one field's tail profile: a cutoff where it fails."""
+    return [f"tail bound violated at N={cutoff}"
+            for cutoff in np.flatnonzero(~holds).tolist()]
 
 
 def _check_tail_bounds(c: transform.SpectralField):
@@ -291,9 +311,7 @@ def _check_tail_bounds(c: transform.SpectralField):
     profile = embedding.tail_profile(c)
     table = _Columns((np.arange(len(profile.lhs)), profile.lhs, profile.rhs),
                      ("N", "tail_lhs", "tail_rhs"))
-    failures = [f"tail bound violated at N={cutoff}"
-                for cutoff in np.flatnonzero(~profile.holds).tolist()]
-    return table, failures
+    return table, _tail_failures(profile.holds)
 
 
 def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
@@ -366,11 +384,12 @@ def _cmd_spectrum(args) -> int:
     tables = spectral.spectra(args.dimension, args.level_cap)
 
     def table():
-        # an object array holds each name once, where a str array copies it
-        names = np.repeat(np.array(list(tables), dtype=object),
-                          [len(eig) for eig, _ in tables.values()])
-        return _Columns((names, *map(np.concatenate, zip(*tables.values()))),
-                        ("operator", "eigenvalue", "multiplicity"))
+        # one table per operator, its name one object broadcast over its
+        # rows: no column is concatenated
+        return tuple(
+            _Columns((np.broadcast_to(np.array(name, dtype=object), len(eig)), eig, mult),
+                     ("operator", "eigenvalue", "multiplicity"))
+            for name, (eig, mult) in tables.items())
 
     _write_table(args, table, lambda: {
         name: {"operator": name, "truncation": args.level_cap, "levels": _Columns(pair)}
@@ -387,7 +406,7 @@ def _cmd_truncate(args) -> int:
             f"points: box radius {grid.box_radius} too small for truncation "
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
-    rows, failures = _check_norm_law(grid, range(cutoff + 1), args.seed)
+    rows, failures, _ = _check_norm_law(grid, range(cutoff + 1), args.seed)
     _write_table(args, lambda: _record_table(
         ("N", "exact_error", "power_iteration_error", "abs_diff"), rows))
     return _report_failures(failures)
@@ -470,36 +489,36 @@ def _cmd_bench(args) -> int:
 
 
 def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
+    # 20 draws of a complex field then a real one, from one stream, checked
+    # a stack at a time
     rng = np.random.default_rng(seed)
     worst_rt = worst_defect = 0.0
     failures = []
-    for _ in range(20):
-        _, roundtrip, defect, field_failures = _check_transform(
-            transform.random_field(grid, rng)
-        )
-        worst_rt = max(worst_rt, roundtrip)
-        worst_defect = max(worst_defect, defect)
-        failures += field_failures
-        real = transform.GridField(grid, rng.standard_normal(grid.shape) + 0j)
-        if not transform.forward(real).is_conjugate_symmetric(1e-12):
-            failures.append("transform of a real field is not conjugate-symmetric")
+    for block in transform._stack_blocks(20, grid.size):
+        draws = rng.standard_normal((block.stop - block.start, 3, *grid.shape))
+        fields = [transform.GridField(grid, re + 1j * im) for re, im, _ in draws]
+        for c in transform.forward([transform.GridField(grid, real + 0j)
+                                    for *_, real in draws]):
+            if not c.is_conjugate_symmetric(1e-12):
+                failures.append("transform of a real field is not conjugate-symmetric")
+        del draws
+        _, roundtrip, defect, block_failures = _check_transform(fields)
+        worst_rt, worst_defect = max(worst_rt, roundtrip), max(worst_defect, defect)
+        failures += block_failures
     return f"roundtrip {worst_rt:.2e}, plancherel {worst_defect:.2e}", failures
 
 
 def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
-    rng = np.random.default_rng(seed)
-    fields, spectra = [], []
-    for _ in range(3):
-        fields.append(transform.random_field(grid, rng))
-        spectra.append(_random_spectral_field(grid, rng))
-    slow_c = transform.naive_forward(fields)
-    slow_u = transform.naive_inverse(spectra)
-    worst = 0.0
-    for u, c, slow, slow_field in zip(fields, spectra, slow_c, slow_u):
-        fast = transform.forward(u).coefficients
-        fast_u = transform.inverse(c).values
-        worst = max(worst, float(np.max(np.abs(fast - slow.coefficients))),
-                    float(np.max(np.abs(fast_u - slow_field.values))))
+    # 3 draws of a field then of a spectral field, from one stream
+    draws = transform._random_values(grid, np.random.default_rng(seed), 6)
+    fields = [transform.GridField(grid, values) for values in draws[0::2]]
+    spectra = [transform.SpectralField(grid, values) for values in draws[1::2]]
+    slow_c, slow_u = transform.naive_forward(fields), transform.naive_inverse(spectra)
+    fast_c, fast_u = transform.forward(fields), transform.inverse(spectra)
+    worst = max([float(np.max(np.abs(fast.coefficients - slow.coefficients)))
+                 for fast, slow in zip(fast_c, slow_c)]
+                + [float(np.max(np.abs(fast.values - slow.values)))
+                   for fast, slow in zip(fast_u, slow_u)])
     failures = _exceeds("max |fast - naive|", worst, 1e-10)
     return f"max |fast - naive| = {worst:.2e}", failures
 
@@ -518,21 +537,24 @@ def _verify_eigenpairs(grid, seed) -> tuple[str, list[str]]:
 
 
 def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
-    estimate = spectral.operator_norm_power_iteration(
-        operators.resolvent_symbol(), grid, tol=1e-9, seed=seed
+    rows, failures, (estimate,) = _check_norm_law(
+        grid, range(min(3, grid.box_radius - 2) + 1), seed, [operators.resolvent_symbol()]
     )
-    rows, failures = _check_norm_law(grid, range(min(3, grid.box_radius - 2) + 1), seed)
     failures += _exceeds("resolvent: |1 - lanczos|", abs(estimate - 1.0), 1e-8)
     worst = max([abs(estimate - 1.0)] + [diff for *_, diff in rows])
     return f"worst |lanczos - exact| = {worst:.2e}", failures
 
 
 def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
+    # 50 spectral fields, drawn and profiled a stack at a time
     rng = np.random.default_rng(seed)
-    for field in range(1, 51):
-        _, failures = _check_tail_bounds(_random_spectral_field(grid, rng))
-        if failures:
-            return f"field {field} of 50", failures
+    for block in transform._stack_blocks(50, grid.size):
+        draws = transform._random_values(grid, rng, block.stop - block.start)
+        profile = embedding.tail_profile([transform.SpectralField(grid, c) for c in draws])
+        for field, holds in enumerate(profile.holds, block.start + 1):
+            failures = _tail_failures(holds)
+            if failures:
+                return f"field {field} of 50", failures
     return "50 fields, all cutoffs", []
 
 

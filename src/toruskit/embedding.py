@@ -11,26 +11,36 @@ small tail, in a fixed finite-dimensional coefficient space, and greedy
 clustering there extracts subfamilies that are pairwise close in L^2.
 That is the whole compactness mechanism, made finite.
 
+A family (`BoundedSequence`) is held as one (count, grid size) array of
+coefficients, whose rows its items view.  It is drawn into that array a
+stack of fields at a time, from the same stream as one `random_field` draw
+per field, and its H^1 check, the extraction's distances to the cluster
+leaders and the pairwise distances of the oracle are taken on stacks of
+rows of at most `transform._STACK_POINTS` points, so that on a large grid
+their temporaries are the size of one field.
+
 `tail_profile` evaluates the bound at every cutoff 0..box radius in one
 pass: the tail energies as one reversed cumulative sum of |c|^2 over the
 modes sorted by |xi|^2, read where each cutoff's tail starts.  The sort
 order and those starts depend on the grid alone and are computed once per
-grid.  `tail_bound_check`, one masked sum per cutoff, is its oracle.
+grid.  It also takes a sequence of fields, one profile row each.
+`tail_bound_check`, one masked sum per cutoff, is its oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from . import transform
 from .lattice import tail_min_norm_sq
 from .operators import kept_by_truncation, l2_norm, norm_sq_array, sobolev_norm_sq
-from .transform import SpectralField, TorusGrid, random_field
+from .transform import SpectralField, TorusGrid
 
 _H1_SLACK = 1e-9
 _ANCHOR_COUNT = 4
@@ -41,37 +51,50 @@ class InsufficientResolutionError(ValueError):
     """The stored box is too small for the cutoff the tolerance requires."""
 
 
-@dataclass
 class BoundedSequence:
-    """Finite list of spectral fields on one grid with a certified H^1 bound.
+    """Finite family of spectral fields on one grid with a certified H^1 bound.
 
-    The bound is re-verified on construction, never trusted: every item must
-    satisfy sobolev_norm_sq(item, 1) <= h1_bound**2 (up to roundoff).
+    The family is one (count, grid size) complex array, `coefficients`, a
+    row per item in storage order, and each of `items` is a SpectralField
+    viewing its row, so no item is held twice.  Built from a list of
+    spectral fields, it copies them into that array; `from_rows` takes the
+    array itself.  The bound is re-verified on construction, never
+    trusted: every item must satisfy sobolev_norm_sq(item, 1) <=
+    h1_bound**2 (up to roundoff), checked on the stacked rows.
     """
 
-    items: list[SpectralField]
-    h1_bound: float
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise ValueError("sequence must contain at least one item")
-        if self.h1_bound <= 0:
-            raise ValueError(f"h1_bound must be positive, got {self.h1_bound}")
-        grid = self.items[0].grid
-        cap = self.h1_bound**2 * (1.0 + _H1_SLACK)
-        for i, item in enumerate(self.items):
+    def __init__(self, items: list[SpectralField], h1_bound: float) -> None:
+        items = list(items)
+        grid = items[0].grid if items else None
+        for i, item in enumerate(items):
             if item.grid != grid:
                 raise ValueError(f"item {i} lives on a different grid")
-            h1_sq = sobolev_norm_sq(item, 1.0)
-            if h1_sq > cap:
-                raise ValueError(
-                    f"item {i} violates the H^1 bound: "
-                    f"{math.sqrt(h1_sq)} > {self.h1_bound}"
-                )
+        rows = [item.coefficients.ravel() for item in items]
+        self._certify(grid, np.stack(rows) if rows else np.zeros((0, 0), complex), h1_bound)
 
-    @property
-    def grid(self):
-        return self.items[0].grid
+    @classmethod
+    def from_rows(cls, grid: TorusGrid, coefficients: np.ndarray,
+                  h1_bound: float) -> "BoundedSequence":
+        """The family whose item i has row i of the (count, grid.size)
+        complex array `coefficients` as its coefficients, held as it is."""
+        seq = cls.__new__(cls)
+        seq._certify(grid, coefficients, h1_bound)
+        return seq
+
+    def _certify(self, grid, coefficients: np.ndarray, h1_bound: float) -> None:
+        if not len(coefficients):
+            raise ValueError("sequence must contain at least one item")
+        if h1_bound <= 0:
+            raise ValueError(f"h1_bound must be positive, got {h1_bound}")
+        self.grid, self.coefficients, self.h1_bound = grid, coefficients, h1_bound
+        self.items = [SpectralField(grid, row) for row in coefficients]
+        h1_sq = sobolev_norm_sq(self.items, 1.0)
+        over = np.flatnonzero(h1_sq > h1_bound**2 * (1.0 + _H1_SLACK))
+        if len(over):
+            raise ValueError(
+                f"item {over[0]} violates the H^1 bound: "
+                f"{math.sqrt(h1_sq[over[0]])} > {h1_bound}"
+            )
 
 
 # roundoff allowance of the tail bound: it holds when lhs <= rhs + _TAIL_SLACK
@@ -137,21 +160,31 @@ def _tail_layout(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, thresholds
 
 
-def tail_profile(c: SpectralField) -> TailProfile:
+def tail_profile(c: SpectralField | Sequence[SpectralField]) -> TailProfile:
     """`tail_bound_check` at every cutoff N = 0..box radius, in one pass.
 
     The tail at cutoff N is the suffix of the modes sorted by |xi|^2 from
     the grid's start of that tail (`_tail_layout`), so its energy is one
     entry of the reversed cumulative sum of |c|^2 in that order.  rhs is
     computed as `tail_bound_check` computes it; lhs agrees with it to
-    roundoff, the sums being taken in another order.
+    roundoff, the sums being taken in another order.  Given a sequence of
+    spectral fields on one grid, the profile's arrays hold one row per
+    field, each bit for bit the field's own, from one stack of them.
     """
-    order, starts, thresholds = _tail_layout(c.grid)
-    energy = np.abs(c.coefficients.ravel()[order]) ** 2
-    # tails[i] = energy[i:].sum(); the trailing 0.0 is the empty tail
-    tails = np.append(np.cumsum(energy[::-1])[::-1], 0.0)
-    lhs = np.sqrt(tails[starts])
-    rhs = np.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + thresholds))
+    single = isinstance(c, SpectralField)
+    fields = [c] if single else list(c)
+    grid = transform._one_grid(fields)
+    order, starts, thresholds = _tail_layout(grid)
+    rows = np.stack([f.coefficients.ravel() for f in fields])
+    energy = np.abs(rows[:, order]) ** 2
+    # tails[:, i] = energy[:, i:].sum(1); the last column, 0.0, is the empty tail
+    tails = np.zeros((len(fields), grid.size + 1))
+    tails[:, :-1] = np.cumsum(energy[:, ::-1], axis=1)[:, ::-1]
+    lhs = np.sqrt(tails[:, starts])
+    h1_sq = sobolev_norm_sq(c if single else fields, 1.0)
+    rhs = np.sqrt(np.reshape(h1_sq, (-1, 1)) / (1.0 + thresholds))
+    if single:
+        lhs, rhs = lhs[0], rhs[0]
     return TailProfile(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
@@ -188,33 +221,44 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
             f"the stored box only holds frequencies up to {grid.box_radius} per axis"
         )
 
-    kept = [ball_projection(c, cutoff).coefficients.ravel() for c in seq.items]
+    kept = np.where(kept_by_truncation(norm_sq_array(grid), cutoff).ravel(),
+                    seq.coefficients, 0.0)
     join_radius = eps / 4.0
     clusters: list[list[int]] = []
-    leaders: list[np.ndarray] = []
+    leaders: list[int] = []
     for i, vec in enumerate(kept):
-        for cid, leader in enumerate(leaders):
-            if np.linalg.norm(vec - leader) <= join_radius:
-                clusters[cid].append(i)
+        for block in transform._stack_blocks(len(leaders), grid.size):
+            near = _distances(kept[leaders[block]], vec) <= join_radius
+            if near.any():
+                clusters[block.start + int(np.argmax(near))].append(i)
                 break
         else:
-            leaders.append(vec)
+            leaders.append(i)
             clusters.append([i])
     return max(clusters, key=len)
 
 
+def _distances(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The l2 distance of each row of `rows`, a copy it overwrites, from
+    vec: the squares are summed over the float view, so that no other
+    array of a row's size is made."""
+    rows -= vec
+    flat = rows.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def pairwise_l2_distances(seq: BoundedSequence, indices: list[int]) -> list[float]:
-    """Direct L^2 distances between all selected pairs (validation oracle)."""
+    """Direct L^2 distances between all selected pairs (validation oracle),
+    in the order (a, b) for a < b: each the l2 norm of the difference of
+    two rows of the family, over stacks of such differences."""
+    pairs = [(indices[a], indices[b])
+             for a in range(len(indices)) for b in range(a + 1, len(indices))]
     out = []
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            out.append(l2_norm(seq.items[indices[a]] - seq.items[indices[b]]))
+    for block in transform._stack_blocks(len(pairs), seq.grid.size):
+        first, second = zip(*pairs[block])
+        gaps = seq.coefficients[list(first)] - seq.coefficients[list(second)]
+        out += np.sqrt(np.sum(np.abs(gaps) ** 2, axis=1)).tolist()
     return out
-
-
-def _h1_rescaled(c: SpectralField, target: float) -> SpectralField:
-    h1 = math.sqrt(sobolev_norm_sq(c, 1.0))
-    return SpectralField(c.grid, c.coefficients * (target / h1))
 
 
 def random_bounded_sequence(
@@ -229,20 +273,26 @@ def random_bounded_sequence(
     random perturbation of H^1 norm 0.02 h1_bound, so every item sits
     strictly inside the H^1 ball of radius h1_bound.  Such a family is what
     the extractor exists for: most of its mass is spread over finitely many
-    low modes, so large pairwise-close subfamilies exist.
+    low modes, so large pairwise-close subfamilies exist.  The anchors and
+    then the perturbations are drawn as `random_field` draws them, in
+    stacks of fields, straight into the family's rows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     weights = 1.0 / (1.0 + norm_sq_array(grid))
 
-    def draw(scale: float) -> SpectralField:
-        raw = random_field(grid, rng).values
-        return _h1_rescaled(SpectralField(grid, raw * weights), scale)
+    def draw(rows: np.ndarray, scale: float) -> np.ndarray:
+        # each row a weighted draw rescaled to H^1 norm `scale`
+        for block in transform._stack_blocks(len(rows), grid.size):
+            raw = transform._random_values(grid, rng, block.stop - block.start) * weights
+            h1 = np.sqrt(sobolev_norm_sq([SpectralField(grid, r) for r in raw], 1.0))
+            rows[block] = (raw * (scale / h1).reshape((-1,) + (1,) * grid.dimension)
+                           ).reshape(len(raw), -1)
+        return rows
 
-    anchors = [draw(0.8 * h1_bound) for _ in range(_ANCHOR_COUNT)]
-    items = []
-    for i in range(count):
-        anchor = anchors[i % _ANCHOR_COUNT]
-        items.append(anchor + draw(_SPREAD * h1_bound))
-    return BoundedSequence(items=items, h1_bound=h1_bound)
+    anchors = draw(np.empty((_ANCHOR_COUNT, grid.size), complex), 0.8 * h1_bound)
+    items = draw(np.empty((count, grid.size), complex), _SPREAD * h1_bound)
+    for a, anchor in enumerate(anchors):
+        items[a::_ANCHOR_COUNT] += anchor
+    return BoundedSequence.from_rows(grid, items, h1_bound)

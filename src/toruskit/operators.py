@@ -17,6 +17,7 @@ applies this rule.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -132,21 +133,56 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
     """Grid values -> inverse(sigma * forward(values)).values, sigma a symbol
     array over the box: the one grid-side apply of CG, the multiplier solve,
     Lanczos and the resolvent certificate.  The public transform pair is
-    looked up at each call, so a fault planted in it reaches all four."""
+    looked up at each call, so a fault planted in it reaches all four.
 
-    def apply(values: np.ndarray) -> np.ndarray:
+    The apply also takes a (k, *grid.shape) stack of fields, transformed by
+    one call of each of `forward` and `inverse` on the sequence of its
+    rows (a stack of one goes as one field); sigma is then one symbol array
+    shared by every row, or a (k, *grid.shape) stack of them, one per row.
+    Each row comes back bit for bit as the row alone would."""
+
+    def apply_one(values: np.ndarray) -> np.ndarray:
         c = transform.forward(GridField(grid, values)).coefficients
         return transform.inverse(SpectralField(grid, sigma * c)).values
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        if values.ndim == grid.dimension:
+            return apply_one(values)
+        if len(values) == 1:
+            return apply_one(values[0])[np.newaxis]
+        products = np.stack([c.coefficients for c in
+                             transform.forward([GridField(grid, row) for row in values])])
+        products *= sigma
+        return np.stack([u.values for u in
+                         transform.inverse([SpectralField(grid, row) for row in products])])
 
     return apply
 
 
-def sobolev_norm_sq(c: SpectralField, order: float) -> float:
-    """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box."""
+def sobolev_norm_sq(c: SpectralField | Sequence[SpectralField],
+                    order: float) -> float | np.ndarray:
+    """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box.
+
+    Given a sequence of spectral fields on one grid, returns the float64
+    array of their sums, taken row by row over stacks of the fields (at
+    most `transform._STACK_POINTS` points each), each bit for bit the
+    field's own.
+    """
     if not np.isfinite(order):
         raise ValueError(f"Sobolev order must be finite, got {order}")
-    weights = (1.0 + norm_sq_array(c.grid)) ** order
-    return float(np.sum(weights * np.abs(c.coefficients) ** 2))
+    if isinstance(c, SpectralField):
+        weights = (1.0 + norm_sq_array(c.grid)) ** order
+        return float(np.sum(weights * np.abs(c.coefficients) ** 2))
+    fields = list(c)
+    if not fields:
+        return np.zeros(0)
+    grid = transform._one_grid(fields)
+    weights = ((1.0 + norm_sq_array(grid)) ** order).ravel()
+    sums = np.empty(len(fields))
+    for block in transform._stack_blocks(len(fields), grid.size):
+        rows = np.stack([f.coefficients.ravel() for f in fields[block]])
+        sums[block] = np.sum(weights * np.abs(rows) ** 2, axis=1)
+    return sums
 
 
 def l2_norm(c: SpectralField) -> float:

@@ -7,16 +7,19 @@ resolvent eigenvalues 1/(1+k), each with the lattice multiplicity of k, as
 columns from one count.  The operator norm of any multiplier is sup |sigma|
 over the box; the Lanczos estimator below re-derives it through the full
 transform pipeline without assuming diagonality, which is what makes it a
-genuine cross-check.  It holds three vectors, whatever the number of steps.
-`resolvent_certificate` checks every eigenpair of the resolvent, as the
-transforms apply it, from one impulse response summed without an FFT and a
-few random probes of its commutators with the unit shifts, in place of one
-round trip per mode.
+genuine cross-check.  It holds three vectors per run, whatever the number
+of steps, and runs the estimates of several symbols in lockstep on one
+stack of fields, so that each step is one stacked round trip for all of
+them.  `resolvent_certificate` checks every eigenpair of the resolvent, as
+the transforms apply it, from one impulse response summed without an FFT
+and a few random probes of its commutators with the unit shifts, all
+applied in one stacked round trip, in place of one round trip per mode.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +60,12 @@ class LanczosError(RuntimeError):
 
 
 def operator_norm_power_iteration(
-    symbol: MultiplierSymbol,
+    symbol: MultiplierSymbol | Sequence[MultiplierSymbol],
     grid: TorusGrid,
     tol: float = 1e-10,
     max_iter: int = 20000,
     seed: int = 0,
-) -> float:
+) -> float | list[float]:
     """Estimate the l2 -> l2 norm of the multiplier on the stored box.
 
     Runs the Lanczos three-term recurrence on the normal operator (symbol
@@ -70,9 +73,9 @@ def operator_norm_power_iteration(
     `operators.grid_operator`, the round trip through the public
     forward/inverse transform pair, so the estimate does not reuse the
     diagonal shortcut it is checking.  The start vector is seeded
-    pseudo-random with support on all modes.  Only three vectors are held:
-    no Lanczos basis is kept and none is reorthogonalized.  max_iter counts
-    Lanczos steps, one operator application each.
+    pseudo-random with support on all modes.  Only three vectors are held
+    per run: no Lanczos basis is kept and none is reorthogonalized.
+    max_iter counts Lanczos steps, one operator application each.
 
     After step j the top Ritz pair (theta, s) of the tridiagonal T_j has the
     residual beta_j |s_j|, and the loop stops when beta_j |s_j| <= tol *
@@ -86,6 +89,15 @@ def operator_norm_power_iteration(
     every step while j < 32 and then every j // 16 steps, so the check stays
     a small share of the work.  Deterministic given the seed.
 
+    Given a sequence of symbols rather than one, returns the list of their
+    estimates, each bit for bit the symbol's own.  The runs share the seed's
+    start vector and go in lockstep on one stack of fields: one stacked
+    apply per step, one stacked eigh over the runs due for a check, and a
+    run leaves the stack when it stops.  A stack spans at most
+    `transform._STACK_POINTS` grid points per vector (one run on a larger
+    grid), and the stacks go one after another.  A run that exhausts
+    max_iter raises for the first such symbol in order.
+
     The name, and the `power_iteration_error` column of `truncate`'s table,
     outlived the power iteration they were named for: perfbench's norm-law
     check reads that column, and its layer sets time this function by name.
@@ -94,41 +106,91 @@ def operator_norm_power_iteration(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    normal = grid_operator(grid, symbol_array(symbol, grid) ** 2)
-    v = random_field(grid, np.random.default_rng(seed)).values
-    v /= np.linalg.norm(v.ravel())
+    symbols = [symbol] if isinstance(symbol, MultiplierSymbol) else list(symbol)
+    estimates = []
+    for block in transform._stack_blocks(len(symbols), grid.size):
+        estimates += _lockstep_lanczos(symbols[block], grid, tol, max_iter, seed)
+    return estimates[0] if isinstance(symbol, MultiplierSymbol) else estimates
+
+
+def _top_ritz(tridiagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, s) of each symmetric tridiagonal of a (runs, j, j) stack, from
+    one stacked eigh: its largest eigenvalue, and the last component of
+    that eigenvalue's unit eigenvector."""
+    ritz, vectors = np.linalg.eigh(tridiagonals)
+    return ritz[:, -1], vectors[:, -1, -1]
+
+
+def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
+                      seed: int) -> list[float]:
+    """`operator_norm_power_iteration` of each symbol, in lockstep on one
+    stack.  Row r of each stack belongs to the run runs[r]; a run's row
+    goes when it stops, and the stacked operator is rebuilt for the rows
+    left."""
+    squares = np.empty((len(symbols), *grid.shape))
+    for symbol, square in zip(symbols, squares):
+        np.square(symbol_array(symbol, grid), out=square)
+    runs = list(range(len(symbols)))
+    normal = grid_operator(grid, squares)
+    start = random_field(grid, np.random.default_rng(seed)).values
+    start /= np.linalg.norm(start.ravel())
+    v = np.repeat(start[np.newaxis], len(runs), axis=0)
+    del start  # the runs hold three vectors each and no other
+    column = (len(runs),) + (1,) * grid.dimension
     v_prev = None
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas: list[list[float]] = [[] for _ in runs]
+    betas: list[list[float]] = [[] for _ in runs]
+    estimates: list[float] = [0.0] * len(runs)
     next_check = 1
     for step in range(1, max_iter + 1):
         w = normal(v)
         # beta_{j-1} v_{j-1} comes off before alpha_j is taken, the ordering
         # that Paige's analysis covers
         if v_prev is not None:
-            w -= beta * v_prev
-        alpha = float(np.vdot(v.ravel(), w.ravel()).real)
-        w -= alpha * v
-        beta = float(np.linalg.norm(w.ravel()))
-        alphas.append(alpha)
-        if beta == 0.0 or step in (next_check, max_iter):
-            tridiagonal = np.diag(alphas)
-            tridiagonal[range(1, step), range(step - 1)] = betas
-            ritz, vectors = np.linalg.eigh(tridiagonal)
-            # some eigenvalue lambda of the normal operator lies within the
-            # residual of theta, so |sqrt(theta) - sqrt(lambda)| <= residual
-            # / sqrt(theta)
-            residual = beta * abs(vectors[-1, -1])
-            estimate = math.sqrt(max(float(ritz[-1]), 0.0))
-            if beta == 0.0 or residual <= tol * estimate:
-                return estimate
+            w -= np.reshape([betas[run][-1] for run in runs], column) * v_prev
+        alpha = [float(np.vdot(v[row].ravel(), w[row].ravel()).real)
+                 for row in range(len(runs))]
+        w -= np.reshape(alpha, column) * v
+        beta = [float(np.linalg.norm(w[row].ravel())) for row in range(len(runs))]
+        for run, a in zip(runs, alpha):
+            alphas[run].append(a)
+        due = [row for row, b in enumerate(beta)
+               if b == 0.0 or step in (next_check, max_iter)]
+        stopped = set()
+        if due:
+            tridiagonals = np.zeros((len(due), step, step))
+            for i, row in enumerate(due):
+                tridiagonals[i, range(step), range(step)] = alphas[runs[row]]
+                tridiagonals[i, range(1, step), range(step - 1)] = betas[runs[row]]
+            thetas, last = _top_ritz(tridiagonals)
+            for row, theta, s in zip(due, thetas, last):
+                # some eigenvalue lambda of the normal operator lies within
+                # the residual of theta, so |sqrt(theta) - sqrt(lambda)| <=
+                # residual / sqrt(theta)
+                residual = beta[row] * abs(float(s))
+                estimates[runs[row]] = math.sqrt(max(float(theta), 0.0))
+                if beta[row] == 0.0 or residual <= tol * estimates[runs[row]]:
+                    stopped.add(row)
+        if step == next_check:
             next_check = step + max(1, step // 16)
-        betas.append(beta)
-        w /= beta
+        if len(stopped) == len(runs):
+            return estimates
+        if step == max_iter:
+            break
+        if stopped:
+            keep = [row for row in range(len(runs)) if row not in stopped]
+            runs = [runs[row] for row in keep]
+            v, w, beta = v[keep], w[keep], [beta[row] for row in keep]
+            column = (len(runs),) + (1,) * grid.dimension
+            normal = grid_operator(grid, squares[runs])
+        for run, b in zip(runs, beta):
+            betas[run].append(b)
+        w /= np.reshape(beta, column)
         v_prev, v = v, w
+    run = min(run for row, run in enumerate(runs) if row not in stopped)
     raise LanczosError(
         f"Lanczos did not reach tol={tol} within {max_iter} steps "
-        f"(last estimate {estimate})"
+        f"(last estimate {estimates[run]})"
     )
 
 
@@ -180,14 +242,15 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
 
     T is `operators.grid_operator`, which looks up the public
     `transform.forward`/`transform.inverse` at call time, so a fault planted
-    in either shows here.
-    (a) The impulse response kappa = T delta_0 takes one round trip, and
-    lambda(xi) = M^n naive_forward(kappa)(xi) comes for every xi from one
-    FFT-free direct sum; eigenvalue_error compares it with 1/(1+|xi|^2),
-    |xi|^2 taken from the integer frequency rows.  (b) _PROBES complex
-    Gaussian probes r, drawn from the seed, measure ||T S_j r - S_j T r|| /
-    ||r|| for each axis j, S_j the unit shift np.roll(., 1, axis=j), which
-    needs no transform (Freivalds 1977).
+    in either shows here.  Every field that T meets goes through it in
+    one stacked round trip: delta_0, the probes r and their shifts S_j r.
+    (a) From the impulse response kappa = T delta_0, lambda(xi) = M^n
+    naive_forward(kappa)(xi) comes for every xi from one FFT-free direct
+    sum; eigenvalue_error compares it with 1/(1+|xi|^2), |xi|^2 taken from
+    the integer frequency rows.  (b) _PROBES complex Gaussian probes r,
+    drawn from the seed, measure ||T S_j r - S_j T r|| / ||r|| for each
+    axis j, S_j the unit shift np.roll(., 1, axis=j), which needs no
+    transform (Freivalds 1977).
 
     What they prove, for a linear T.  If T commutes exactly with every S_j,
     it is the cyclic convolution with kappa, so T psi_xi = lambda(xi) psi_xi
@@ -217,19 +280,23 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     apply = grid_operator(grid, symbol_array(resolvent_symbol(), grid))
     impulse = np.zeros(grid.shape, dtype=np.complex128)
     impulse[(0,) * n] = 1.0
-    kappa = GridField(grid, apply(impulse))
+    probes = transform._random_values(grid, np.random.default_rng(seed), _PROBES)
+    # T delta_0, then T r_p, then T S_j r_p, a stack at a time
+    fields = np.stack([impulse, *probes, *(np.roll(r, 1, axis=j) for r in probes
+                                           for j in range(n))])
+    responses = np.empty_like(fields)
+    for block in transform._stack_blocks(len(fields), grid.size):
+        responses[block] = apply(fields[block])
+    kappa = GridField(grid, responses[0])
     eigenvalues = grid.size * transform.naive_forward(kappa).coefficients.ravel()
     norm_sq = np.sum(transform._frequency_vectors(grid) ** 2, axis=1)
     eigenvalue_error = np.abs(eigenvalues - 1.0 / (1.0 + norm_sq))
 
-    rng = np.random.default_rng(seed)
     commutator = np.empty((n, _PROBES))
-    for p in range(_PROBES):
-        r = random_field(grid, rng).values
-        t_r = apply(r)
+    for p, (r, t_r) in enumerate(zip(probes, responses[1:1 + _PROBES])):
         r_norm = np.linalg.norm(r.ravel())
         for j in range(n):
-            gap = apply(np.roll(r, 1, axis=j)) - np.roll(t_r, 1, axis=j)
+            gap = responses[1 + _PROBES + p * n + j] - np.roll(t_r, 1, axis=j)
             commutator[j, p] = np.linalg.norm(gap.ravel()) / r_norm
     small_ball = -math.expm1(
         (grid.size - 1) * math.log1p(-((CERTIFICATE_TOL / COMMUTATOR_FLOOR) ** 2))

@@ -19,7 +19,7 @@ from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
 
-from conftest import random_grid
+from conftest import on_every_field, random_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -428,14 +428,12 @@ def test_verify_detects_wrong_resolvent_symbol(monkeypatch, capsys):
 
 
 def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
-    forward = transform_mod.forward
-
-    def perturbed(u):
-        c = forward(u)
-        c.coefficients[(1,) * u.grid.dimension] += 1e-6
+    def perturbed(c):
+        c.coefficients[(1,) * c.grid.dimension] += 1e-6
         return c
 
-    monkeypatch.setattr(transform_mod, "forward", perturbed)
+    monkeypatch.setattr(transform_mod, "forward",
+                        on_every_field(transform_mod.forward, perturbed))
     assert run("verify") == 1
     out = capsys.readouterr().out
     assert "FAIL fast-vs-naive-transform" in out
@@ -445,18 +443,19 @@ def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
 
 def _count_norm_applications(monkeypatch):
     """Patch the public inverse transform to count applications; the
-    returned list gets one count per estimate.  Within the operator-norms
-    group only the estimator calls it."""
+    returned list gets, per estimator call, one list of the fields each
+    (stacked) application transforms.  Within the operator-norms group
+    only the estimator calls it."""
     counts = []
     inverse = transform_mod.inverse
     estimate = spectral_mod.operator_norm_power_iteration
 
     def counted_inverse(c):
-        counts[-1] += 1
+        counts[-1].append(1 if isinstance(c, transform_mod.SpectralField) else len(c))
         return inverse(c)
 
     def counted_estimate(*args, **kwargs):
-        counts.append(0)
+        counts.append([])
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(transform_mod, "inverse", counted_inverse)
@@ -467,25 +466,28 @@ def _count_norm_applications(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_verify_norm_estimates_take_at_most_20_applications(monkeypatch, seed):
     # the resolvent and the tails N = 0, 1, 2 at 3-D M=9 take 8-15 Lanczos
-    # steps; power iteration took 17-89 on the same estimates
+    # steps; power iteration took 17-89 on the same estimates.  The four
+    # runs go in lockstep, one stacked application per step, and a run
+    # leaves the stack when it stops: so no run takes more steps than there
+    # are applications, the first holds all four, and they number at most
+    # 20, where one at a time took 4 x 8-15.
     counts = _count_norm_applications(monkeypatch)
     _, failures = cli._verify_operator_norms(transform_mod.TorusGrid(3, 9), seed)
     assert failures == []
-    assert len(counts) == 4
-    assert all(1 <= count <= 20 for count in counts), counts
+    assert len(counts) == 1
+    (fields,) = counts
+    assert 1 <= len(fields) <= 20 and fields[0] == 4, fields
+    assert fields == sorted(fields, reverse=True)
 
 
 def test_verify_fails_operator_norms_when_the_routed_transform_is_off(monkeypatch, capsys):
     # the estimator sees the operator only through its transforms, not
     # through the diagonal symbol the law is derived from; every group that
     # applies an operator through the public pair fails with it
-    inverse = transform_mod.inverse
-
-    def scaled(c):
-        u = inverse(c)
+    def scaled(u):
         return transform_mod.GridField(u.grid, u.values * (1 + 1e-6))
 
-    monkeypatch.setattr(transform_mod, "inverse", scaled)
+    monkeypatch.setattr(transform_mod, "inverse", on_every_field(transform_mod.inverse, scaled))
     assert run("verify") == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
@@ -673,10 +675,12 @@ _inverse = transform_mod.inverse
 _solve_cg = solver_mod.solve_cg
 
 
-def _perturbed_inverse(c):
-    u = _inverse(c)
-    u.values[(0,) * c.grid.dimension] += 1e-6
+def _perturbed_field(u):
+    u.values[(0,) * u.grid.dimension] += 1e-6
     return u
+
+
+_perturbed_inverse = on_every_field(_inverse, _perturbed_field)
 
 
 def _scaled_cg(f, tol):
@@ -687,9 +691,11 @@ def _scaled_cg(f, tol):
 
 
 def _violated_profile(c):
-    cutoffs = c.grid.box_radius + 1
+    # the profile of one field, or one row per field of a sequence
+    one = isinstance(c, transform_mod.SpectralField)
+    shape = (c.grid.box_radius + 1,) if one else (len(c), c[0].grid.box_radius + 1)
     return embedding_mod.TailProfile(
-        np.ones(cutoffs), np.full(cutoffs, 0.5), np.zeros(cutoffs, dtype=bool)
+        np.ones(shape), np.full(shape, 0.5), np.zeros(shape, dtype=bool)
     )
 
 
@@ -1199,7 +1205,12 @@ def test_every_csv_file_is_what_csv_writer_writes(tmp_path, monkeypatch, args):
     out = tmp_path / "out.csv"
     assert run(*args, "--format", "csv", "--output", out) == 0
     [table] = tables
-    header, rows = table.keys, _table_rows(table.columns)
+    # spectrum writes a tuple of tables, one per operator, under one header
+    parts = table if isinstance(table, tuple) else (table,)
+    assert len(parts) == (2 if args[0] == "spectrum" else 1)
+    header = parts[0].keys
+    assert all(part.keys == header for part in parts)
+    rows = [row for part in parts for row in _table_rows(part.columns)]
     text = out.read_text()
     assert text == _csv_oracle(header, rows)
     header_read, *rows_read = csv.reader(io.StringIO(text))
@@ -1208,3 +1219,66 @@ def test_every_csv_file_is_what_csv_writer_writes(tmp_path, monkeypatch, args):
               for cell, value in zip(line, row) if type(value) is float]
     assert floats
     assert all(float(cell).hex() == value.hex() for cell, value in floats)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
+def test_verify_3d_takes_at_most_120_fft_calls(monkeypatch, seed):
+    # the groups transform their independent fields as stacks: 254 calls
+    # of the two FFT helpers when each field went alone
+    calls = []
+    for name in ("_analysis", "_synthesis"):
+        exact = getattr(transform_mod, name)
+        monkeypatch.setattr(transform_mod, name,
+                            lambda values, n, exact=exact: calls.append(1) or exact(values, n))
+    assert run("verify", "--dimension", 3, "--points", 9, "--seed", seed) == 0
+    assert len(calls) <= 120
+
+
+def _captured(monkeypatch, module, name):
+    """Patch module.name to record its first argument, as a list of fields."""
+    seen, exact = [], getattr(module, name)
+
+    def record(arg, *rest, **kwargs):
+        one = isinstance(arg, (transform_mod.GridField, transform_mod.SpectralField))
+        seen.append([arg] if one else list(arg))
+        return exact(arg, *rest, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return seen
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (3, 9)])
+def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, m):
+    grid, seed = transform_mod.TorusGrid(n, m), 7
+    forwards = _captured(monkeypatch, transform_mod, "forward")
+    cli._verify_transforms(grid, seed)
+    rng = np.random.default_rng(seed)
+    fields, reals = [], []
+    for _ in range(20):
+        fields.append(transform_mod.random_field(grid, rng).values)
+        reals.append(rng.standard_normal(grid.shape) + 0j)
+    # a stack's real fields, then its complex fields
+    for got, expected in ((forwards[1::2], fields), (forwards[0::2], reals)):
+        got = [u for stack in got for u in stack]
+        assert len(got) == 20
+        assert all(np.array_equal(u.values, e) for u, e in zip(got, expected))
+
+    monkeypatch.undo()
+    analysed = _captured(monkeypatch, transform_mod, "naive_forward")
+    synthesised = _captured(monkeypatch, transform_mod, "naive_inverse")
+    cli._verify_fast_vs_naive(grid, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        u, c = transform_mod.random_field(grid, rng), cli._random_spectral_field(grid, rng)
+        assert np.array_equal(analysed[0].pop(0).values, u.values)
+        assert np.array_equal(synthesised[0].pop(0).coefficients, c.coefficients)
+
+    monkeypatch.undo()
+    profiled = _captured(monkeypatch, embedding_mod, "tail_profile")
+    assert cli._verify_tail_bounds(grid, seed) == ("50 fields, all cutoffs", [])
+    rng = np.random.default_rng(seed)
+    drawn = [c for fields in profiled for c in fields]
+    assert len(drawn) == 50
+    for c in drawn:
+        assert np.array_equal(c.coefficients,
+                              cli._random_spectral_field(grid, rng).coefficients)

@@ -23,6 +23,8 @@ from toruskit import (
     tail_projection,
 )
 from toruskit.embedding import _tail_layout
+from toruskit.operators import norm_sq_array
+from toruskit.transform import random_field
 
 from conftest import random_spectral, spectral_delta
 
@@ -275,3 +277,69 @@ def test_pairwise_distances_oracle_is_direct():
     seq = BoundedSequence([a, b], h1_bound=2.0)
     (d,) = pairwise_l2_distances(seq, [0, 1])
     assert d == l2_norm(a - b)
+
+
+def _family_one_field_at_a_time(grid, count, h1_bound, seed):
+    """The family as it was drawn one field at a time, each field through
+    `random_field` and rescaled alone: the oracle of the stacked draw."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / (1.0 + norm_sq_array(grid))
+
+    def draw(scale):
+        c = SpectralField(grid, random_field(grid, rng).values * weights)
+        return SpectralField(grid, c.coefficients * (scale / math.sqrt(sobolev_norm_sq(c, 1.0))))
+
+    anchors = [draw(0.8 * h1_bound) for _ in range(4)]
+    return [anchors[i % 4] + draw(0.02 * h1_bound) for i in range(count)]
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 17, 1), (1, 17, 5), (3, 9, 2), (2, 129, 3)])
+def test_stacked_draw_gives_the_per_field_family_bit_for_bit(n, m, seed):
+    # 2-D M=129 (16641 points) draws one field per stack
+    g = TorusGrid(n, m)
+    seq = random_bounded_sequence(g, count=9, h1_bound=0.7, seed=seed)
+    expected = _family_one_field_at_a_time(g, 9, 0.7, seed)
+    assert seq.coefficients.shape == (9, g.size)
+    for item, row, oracle in zip(seq.items, seq.coefficients, expected):
+        assert np.array_equal(item.coefficients, oracle.coefficients)
+        assert np.shares_memory(item.coefficients, row)
+
+
+def test_from_rows_holds_the_array_it_is_given():
+    g = TorusGrid(1, 9)
+    rows = np.zeros((3, g.size), complex)
+    rows[:, g.box_radius] = 0.5
+    seq = BoundedSequence.from_rows(g, rows, h1_bound=1.0)
+    assert seq.coefficients is rows and seq.grid == g
+    assert all(np.shares_memory(item.coefficients, rows) for item in seq.items)
+    rows[1, g.box_radius + 1] = 1.0  # H^1 norm sqrt(2.25) of item 1
+    with pytest.raises(ValueError, match=r"^item 1 violates the H\^1 bound: 1.5 > 1.0$"):
+        BoundedSequence.from_rows(g, rows, h1_bound=1.0)
+    with pytest.raises(ValueError, match="at least one item"):
+        BoundedSequence.from_rows(g, rows[:0], h1_bound=1.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 31), (2, 9), (3, 7)])
+def test_tail_profile_of_a_sequence_is_each_field_s_bit_for_bit(n, m):
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    fields = [random_spectral(g, rng) for _ in range(5)]
+    fields[2] = SpectralField(g, np.zeros(g.shape))
+    profile = tail_profile(fields)
+    assert profile.lhs.shape == profile.rhs.shape == (5, g.box_radius + 1)
+    for c, lhs, rhs, holds in zip(fields, *profile):
+        alone = tail_profile(c)
+        assert np.array_equal(lhs, alone.lhs) and np.array_equal(rhs, alone.rhs)
+        assert np.array_equal(holds, alone.holds)
+
+
+@pytest.mark.parametrize("n, m", [(1, 17), (2, 129)])
+def test_pairwise_distances_are_the_norms_of_differences_bit_for_bit(n, m):
+    # 2-D M=129 takes one difference per stack
+    g = TorusGrid(n, m)
+    seq = random_bounded_sequence(g, count=6, h1_bound=1.0, seed=4)
+    indices = [5, 0, 3, 2]
+    expected = [l2_norm(seq.items[indices[a]] - seq.items[indices[b]])
+                for a in range(4) for b in range(a + 1, 4)]
+    assert pairwise_l2_distances(seq, indices) == expected
+    assert pairwise_l2_distances(seq, [3]) == []

@@ -16,6 +16,8 @@ from toruskit import operators as operators_mod
 from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
 
+from conftest import on_every_field
+
 
 def _symbol_off_at_one_mode(monkeypatch):
     # the cached |xi|^2 array, wrong at the last stored mode by just enough
@@ -37,20 +39,20 @@ def _resolvent_one_over_two_plus_k(monkeypatch):
 
 
 def _forward_scaled(monkeypatch):
-    exact = transform_mod.forward
-    monkeypatch.setattr(transform_mod, "forward", lambda u: transform_mod.SpectralField(
-        u.grid, exact(u).coefficients * (1 + 1e-9)))
+    # every field that forward returns, alone or in a list, is off by 1e-9
+    monkeypatch.setattr(transform_mod, "forward", on_every_field(
+        transform_mod.forward,
+        lambda c: transform_mod.SpectralField(c.grid, c.coefficients * (1 + 1e-9))))
 
 
 def _inverse_off_at_one_point(monkeypatch):
-    exact = transform_mod.inverse
-
-    def faulty(c):
-        u = exact(c)
-        u.values[(-1,) * c.grid.dimension] += 1e-9
+    # every field that inverse returns, alone or in a list, is off at its
+    # last point
+    def faulty(u):
+        u.values[(-1,) * u.grid.dimension] += 1e-9
         return u
 
-    monkeypatch.setattr(transform_mod, "inverse", faulty)
+    monkeypatch.setattr(transform_mod, "inverse", on_every_field(transform_mod.inverse, faulty))
 
 
 def _box_shift_off_by_one_mode(monkeypatch):
@@ -95,6 +97,17 @@ def _truncation_keeps_its_boundary(monkeypatch):
                         lambda k, cutoff: k <= operators_mod.tail_min_norm_sq(cutoff))
 
 
+def _second_ritz_value(monkeypatch):
+    # Lanczos reads the second largest Ritz value of T_j, and the last
+    # component of its eigenvector, wherever T_j has two
+    def faulty(tridiagonals):
+        ritz, vectors = np.linalg.eigh(tridiagonals)
+        second = -2 if tridiagonals.shape[-1] > 1 else -1
+        return ritz[:, second], vectors[:, -1, second]
+
+    monkeypatch.setattr(spectral_mod, "_top_ritz", faulty)
+
+
 def _h1_norm_without_weight(monkeypatch):
     # the embedding's H^1 norms drop the weight (1 + |xi|^2)
     exact = embedding_mod.sobolev_norm_sq
@@ -114,6 +127,7 @@ FAULTS = {
     "synthesis-not-translation-invariant": _synthesis_modulated,
     "axis-table-root-off-1e-9": _axis_table_root_off,
     "truncation-keeps-k=(N+1)^2": _truncation_keeps_its_boundary,
+    "lanczos-second-ritz-value": _second_ritz_value,
     "h1-norm-without-weight": _h1_norm_without_weight,
     "extraction-cutoff-0": _cutoff_always_zero,
 }
@@ -121,6 +135,7 @@ FAULTS = {
 # other fault lies in the transforms or the symbols.
 ONE_GROUP_FAULTS = {
     "truncation-keeps-k=(N+1)^2": "operator-norms",
+    "lanczos-second-ritz-value": "operator-norms",
     "h1-norm-without-weight": "tail-bounds",
     "extraction-cutoff-0": "rellich-extraction",
 }
@@ -167,3 +182,13 @@ def test_an_oracle_fault_fails_the_two_oracle_groups_alone(monkeypatch, n, m):
     FAULTS["axis-table-root-off-1e-9"](monkeypatch)
     failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
     assert failed == ["fast-vs-naive-transform", "resolvent-eigenpairs"]
+
+
+@pytest.mark.parametrize("n, m", GRIDS)
+def test_a_lanczos_fault_fails_truncate(monkeypatch, tmp_path, capsys, n, m):
+    # truncate checks the same law as operator-norms, through the same runs
+    FAULTS["lanczos-second-ritz-value"](monkeypatch)
+    argv = ["truncate", "--dimension", str(n), "--points", str(m), "--truncation", "2",
+            "--seed", "1", "--output", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("check failed: N=0: |exact - lanczos| = ")

@@ -21,7 +21,7 @@ from toruskit import (
     sobolev_norm_sq,
     truncated_resolvent_symbol,
 )
-from toruskit.operators import norm_sq_array, symbol_array
+from toruskit.operators import grid_operator, norm_sq_array, symbol_array
 
 from conftest import random_spectral, spectral_delta
 
@@ -277,3 +277,34 @@ def test_symbol_with_a_non_finite_value_raises_non_finite_error(grid_2d_9, bad):
     pole = MultiplierSymbol("pole", of_norm_sq=lambda k: np.where(k == 1, bad, k))
     with pytest.raises(NonFiniteError, match="^symbol 'pole' produced non-finite values"):
         symbol_array(pole, grid_2d_9)
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7)])
+def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
+    # one shared symbol row, or one row per field; a stack of one too
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    stack = np.stack([random_spectral(g, rng).coefficients for _ in range(4)])
+    rows = np.stack([symbol_array(resolvent_tail_symbol(k), g) for k in range(4)])
+    shared = symbol_array(resolvent_symbol(), g)
+    for sigma, per_row in ((shared, [shared] * 4), (rows, list(rows))):
+        got = grid_operator(g, sigma)(stack)
+        assert got.shape == stack.shape
+        for values, row_sigma, out in zip(stack, per_row, got):
+            assert np.array_equal(out, grid_operator(g, row_sigma)(values))
+    one = grid_operator(g, rows[:1])(stack[:1])
+    assert one.shape == (1, *g.shape)
+    assert np.array_equal(one[0], grid_operator(g, rows[0])(stack[0]))
+
+
+@pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])
+@pytest.mark.parametrize("order", [0.0, 1.0, -0.5])
+def test_sobolev_norms_of_a_sequence_are_each_field_s_bit_for_bit(n, m, order):
+    # 2-D M=129 holds one field per stack
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    fields = [random_spectral(g, rng) for _ in range(5)]
+    sums = sobolev_norm_sq(fields, order)
+    assert sums.dtype == np.float64 and sums.tolist() == [
+        sobolev_norm_sq(c, order) for c in fields]
+    assert sobolev_norm_sq([], order).tolist() == []

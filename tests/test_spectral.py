@@ -319,3 +319,44 @@ def test_tail_top_singular_value_attains_the_law():
         assert top == truncation_error_exact(cutoff)
         oracle = brute_top_symbol_values(2, grid.box_radius, cutoff, 1)[0]
         assert top == oracle
+
+
+def _norm_runs(cutoffs):
+    return [resolvent_symbol(), *(resolvent_tail_symbol(k) for k in cutoffs)]
+
+
+@pytest.mark.parametrize("n, m, widest", [(2, 9, 5), (3, 9, 5), (3, 15, 2)],
+                         ids=["2-9", "3-9", "3-15-split"])
+def test_lockstep_estimates_are_the_single_runs_bit_for_bit(monkeypatch, n, m, widest):
+    # the resolvent and its tails N = 0..3 in lockstep; at 3-D M=15 (3375
+    # points) the points budget holds two runs per stack, so the five runs
+    # go as stacks of 2, 2 and 1
+    grid = TorusGrid(n, m)
+    symbols = _norm_runs(range(4))
+    single = [operator_norm_power_iteration(s, grid, tol=1e-9, seed=3) for s in symbols]
+    widths = []
+    inverse = transform_mod.inverse
+
+    def counted(c):
+        widths.append(1 if isinstance(c, transform_mod.SpectralField) else len(c))
+        return inverse(c)
+
+    monkeypatch.setattr(transform_mod, "inverse", counted)
+    assert operator_norm_power_iteration(symbols, grid, tol=1e-9, seed=3) == single
+    assert max(widths) == widest
+    assert operator_norm_power_iteration([], grid) == []
+
+
+def test_lockstep_raises_for_the_first_run_that_does_not_converge():
+    # the identity stops at step 1 (its Krylov space is invariant); the
+    # tail's run then fails as it fails alone, and the later tail's never
+    # shows
+    grid = TorusGrid(2, 21)
+    with pytest.raises(LanczosError) as alone:
+        operator_norm_power_iteration(resolvent_tail_symbol(8), grid, tol=1e-14,
+                                      max_iter=2, seed=0)
+    with pytest.raises(LanczosError) as lockstep:
+        operator_norm_power_iteration(
+            [identity_symbol(), resolvent_tail_symbol(8), resolvent_tail_symbol(1)],
+            grid, tol=1e-14, max_iter=2, seed=0)
+    assert str(lockstep.value) == str(alone.value)

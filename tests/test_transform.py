@@ -374,3 +374,61 @@ def test_roundtrip_property(n, m, seed):
     u = random_grid(g, np.random.default_rng(seed))
     assert np.max(np.abs(inverse(forward(u)).values - u.values)) < 1e-12
     assert plancherel_defect(u, forward(u)) < 1e-12
+
+
+# 1-D, 2-D and 3-D, with the primes M = 7, 31 and 101
+STACK_GRIDS = [(1, 15), (1, 101), (2, 9), (2, 31), (3, 7), (3, 9)]
+
+
+@pytest.mark.parametrize("n, m", STACK_GRIDS)
+def test_stacked_transforms_equal_the_per_field_calls_bit_for_bit(n, m):
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(10 * n + m)
+    fields = [random_grid(g, rng) for _ in range(5)]
+    spectra = [random_spectral(g, rng) for _ in range(5)]
+    for stacked, one in ((forward(fields), [forward(u) for u in fields]),
+                         (forward(tuple(fields[:1])), [forward(fields[0])])):
+        assert len(stacked) == len(one)
+        for a, b in zip(stacked, one):
+            assert a.grid == g and np.array_equal(a.coefficients, b.coefficients)
+    for stacked, one in ((inverse(spectra), [inverse(c) for c in spectra]),
+                         (inverse(iter(spectra[:2])), [inverse(c) for c in spectra[:2]])):
+        assert len(stacked) == len(one)
+        for a, b in zip(stacked, one):
+            assert a.grid == g and np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("transform", [forward, inverse])
+def test_stacked_transforms_of_nothing_and_of_mixed_grids(transform, monkeypatch):
+    field_type = GridField if transform is forward else SpectralField
+    mixed = [field_type(TorusGrid(1, 5), np.ones(5)), field_type(TorusGrid(1, 7), np.ones(7))]
+    with pytest.raises(ValueError, match="different grids"):
+        transform(mixed)
+
+    def refuse(*args):
+        raise AssertionError("a transform of no field called numpy.fft")
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert transform([]) == [] and transform(()) == []
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7)])
+def test_random_values_are_successive_random_field_draws(n, m):
+    g = TorusGrid(n, m)
+    stack = transform_mod._random_values(g, np.random.default_rng(4), 6)
+    rng = np.random.default_rng(4)
+    assert stack.shape == (6, *g.shape)
+    for values in stack:
+        assert np.array_equal(values, transform_mod.random_field(g, rng).values)
+
+
+@pytest.mark.parametrize("count, size, blocks", [
+    (0, 729, []),
+    (25, 729, [slice(0, 11), slice(11, 22), slice(22, 25)]),
+    (3, 2**13, [slice(0, 1), slice(1, 2), slice(2, 3)]),
+    (2, 2**20, [slice(0, 1), slice(1, 2)]),
+])
+def test_stack_blocks_hold_whole_fields_within_the_points_budget(count, size, blocks):
+    assert transform_mod._STACK_POINTS == 2**13
+    assert transform_mod._stack_blocks(count, size) == blocks
