@@ -12,6 +12,11 @@ process on each grid.  A row is a fault, a column a group, and a cell holds
 one letter per grid in that order: P for PASS, F for FAIL.  The script exits
 1 if some fault passes every group on some grid, so that no group catches
 it there, and 0 otherwise.  It is not part of the test suite.
+
+Its output is committed as ``scripts/fault_matrix.txt``, and CI compares
+the two with ``diff``: a cell that moves, even from one F to another
+pattern that still fails some group, fails CI until the table is
+regenerated and the change explained.
 """
 
 from __future__ import annotations

@@ -259,26 +259,23 @@ def _random_spectral_field(
 # ---------------------------------------------------------------------------
 
 
-def _check_transform(u):
-    """Forward-transform u, one field or a sequence of fields on one grid
-    (one stacked call each way); for each field the round trip (relative to
-    its max|u|, so independent of scale) and Parseval must hold to 1e-12.
-    Returns (forward(u), the worst roundtrip error, the worst Parseval
-    defect, failures)."""
+def _check_transform(u: transform.GridField):
+    """Forward-transform u, one field or a stack of fields; for each field
+    the round trip (relative to its max|u|, so independent of scale) and
+    Parseval must hold to 1e-12.  Returns (forward(u), the worst roundtrip
+    error, the worst Parseval defect, failures)."""
     c = transform.forward(u)
     back = transform.inverse(c)
-    triples = [(u, c, back)] if isinstance(u, transform.GridField) else zip(u, c, back)
-    worst_rt = worst_defect = 0.0
+    axes = tuple(range(-u.grid.dimension, 0))
+    roundtrip = (np.max(np.abs(back.values - u.values), axis=axes)
+                 / np.max(np.abs(u.values), axis=axes))
+    defect = transform.plancherel_defect(u, c)
     failures = []
-    for field, spectrum, field_back in triples:
-        roundtrip = float(np.max(np.abs(field_back.values - field.values))) / float(
-            np.max(np.abs(field.values))
-        )
-        defect = transform.plancherel_defect(field, spectrum)
-        failures += _exceeds("roundtrip error", roundtrip, 1e-12)
-        failures += _exceeds("plancherel defect", defect, 1e-12)
-        worst_rt, worst_defect = max(worst_rt, roundtrip), max(worst_defect, defect)
-    return c, worst_rt, worst_defect, failures
+    for field_rt, field_defect in zip(np.atleast_1d(roundtrip).tolist(),
+                                      np.atleast_1d(defect).tolist()):
+        failures += _exceeds("roundtrip error", field_rt, 1e-12)
+        failures += _exceeds("plancherel defect", field_defect, 1e-12)
+    return c, float(np.max(roundtrip)), float(np.max(defect)), failures
 
 
 def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int, leading=()):
@@ -496,12 +493,11 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
     failures = []
     for block in transform._stack_blocks(20, grid.size):
         draws = rng.standard_normal((block.stop - block.start, 3, *grid.shape))
-        fields = [transform.GridField(grid, re + 1j * im) for re, im, _ in draws]
-        for c in transform.forward([transform.GridField(grid, real + 0j)
-                                    for *_, real in draws]):
-            if not c.is_conjugate_symmetric(1e-12):
-                failures.append("transform of a real field is not conjugate-symmetric")
+        fields = transform.GridField(grid, draws[:, 0] + 1j * draws[:, 1])
+        reals = transform.GridField(grid, draws[:, 2] + 0j)
         del draws
+        if not transform.forward(reals).is_conjugate_symmetric(1e-12):
+            failures.append("transform of a real field is not conjugate-symmetric")
         _, roundtrip, defect, block_failures = _check_transform(fields)
         worst_rt, worst_defect = max(worst_rt, roundtrip), max(worst_defect, defect)
         failures += block_failures
@@ -511,14 +507,12 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
 def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
     # 3 draws of a field then of a spectral field, from one stream
     draws = transform._random_values(grid, np.random.default_rng(seed), 6)
-    fields = [transform.GridField(grid, values) for values in draws[0::2]]
-    spectra = [transform.SpectralField(grid, values) for values in draws[1::2]]
+    fields = transform.GridField(grid, draws[0::2])
+    spectra = transform.SpectralField(grid, draws[1::2])
     slow_c, slow_u = transform.naive_forward(fields), transform.naive_inverse(spectra)
     fast_c, fast_u = transform.forward(fields), transform.inverse(spectra)
-    worst = max([float(np.max(np.abs(fast.coefficients - slow.coefficients)))
-                 for fast, slow in zip(fast_c, slow_c)]
-                + [float(np.max(np.abs(fast.values - slow.values)))
-                   for fast, slow in zip(fast_u, slow_u)])
+    worst = max(float(np.max(np.abs(fast_c.coefficients - slow_c.coefficients))),
+                float(np.max(np.abs(fast_u.values - slow_u.values))))
     failures = _exceeds("max |fast - naive|", worst, 1e-10)
     return f"max |fast - naive| = {worst:.2e}", failures
 
@@ -550,7 +544,7 @@ def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
     rng = np.random.default_rng(seed)
     for block in transform._stack_blocks(50, grid.size):
         draws = transform._random_values(grid, rng, block.stop - block.start)
-        profile = embedding.tail_profile([transform.SpectralField(grid, c) for c in draws])
+        profile = embedding.tail_profile(transform.SpectralField(grid, draws))
         for field, holds in enumerate(profile.holds, block.start + 1):
             failures = _tail_failures(holds)
             if failures:

@@ -23,7 +23,7 @@ their temporaries are the size of one field.
 pass: the tail energies as one reversed cumulative sum of |c|^2 over the
 modes sorted by |xi|^2, read where each cutoff's tail starts.  The sort
 order and those starts depend on the grid alone and are computed once per
-grid.  It also takes a sequence of fields, one profile row each.
+grid.  Given a stack of fields, it returns one profile row per field.
 `tail_bound_check`, one masked sum per cutoff, is its oracle.
 """
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -88,7 +87,10 @@ class BoundedSequence:
             raise ValueError(f"h1_bound must be positive, got {h1_bound}")
         self.grid, self.coefficients, self.h1_bound = grid, coefficients, h1_bound
         self.items = [SpectralField(grid, row) for row in coefficients]
-        h1_sq = sobolev_norm_sq(self.items, 1.0)
+        h1_sq = np.empty(len(coefficients))
+        for block in transform._stack_blocks(len(coefficients), grid.size):
+            rows = coefficients[block].reshape(-1, *grid.shape)
+            h1_sq[block] = sobolev_norm_sq(SpectralField(grid, rows), 1.0)
         over = np.flatnonzero(h1_sq > h1_bound**2 * (1.0 + _H1_SLACK))
         if len(over):
             raise ValueError(
@@ -160,31 +162,28 @@ def _tail_layout(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, thresholds
 
 
-def tail_profile(c: SpectralField | Sequence[SpectralField]) -> TailProfile:
+def tail_profile(c: SpectralField) -> TailProfile:
     """`tail_bound_check` at every cutoff N = 0..box radius, in one pass.
 
     The tail at cutoff N is the suffix of the modes sorted by |xi|^2 from
     the grid's start of that tail (`_tail_layout`), so its energy is one
     entry of the reversed cumulative sum of |c|^2 in that order.  rhs is
     computed as `tail_bound_check` computes it; lhs agrees with it to
-    roundoff, the sums being taken in another order.  Given a sequence of
-    spectral fields on one grid, the profile's arrays hold one row per
-    field, each bit for bit the field's own, from one stack of them.
+    roundoff, the sums being taken in another order.  For a stack of k
+    fields the profile's arrays are (k, box radius + 1), one row per field,
+    each bit for bit the field's own.
     """
-    single = isinstance(c, SpectralField)
-    fields = [c] if single else list(c)
-    grid = transform._one_grid(fields)
+    grid = c.grid
     order, starts, thresholds = _tail_layout(grid)
-    rows = np.stack([f.coefficients.ravel() for f in fields])
+    rows = c.coefficients.reshape(-1, grid.size)
     energy = np.abs(rows[:, order]) ** 2
     # tails[:, i] = energy[:, i:].sum(1); the last column, 0.0, is the empty tail
-    tails = np.zeros((len(fields), grid.size + 1))
+    tails = np.zeros((len(rows), grid.size + 1))
     tails[:, :-1] = np.cumsum(energy[:, ::-1], axis=1)[:, ::-1]
-    lhs = np.sqrt(tails[:, starts])
-    h1_sq = sobolev_norm_sq(c if single else fields, 1.0)
-    rhs = np.sqrt(np.reshape(h1_sq, (-1, 1)) / (1.0 + thresholds))
-    if single:
-        lhs, rhs = lhs[0], rhs[0]
+    batch = c.coefficients.shape[:-grid.dimension]  # () for one field, (k,) for a stack
+    lhs = np.sqrt(tails[:, starts]).reshape(*batch, len(starts))
+    h1_sq = sobolev_norm_sq(c, 1.0)
+    rhs = np.sqrt(np.expand_dims(h1_sq, -1) / (1.0 + thresholds))
     return TailProfile(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
@@ -286,7 +285,7 @@ def random_bounded_sequence(
         # each row a weighted draw rescaled to H^1 norm `scale`
         for block in transform._stack_blocks(len(rows), grid.size):
             raw = transform._random_values(grid, rng, block.stop - block.start) * weights
-            h1 = np.sqrt(sobolev_norm_sq([SpectralField(grid, r) for r in raw], 1.0))
+            h1 = np.sqrt(sobolev_norm_sq(SpectralField(grid, raw), 1.0))
             rows[block] = (raw * (scale / h1).reshape((-1,) + (1,) * grid.dimension)
                            ).reshape(len(raw), -1)
         return rows

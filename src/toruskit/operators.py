@@ -6,6 +6,10 @@ symbols cover the positive Laplacian |xi|^2, the Helmholtz operator
 truncations of the resolvent.  Every symbol is a function of k = |xi|^2
 alone, computed on one cached |xi|^2 array per grid.
 
+Each of them applies to one field or to a stack of fields alike: the
+symbol array multiplies the trailing n axes, and `sobolev_norm_sq` sums
+over them, a float for one field and one sum per field for a stack.
+
 Truncation membership: a cutoff-N truncation keeps the mode xi exactly when
 norm_sq(xi) < (N + 1)^2, so the removed tail starts at squared norm
 (N + 1)^2 and the operator-norm error of the truncated resolvent is
@@ -17,7 +21,6 @@ applies this rule.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -135,54 +138,27 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
     Lanczos and the resolvent certificate.  The public transform pair is
     looked up at each call, so a fault planted in it reaches all four.
 
-    The apply also takes a (k, *grid.shape) stack of fields, transformed by
-    one call of each of `forward` and `inverse` on the sequence of its
-    rows (a stack of one goes as one field); sigma is then one symbol array
-    shared by every row, or a (k, *grid.shape) stack of them, one per row.
-    Each row comes back bit for bit as the row alone would."""
-
-    def apply_one(values: np.ndarray) -> np.ndarray:
-        c = transform.forward(GridField(grid, values)).coefficients
-        return transform.inverse(SpectralField(grid, sigma * c)).values
+    The values are one field or a (k, *grid.shape) stack of fields, which
+    goes through one call of each of `forward` and `inverse`; sigma is then
+    one symbol array shared by every field, or a (k, *grid.shape) stack of
+    them, one per field.  Each field comes back bit for bit as it would
+    alone."""
 
     def apply(values: np.ndarray) -> np.ndarray:
-        if values.ndim == grid.dimension:
-            return apply_one(values)
-        if len(values) == 1:
-            return apply_one(values[0])[np.newaxis]
-        products = np.stack([c.coefficients for c in
-                             transform.forward([GridField(grid, row) for row in values])])
-        products *= sigma
-        return np.stack([u.values for u in
-                         transform.inverse([SpectralField(grid, row) for row in products])])
+        c = transform.forward(GridField(grid, values))
+        c.coefficients *= sigma
+        return transform.inverse(c).values
 
     return apply
 
 
-def sobolev_norm_sq(c: SpectralField | Sequence[SpectralField],
-                    order: float) -> float | np.ndarray:
-    """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box.
-
-    Given a sequence of spectral fields on one grid, returns the float64
-    array of their sums, taken row by row over stacks of the fields (at
-    most `transform._STACK_POINTS` points each), each bit for bit the
-    field's own.
-    """
+def sobolev_norm_sq(c: SpectralField, order: float) -> float | np.ndarray:
+    """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box: a float for
+    one field, the (k,) float64 array of each field's sum for a stack."""
     if not np.isfinite(order):
         raise ValueError(f"Sobolev order must be finite, got {order}")
-    if isinstance(c, SpectralField):
-        weights = (1.0 + norm_sq_array(c.grid)) ** order
-        return float(np.sum(weights * np.abs(c.coefficients) ** 2))
-    fields = list(c)
-    if not fields:
-        return np.zeros(0)
-    grid = transform._one_grid(fields)
-    weights = ((1.0 + norm_sq_array(grid)) ** order).ravel()
-    sums = np.empty(len(fields))
-    for block in transform._stack_blocks(len(fields), grid.size):
-        rows = np.stack([f.coefficients.ravel() for f in fields[block]])
-        sums[block] = np.sum(weights * np.abs(rows) ** 2, axis=1)
-    return sums
+    weights = (1.0 + norm_sq_array(c.grid)) ** order
+    return transform._field_sums(weights * np.abs(c.coefficients) ** 2, c.grid.dimension)
 
 
 def l2_norm(c: SpectralField) -> float:

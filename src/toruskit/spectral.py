@@ -9,11 +9,12 @@ over the box; the Lanczos estimator below re-derives it through the full
 transform pipeline without assuming diagonality, which is what makes it a
 genuine cross-check.  It holds three vectors per run, whatever the number
 of steps, and runs the estimates of several symbols in lockstep on one
-stack of fields, so that each step is one stacked round trip for all of
-them.  `resolvent_certificate` checks every eigenpair of the resolvent, as
-the transforms apply it, from one impulse response summed without an FFT
-and a few random probes of its commutators with the unit shifts, all
-applied in one stacked round trip, in place of one round trip per mode.
+stack of fields, a (runs, *grid.shape) array, so that each step is one
+stacked round trip for all of them.  `resolvent_certificate` checks every
+eigenpair of the resolvent, as the transforms apply it, from one impulse
+response summed without an FFT and a few random probes of its commutators
+with the unit shifts, all applied as one stack of fields, in place of one
+round trip per mode.
 """
 
 from __future__ import annotations

@@ -13,24 +13,26 @@ and the inverse is the unnormalized synthesis u(x_m) = sum_xi c(xi)
 exp(i xi . x_m); with this placement the discrete Parseval identity reads
 sum_xi |c(xi)|^2 = M^{-n} sum_m |u(x_m)|^2.
 
+A field holds one field, of shape (M,)*n, or a stack of k fields on one
+grid, of shape (k, *(M,)*n), validated once.  Everything here acts on the
+trailing n axes, so a stack goes through the same code as one field, each
+field bit for bit as it would go alone: one call on k fields pays numpy's
+per-call cost once instead of k times.
+
 Two independent evaluation routes are provided.  The production path is
 numpy.fft (pocketfft, O(M^n log M) at every length, primes included),
-applied by one private array-level pair over the trailing n axes, so a
-stack of fields goes through the same code as a single one.  `forward` and
-`inverse`, like the oracle's `naive_forward` and `naive_inverse`, take one
-field or a sequence of fields on one grid, and transform a sequence as one
-stack, each field bit for bit as it would go alone; one call on k fields
-pays numpy's per-call cost once instead of k times.  The pair moves
-numpy's order k = 0..M-1 into the box xi = -h..h with the 2**n block copies
-that `np.fft.fftshift` makes, from (destination, source) slices cached per
-(M, n, direction), so the output is the same permutation, bit for bit,
-without fftshift's per-call bookkeeping.  The oracle that cross-checks it
-is a direct sum with no FFT, taken one axis at a time: the kernel exp(-+i
-xi . x_m) is the product of its per-axis factors, so the sum is n
-contractions of the grid with the M x M axis table, O(n M^{n+1}) in all.
-Each block of table rows is gathered from the M roots of unity by the exact
-integer phase (xi_j m_j) mod M, made without a division per entry, and
-serves every field of a stack at once.
+applied by one private array-level pair over the trailing n axes, which
+`forward` and `inverse` wrap.  The pair moves numpy's order k = 0..M-1
+into the box xi = -h..h with the 2**n block copies that `np.fft.fftshift`
+makes, from (destination, source) slices cached per (M, n, direction), so
+the output is the same permutation, bit for bit, without fftshift's
+per-call bookkeeping.  The oracle that cross-checks it, `naive_forward` and
+`naive_inverse`, is a direct sum with no FFT, taken one axis at a time: the
+kernel exp(-+i xi . x_m) is the product of its per-axis factors, so the sum
+is n contractions of the grid with the M x M axis table, O(n M^{n+1}) in
+all.  Each block of table rows is gathered from the M roots of unity by the
+exact integer phase (xi_j m_j) mod M, made without a division per entry,
+and serves every field of a stack at once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,15 @@ class NonFiniteError(ValueError):
 
 
 def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
+    """`values` as complex128: a (k, *grid.shape) stack as it is, anything
+    else as one field of grid.size entries, reshaped to grid.shape."""
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.size != grid.size:
-        raise ValueError(
-            f"{what} has {arr.size} entries, grid holds {grid.size}"
-        )
-    arr = arr.reshape(grid.shape)
+    if arr.shape[1:] != grid.shape:
+        if arr.size != grid.size:
+            raise ValueError(
+                f"{what} has {arr.size} entries, grid holds {grid.size}"
+            )
+        arr = arr.reshape(grid.shape)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
     return arr
@@ -119,7 +123,8 @@ def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
 
 @dataclass
 class GridField:
-    """Complex samples u(x_m) on the uniform grid, shape (M,)*n."""
+    """Complex samples u(x_m) on the uniform grid: one field, shape (M,)*n,
+    or a stack of k fields, shape (k, *(M,)*n)."""
 
     grid: TorusGrid
     values: np.ndarray
@@ -176,9 +181,10 @@ def _stack_blocks(count: int, size: int) -> list[slice]:
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients c(xi) on the symmetric box, shape (M,)*n.
+    """Fourier coefficients c(xi) on the symmetric box: one field, shape
+    (M,)*n, or a stack of k fields, shape (k, *(M,)*n).
 
-    Axis index a corresponds to frequency xi = a - (M-1)/2.
+    Index a of each trailing axis corresponds to frequency xi = a - (M-1)/2.
     """
 
     grid: TorusGrid
@@ -202,20 +208,23 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __getitem__(self, xi) -> complex:
-        """Coefficient at the integer frequency tuple xi."""
+    def __getitem__(self, xi) -> complex | np.ndarray:
+        """Coefficient at the integer frequency tuple xi: a complex for one
+        field, the (k,) array of each field's for a stack."""
         h = self.grid.box_radius
         idx = tuple(operator.index(x) + h for x in xi)
         if len(idx) != self.grid.dimension or any(
             a < 0 or a >= self.grid.points_per_axis for a in idx
         ):
             raise IndexError(f"frequency {tuple(xi)} outside the stored box")
-        return complex(self.coefficients[idx])
+        value = self.coefficients[(Ellipsis, *idx)]
+        return complex(value) if value.ndim == 0 else value
 
     def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when c(-xi) == conj(c(xi)) within tol, i.e. the field is real."""
-        flipped = self.coefficients[(slice(None, None, -1),) * self.grid.dimension]
-        return bool(np.max(np.abs(flipped - np.conj(self.coefficients))) <= tol)
+        """True when c(-xi) == conj(c(xi)) within tol, i.e. the field is real;
+        for a stack, when every field is."""
+        flipped = self.coefficients[(Ellipsis, *(slice(None, None, -1),) * self.grid.dimension)]
+        return bool(np.max(np.abs(flipped - np.conj(self.coefficients)), initial=0.0) <= tol)
 
 
 def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
@@ -259,49 +268,17 @@ def _synthesis(coefficients: np.ndarray, dimension: int) -> np.ndarray:
     )
 
 
-def _one_grid(fields) -> TorusGrid:
-    grid = fields[0].grid
-    for field in fields[1:]:
-        _require_same_grid(grid, field.grid)
-    return grid
-
-
-def _map_stack(items, field_type, result_type, transform_stack):
-    """`transform_stack(values, grid)` of one field of `field_type`, as one
-    `result_type` field; or of a sequence of them on one grid, stacked
-    along a new leading axis, as the list of its rows.  An empty sequence
-    gives an empty list, and no transform is called."""
-    data = "values" if field_type is GridField else "coefficients"
-    if isinstance(items, field_type):
-        return result_type(items.grid, transform_stack(getattr(items, data), items.grid))
-    fields = list(items)
-    if not fields:
-        return []
-    grid = _one_grid(fields)
-    stack = transform_stack(np.stack([getattr(f, data) for f in fields]), grid)
-    return [result_type(grid, row) for row in stack]
-
-
-def forward(u: GridField | Sequence[GridField]):
+def forward(u: GridField) -> SpectralField:
     """Analysis transform: c(xi) = M^{-n} sum_m u(x_m) exp(-i xi . x_m).
 
     Exact (to roundoff) for any field band-limited to the symmetric box.
-    Given a sequence of fields on one grid rather than one field, returns
-    the list of their transforms, analysed as one stack, each bit for bit
-    what the field alone gives; an empty sequence gives an empty list.
     """
-    return _map_stack(u, GridField, SpectralField,
-                      lambda values, grid: _analysis(values, grid.dimension))
+    return SpectralField(u.grid, _analysis(u.values, u.grid.dimension))
 
 
-def inverse(c: SpectralField | Sequence[SpectralField]):
-    """Synthesis transform: u(x_m) = sum_xi c(xi) exp(i xi . x_m).
-
-    Given a sequence of spectral fields on one grid, returns the list of
-    their syntheses, made as one stack, as `forward` does.
-    """
-    return _map_stack(c, SpectralField, GridField,
-                      lambda coefficients, grid: _synthesis(coefficients, grid.dimension))
+def inverse(c: SpectralField) -> GridField:
+    """Synthesis transform: u(x_m) = sum_xi c(xi) exp(i xi . x_m)."""
+    return GridField(c.grid, _synthesis(c.coefficients, c.grid.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +335,26 @@ def _direct_sum(values: np.ndarray, dimension: int, sign: int) -> np.ndarray:
     m = values.shape[-1]
     modes, points = np.arange(m) - m // 2, np.arange(m)
     outputs, inputs = (modes, points) if sign < 0 else (points, modes)
-    stack = values.reshape(-1, m, m ** (dimension - 1))
+    rest = m ** (dimension - 1)
+    stack = values.reshape(-1, m, rest)
     for _ in range(dimension):
         lines = stack.transpose(0, 2, 1)
         out = np.empty(lines.shape, dtype=np.complex128)
         for rows, table in _axis_blocks(outputs, inputs, sign):
             out[..., rows] = lines @ table.T
-        stack = out.reshape(len(stack), m, -1)
+        # rest, not -1: an empty stack cannot infer a size
+        stack = out.reshape(len(stack), m, rest)
     return stack.reshape(values.shape)
 
 
-def naive_forward(u: GridField | Sequence[GridField]):
-    """Direct-sum analysis, M^{-n} sum_m u(x_m) exp(-i xi . x_m), by axis.
-
-    Given a sequence of fields on one grid rather than one field, returns
-    the list of their transforms, contracted together as one stack.  An
-    empty sequence gives an empty list, and no axis table is built.
-    """
-    return _map_stack(u, GridField, SpectralField,
-                      lambda values, grid: _direct_sum(values, grid.dimension, -1) / grid.size)
+def naive_forward(u: GridField) -> SpectralField:
+    """Direct-sum analysis, M^{-n} sum_m u(x_m) exp(-i xi . x_m), by axis."""
+    return SpectralField(u.grid, _direct_sum(u.values, u.grid.dimension, -1) / u.grid.size)
 
 
-def naive_inverse(c: SpectralField | Sequence[SpectralField]):
-    """Direct-sum synthesis: sum_xi c(xi) exp(i xi . x_m), one axis at a time.
-
-    Given a sequence of spectral fields on one grid, returns the list of
-    their syntheses as `naive_forward` does; an empty sequence gives an
-    empty list, and no axis table is built.
-    """
-    return _map_stack(c, SpectralField, GridField,
-                      lambda coefficients, grid: _direct_sum(coefficients, grid.dimension, 1))
+def naive_inverse(c: SpectralField) -> GridField:
+    """Direct-sum synthesis: sum_xi c(xi) exp(i xi . x_m), one axis at a time."""
+    return GridField(c.grid, _direct_sum(c.coefficients, c.grid.dimension, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +367,17 @@ def grid_l2_norm(u: GridField) -> float:
     return float(np.linalg.norm(u.values.ravel()) / math.sqrt(u.grid.size))
 
 
-def plancherel_defect(u: GridField, c: SpectralField) -> float:
-    """|sum_xi |c(xi)|^2 - M^{-n} sum_m |u(x_m)|^2| for c = forward(u)."""
-    spectral_energy = float(np.sum(np.abs(c.coefficients) ** 2))
-    grid_energy = float(np.sum(np.abs(u.values) ** 2)) / u.grid.size
+def _field_sums(values: np.ndarray, dimension: int) -> float | np.ndarray:
+    """`values` summed over the trailing `dimension` axes: a float for one
+    field, the (k,) float64 array of the sums for a stack of k."""
+    sums = np.sum(values, axis=tuple(range(-dimension, 0)))
+    return float(sums) if sums.ndim == 0 else sums
+
+
+def plancherel_defect(u: GridField, c: SpectralField) -> float | np.ndarray:
+    """|sum_xi |c(xi)|^2 - M^{-n} sum_m |u(x_m)|^2| for c = forward(u); for
+    stacks, the (k,) array of each field's."""
+    n = u.grid.dimension
+    spectral_energy = _field_sums(np.abs(c.coefficients) ** 2, n)
+    grid_energy = _field_sums(np.abs(u.values) ** 2, n) / u.grid.size
     return abs(spectral_energy - grid_energy)

@@ -48,14 +48,3 @@ def per_mode_residuals(grid, symbol):
         out.append(grid_l2_norm(t_psi - psi * (1.0 / (1.0 + sum(k * k for k in xi)))))
     return np.array(out)
 
-
-def on_every_field(exact, change):
-    """`exact`, a public transform, with `change` made to the field it
-    returns for one field, and to every field of the list it returns for a
-    sequence: a fault planted on it reaches the stacked calls too."""
-
-    def faulty(arg):
-        out = exact(arg)
-        return [change(field) for field in out] if isinstance(out, list) else change(out)
-
-    return faulty

@@ -19,7 +19,7 @@ from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
 
-from conftest import on_every_field, random_grid
+from conftest import random_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -428,12 +428,15 @@ def test_verify_detects_wrong_resolvent_symbol(monkeypatch, capsys):
 
 
 def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
-    def perturbed(c):
-        c.coefficients[(1,) * c.grid.dimension] += 1e-6
+    forward = transform_mod.forward
+
+    def perturbed(u):
+        # one field or each field of a stack, at one mode
+        c = forward(u)
+        c.coefficients[(..., *(1,) * u.grid.dimension)] += 1e-6
         return c
 
-    monkeypatch.setattr(transform_mod, "forward",
-                        on_every_field(transform_mod.forward, perturbed))
+    monkeypatch.setattr(transform_mod, "forward", perturbed)
     assert run("verify") == 1
     out = capsys.readouterr().out
     assert "FAIL fast-vs-naive-transform" in out
@@ -443,15 +446,15 @@ def test_verify_detects_wrong_fast_transform(monkeypatch, capsys):
 
 def _count_norm_applications(monkeypatch):
     """Patch the public inverse transform to count applications; the
-    returned list gets, per estimator call, one list of the fields each
-    (stacked) application transforms.  Within the operator-norms group
-    only the estimator calls it."""
+    returned list gets, per estimator call, one list of the number of
+    fields each application transforms, the leading axis of its stack.
+    Within the operator-norms group only the estimator calls it."""
     counts = []
     inverse = transform_mod.inverse
     estimate = spectral_mod.operator_norm_power_iteration
 
     def counted_inverse(c):
-        counts[-1].append(1 if isinstance(c, transform_mod.SpectralField) else len(c))
+        counts[-1].append(len(c.coefficients))
         return inverse(c)
 
     def counted_estimate(*args, **kwargs):
@@ -484,10 +487,13 @@ def test_verify_fails_operator_norms_when_the_routed_transform_is_off(monkeypatc
     # the estimator sees the operator only through its transforms, not
     # through the diagonal symbol the law is derived from; every group that
     # applies an operator through the public pair fails with it
-    def scaled(u):
+    inverse = transform_mod.inverse
+
+    def scaled(c):
+        u = inverse(c)
         return transform_mod.GridField(u.grid, u.values * (1 + 1e-6))
 
-    monkeypatch.setattr(transform_mod, "inverse", on_every_field(transform_mod.inverse, scaled))
+    monkeypatch.setattr(transform_mod, "inverse", scaled)
     assert run("verify") == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
@@ -675,12 +681,11 @@ _inverse = transform_mod.inverse
 _solve_cg = solver_mod.solve_cg
 
 
-def _perturbed_field(u):
-    u.values[(0,) * u.grid.dimension] += 1e-6
+def _perturbed_inverse(c):
+    # one field or each field of a stack, at its first point
+    u = _inverse(c)
+    u.values[(..., *(0,) * c.grid.dimension)] += 1e-6
     return u
-
-
-_perturbed_inverse = on_every_field(_inverse, _perturbed_field)
 
 
 def _scaled_cg(f, tol):
@@ -691,9 +696,8 @@ def _scaled_cg(f, tol):
 
 
 def _violated_profile(c):
-    # the profile of one field, or one row per field of a sequence
-    one = isinstance(c, transform_mod.SpectralField)
-    shape = (c.grid.box_radius + 1,) if one else (len(c), c[0].grid.box_radius + 1)
+    # the profile of one field, or one row per field of a stack
+    shape = (*c.coefficients.shape[:-c.grid.dimension], c.grid.box_radius + 1)
     return embedding_mod.TailProfile(
         np.ones(shape), np.full(shape, 0.5), np.zeros(shape, dtype=bool)
     )
@@ -1234,13 +1238,26 @@ def test_verify_3d_takes_at_most_120_fft_calls(monkeypatch, seed):
     assert len(calls) <= 120
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
+def test_verify_3d_validates_at_most_400_fields(monkeypatch, seed):
+    # a stack is validated once, as one field is: 257 validations at each
+    # seed, where validating each field of a stack on its own took 686
+    calls = []
+    exact = transform_mod._validated_values
+    monkeypatch.setattr(transform_mod, "_validated_values",
+                        lambda *args: calls.append(1) or exact(*args))
+    assert run("verify", "--dimension", 3, "--points", 9, "--seed", seed) == 0
+    assert len(calls) <= 400
+
+
 def _captured(monkeypatch, module, name):
-    """Patch module.name to record its first argument, as a list of fields."""
+    """Patch module.name to record the data of the field it is given, as a
+    (k, *grid.shape) stack."""
     seen, exact = [], getattr(module, name)
 
     def record(arg, *rest, **kwargs):
-        one = isinstance(arg, (transform_mod.GridField, transform_mod.SpectralField))
-        seen.append([arg] if one else list(arg))
+        data = arg.values if isinstance(arg, transform_mod.GridField) else arg.coefficients
+        seen.append(data.reshape(-1, *arg.grid.shape))
         return exact(arg, *rest, **kwargs)
 
     monkeypatch.setattr(module, name, record)
@@ -1261,17 +1278,18 @@ def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, 
     for got, expected in ((forwards[1::2], fields), (forwards[0::2], reals)):
         got = [u for stack in got for u in stack]
         assert len(got) == 20
-        assert all(np.array_equal(u.values, e) for u, e in zip(got, expected))
+        assert all(np.array_equal(u, e) for u, e in zip(got, expected))
 
     monkeypatch.undo()
     analysed = _captured(monkeypatch, transform_mod, "naive_forward")
     synthesised = _captured(monkeypatch, transform_mod, "naive_inverse")
     cli._verify_fast_vs_naive(grid, seed)
     rng = np.random.default_rng(seed)
-    for _ in range(3):
+    assert len(analysed) == len(synthesised) == 1
+    for i in range(3):
         u, c = transform_mod.random_field(grid, rng), cli._random_spectral_field(grid, rng)
-        assert np.array_equal(analysed[0].pop(0).values, u.values)
-        assert np.array_equal(synthesised[0].pop(0).coefficients, c.coefficients)
+        assert np.array_equal(analysed[0][i], u.values)
+        assert np.array_equal(synthesised[0][i], c.coefficients)
 
     monkeypatch.undo()
     profiled = _captured(monkeypatch, embedding_mod, "tail_profile")
@@ -1280,5 +1298,4 @@ def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, 
     drawn = [c for fields in profiled for c in fields]
     assert len(drawn) == 50
     for c in drawn:
-        assert np.array_equal(c.coefficients,
-                              cli._random_spectral_field(grid, rng).coefficients)
+        assert np.array_equal(c, cli._random_spectral_field(grid, rng).coefficients)

@@ -325,8 +325,10 @@ def test_tail_profile_of_a_sequence_is_each_field_s_bit_for_bit(n, m):
     rng = np.random.default_rng(m)
     fields = [random_spectral(g, rng) for _ in range(5)]
     fields[2] = SpectralField(g, np.zeros(g.shape))
-    profile = tail_profile(fields)
+    profile = tail_profile(SpectralField(g, np.stack([c.coefficients for c in fields])))
     assert profile.lhs.shape == profile.rhs.shape == (5, g.box_radius + 1)
+    assert tail_profile(SpectralField(g, np.zeros((0, *g.shape)))).lhs.shape == (
+        0, g.box_radius + 1)
     for c, lhs, rhs, holds in zip(fields, *profile):
         alone = tail_profile(c)
         assert np.array_equal(lhs, alone.lhs) and np.array_equal(rhs, alone.rhs)

@@ -16,8 +16,6 @@ from toruskit import operators as operators_mod
 from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
 
-from conftest import on_every_field
-
 
 def _symbol_off_at_one_mode(monkeypatch):
     # the cached |xi|^2 array, wrong at the last stored mode by just enough
@@ -39,20 +37,28 @@ def _resolvent_one_over_two_plus_k(monkeypatch):
 
 
 def _forward_scaled(monkeypatch):
-    # every field that forward returns, alone or in a list, is off by 1e-9
-    monkeypatch.setattr(transform_mod, "forward", on_every_field(
-        transform_mod.forward,
-        lambda c: transform_mod.SpectralField(c.grid, c.coefficients * (1 + 1e-9))))
+    # every field that forward returns, alone or in a stack, is off by 1e-9
+    exact = transform_mod.forward
+
+    def faulty(u):
+        c = exact(u)
+        c.coefficients *= 1 + 1e-9
+        return c
+
+    monkeypatch.setattr(transform_mod, "forward", faulty)
 
 
 def _inverse_off_at_one_point(monkeypatch):
-    # every field that inverse returns, alone or in a list, is off at its
-    # last point
-    def faulty(u):
-        u.values[(-1,) * u.grid.dimension] += 1e-9
+    # every field that inverse returns, alone or in a stack, is off at its
+    # last point: the index runs over the trailing axes
+    exact = transform_mod.inverse
+
+    def faulty(c):
+        u = exact(c)
+        u.values[(..., *(-1,) * u.grid.dimension)] += 1e-9
         return u
 
-    monkeypatch.setattr(transform_mod, "inverse", on_every_field(transform_mod.inverse, faulty))
+    monkeypatch.setattr(transform_mod, "inverse", faulty)
 
 
 def _box_shift_off_by_one_mode(monkeypatch):
@@ -118,6 +124,13 @@ def _cutoff_always_zero(monkeypatch):
     monkeypatch.setattr(embedding_mod, "required_cutoff", lambda h1_bound, eps: 0)
 
 
+def _distances_understated(monkeypatch):
+    # the extraction reads every distance to a cluster leader 20 times too
+    # short, so far items join a cluster
+    exact = embedding_mod._distances
+    monkeypatch.setattr(embedding_mod, "_distances", lambda rows, vec: exact(rows, vec) / 20)
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -130,6 +143,7 @@ FAULTS = {
     "lanczos-second-ritz-value": _second_ritz_value,
     "h1-norm-without-weight": _h1_norm_without_weight,
     "extraction-cutoff-0": _cutoff_always_zero,
+    "extraction-distances-understated-20x": _distances_understated,
 }
 # Faults that only one group's computation reaches, and that group; every
 # other fault lies in the transforms or the symbols.
@@ -138,6 +152,7 @@ ONE_GROUP_FAULTS = {
     "lanczos-second-ritz-value": "operator-norms",
     "h1-norm-without-weight": "tail-bounds",
     "extraction-cutoff-0": "rellich-extraction",
+    "extraction-distances-understated-20x": "rellich-extraction",
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]

@@ -7,6 +7,7 @@ import pytest
 from toruskit import (
     MultiplierSymbol,
     NonFiniteError,
+    SpectralField,
     TorusGrid,
     apply_multiplier,
     helmholtz_symbol,
@@ -300,11 +301,12 @@ def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
 @pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])
 @pytest.mark.parametrize("order", [0.0, 1.0, -0.5])
 def test_sobolev_norms_of_a_sequence_are_each_field_s_bit_for_bit(n, m, order):
-    # 2-D M=129 holds one field per stack
+    # a stack of fields gives one sum per field, over the trailing axes
     g = TorusGrid(n, m)
     rng = np.random.default_rng(m)
     fields = [random_spectral(g, rng) for _ in range(5)]
-    sums = sobolev_norm_sq(fields, order)
+    sums = sobolev_norm_sq(SpectralField(g, np.stack([c.coefficients for c in fields])), order)
     assert sums.dtype == np.float64 and sums.tolist() == [
         sobolev_norm_sq(c, order) for c in fields]
-    assert sobolev_norm_sq([], order).tolist() == []
+    assert type(sobolev_norm_sq(fields[0], order)) is float
+    assert sobolev_norm_sq(SpectralField(g, np.zeros((0, *g.shape))), order).tolist() == []
