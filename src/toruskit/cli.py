@@ -51,12 +51,13 @@ from . import embedding, operators, solver, spectral, transform
 _DIMENSIONS = (1, 2, 3)
 # Largest grid a command builds: 2**22 points, 64 MiB per complex field.
 MAX_GRID_POINTS = 2**22
-# Largest grid `verify` checks: unpreconditioned CG takes O(M) iterations,
-# and the fast-vs-naive and eigenpair groups take direct sums, six and one,
-# of O(n M**(n+1)), which is O(size**2) in 1-D.  At 1-D M=8191 (one BLAS
-# thread, 2-core x86-64 VM) the groups take: solver-agreement 11-15 s (6406
-# CG iterations), fast-vs-naive 0.7 s, resolvent-eigenpairs 0.3 s, the rest
-# under 0.1 s each; nearly all of it is CG.
+# Largest grid `verify` checks: the fast-vs-naive and eigenpair groups take
+# direct sums, six and one, of O(n M**(n+1)), which is O(size**2) in 1-D,
+# so they set the 1-D limit; preconditioned CG takes at most about 20
+# iterations on any grid.  At 1-D M=8191 (one BLAS thread, 2-core x86-64
+# VM) the groups take: fast-vs-naive 0.8 s, resolvent-eigenpairs 0.3 s,
+# solver-agreement 0.1 s (16 CG iterations), the rest under 0.15 s each;
+# about 1.7 s in all.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
 # their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB

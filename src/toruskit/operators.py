@@ -141,12 +141,13 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
     The values are one field or a (k, *grid.shape) stack of fields, which
     goes through one call of each of `forward` and `inverse`; sigma is then
     one symbol array shared by every field, or a (k, *grid.shape) stack of
-    them, one per field.  Each field comes back bit for bit as it would
-    alone."""
+    them, one per field.  One field against a stack of k symbols is
+    transformed once and comes back as the stack of its k responses.  Each
+    field comes back bit for bit as it would alone."""
 
     def apply(values: np.ndarray) -> np.ndarray:
         c = transform.forward(GridField(grid, values))
-        c.coefficients *= sigma
+        c.coefficients = c.coefficients * sigma
         return transform.inverse(c).values
 
     return apply
@@ -161,5 +162,8 @@ def sobolev_norm_sq(c: SpectralField, order: float) -> float | np.ndarray:
     return transform._field_sums(weights * np.abs(c.coefficients) ** 2, c.grid.dimension)
 
 
-def l2_norm(c: SpectralField) -> float:
-    return float(np.sqrt(sobolev_norm_sq(c, 0.0)))
+def l2_norm(c: SpectralField) -> float | np.ndarray:
+    """sqrt(sum_xi |c(xi)|^2): a float for one field, the (k,) float64 array
+    of each field's for a stack."""
+    norm = np.sqrt(sobolev_norm_sq(c, 0.0))
+    return float(norm) if norm.ndim == 0 else norm

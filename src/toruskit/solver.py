@@ -1,25 +1,31 @@
 """Solve (Delta + 1) u = f on the torus: direct multiplier inversion and a
-conjugate-gradient oracle.
+preconditioned conjugate-gradient oracle.
 
 The direct route divides each Fourier coefficient by 1 + |xi|^2.  The CG
 route deliberately stays on the grid side, applying `operators.grid_operator`
 with the Helmholtz symbol 1 + |xi|^2, evaluated once per solve, so it never
 reads the resolvent symbol the multiplier solve uses and serves as an
 independent cross-check.  The operator is Hermitian positive definite with
-eigenvalues in [1, 1 + n h^2], h the box radius.  CG is not
-preconditioned, so its iteration count grows like h, the square root of
-the condition number up to sqrt(n): `solve --dimension 1 --points 8191
---seed 1` takes 6406 iterations.
+eigenvalues in [1, 1 + n h^2], h the box radius.  CG is preconditioned by
+the periodic second-order finite-difference Helmholtz operator, whose
+symbol 1 + sum_j (4/dx^2) sin^2(xi_j dx/2), dx = 2 pi/M, is built from a
+per-axis sine table (Orszag 1980; Canuto, Hussaini, Quarteroni & Zang,
+Spectral Methods).  Its ratio to 1 + |xi|^2 lies in [1, pi^2/4] on every
+grid, so the iteration count has a bound that grows only with the log of
+||Delta + 1|| (`_iteration_bound`): `solve --dimension 1 --points 8191
+--seed 1` takes 16 iterations, where plain CG took 6406.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import transform
 from .operators import grid_operator, helmholtz_symbol, resolvent_symbol, symbol_array
 from .transform import GridField, TorusGrid, grid_l2_norm
 
@@ -45,7 +51,8 @@ _ROUNDOFF_BACKWARD_ERROR = 4 * np.finfo(float).eps
 
 
 class ConjugateGradientError(RuntimeError):
-    """CG exhausted max_iter before its residual met tol."""
+    """CG exhausted max_iter before its residual met tol, or broke down: an
+    inner product that must be finite and positive was not."""
 
 
 def helmholtz_norm(grid: TorusGrid) -> float:
@@ -83,21 +90,20 @@ def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
 def solve_cg(
     f: GridField, tol: float = 1e-10, max_iter: int | None = None
 ) -> tuple[GridField, SolveReport]:
-    """Conjugate gradients on the grid-side operator.
+    """Preconditioned conjugate gradients on the grid-side operator.
 
-    The recursively updated residual r <- r - alpha A p drifts from the true
-    residual f - A u in floating point, so it only proposes a stop: when
-    ||r|| <= tol * ||f||, the true residual f - A u is computed, and the
-    iteration stops if it passes the same test and otherwise continues from
-    it (residual replacement, van der Vorst & Ye 2000).  It also stops when
-    the true residual is at the rounding floor of evaluating f - A u, a
-    normwise backward error of at most 4 eps, which no iteration can lower;
-    at tol=1e-10 that floor exceeds tol * ||f|| on 1-D grids past about 10^4
-    points.  The report's `residual_l2` is that true residual in the grid
-    L^2 norm.  In exact arithmetic the iteration count never exceeds the
-    number of distinct eigenvalue levels 1 + |xi|^2 present in f's spectral
-    support.  max_iter defaults to the grid size, the exact-arithmetic bound
-    on any space of that dimension.
+    A = Delta + 1 is applied by `operators.grid_operator` with the Helmholtz
+    symbol, evaluated once per solve, and the preconditioner P is the
+    periodic finite-difference Helmholtz operator (`_fd_preconditioner`).
+    The iteration stops when the residual meets ||r|| <= tol * ||f|| in
+    the 2-norm, under residual replacement and the rounding-floor stop (see
+    `_pcg`); the report's `residual_l2` is the true residual f - A u in the
+    grid L^2 norm.  In exact arithmetic the iteration count is at most
+    `_iteration_bound(grid, tol)`, 18 at 3-D M=9 and 22 at 1-D M=8191 for
+    tol=1e-10, and at most the number of distinct values of (1 +
+    |xi|^2) / sigma_FD(xi) on f's spectral support.  max_iter defaults to
+    the grid size, the exact-arithmetic bound on any space of that
+    dimension.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -107,41 +113,131 @@ def solve_cg(
     elif max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     start = time.perf_counter()
+    sigma = symbol_array(helmholtz_symbol(), grid)
+    u, residual_l2, iterations = _pcg(
+        grid_operator(grid, sigma), _fd_preconditioner(grid, sigma), f, tol, max_iter
+    )
+    return u, SolveReport(residual_l2, "cg", iterations, time.perf_counter() - start)
+
+
+# The supremum over every grid of (1 + |xi|^2) / sigma_FD(xi): per axis
+# (t/2)^2 / sin^2(t/2) with t = xi_j dx in [0, pi), which increases to
+# pi^2/4, and a ratio of sums lies between the ratios of its terms.  So it
+# bounds the condition number of P^{-1} A, whose least value is 1.
+_PRECONDITIONED_CONDITION = math.pi**2 / 4
+
+
+def _fd_helmholtz_array(grid: TorusGrid) -> np.ndarray:
+    """1 + sum_j (4/dx^2) sin^2(xi_j dx/2) over the box, dx = 2 pi/M: the
+    symbol of the periodic second-order finite-difference Helmholtz
+    operator, summed from one per-axis sine table.  It is not a function of
+    |xi|^2, so it is an array over the box, not a `MultiplierSymbol`."""
+    dx = grid.spacing
+    h = grid.box_radius
+    axis = (4.0 / dx**2) * np.sin(np.arange(-h, h + 1) * (dx / 2)) ** 2
+    return 1.0 + functools.reduce(np.add.outer, (axis,) * grid.dimension)
+
+
+def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray):
+    """precondition(r) -> (z, A z), z = P^{-1} r, for P the finite-difference
+    Helmholtz operator and A the multiplier `sigma`.
+
+    Both come from one `operators.grid_operator` over the symbol stack
+    (1/sigma_FD, sigma/sigma_FD), applied to r a `transform._stack_blocks`
+    block of symbols at a time: on a small grid one forward transform of r
+    and one stacked inverse of both, on a large one a round trip of one
+    field per symbol.  Nothing here reads the resolvent symbol."""
+    sigma_fd = _fd_helmholtz_array(grid)
+    symbols = np.stack([1.0 / sigma_fd, sigma / sigma_fd])
+    blocks = transform._stack_blocks(len(symbols), grid.size)
+    applies = [grid_operator(grid, symbols[block]) for block in blocks]
+
+    def precondition(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.empty(symbols.shape, dtype=np.complex128)
+        for block, apply in zip(blocks, applies):
+            out[block] = apply(r)
+        return out[0], out[1]
+
+    return precondition
+
+
+def _iteration_bound(grid: TorusGrid, tol: float) -> int:
+    """Iterations within which the preconditioned Helmholtz CG meets
+    ||r|| <= tol * ||f|| in exact arithmetic, whatever f.
+
+    With kappa = kappa(P^{-1} A) <= pi^2/4, the A-norm error falls by 2
+    rho^k after k iterations, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
+    (about 0.222).  The stop test reads the 2-norm of the residual, and
+    ||r|| <= sqrt(||A||) ||e||_A while ||e_0||_A <= ||f||, A having least
+    eigenvalue 1; so k = ceil(ln(2 sqrt(||A||) / tol) / ln(1/rho)), and at
+    least the one iteration every solve of a nonzero f takes.
+    """
+    root = math.sqrt(_PRECONDITIONED_CONDITION)
+    rho = (root - 1) / (root + 1)
+    reduction = math.log(2 * math.sqrt(helmholtz_norm(grid)) / tol)
+    return max(1, math.ceil(reduction / math.log(1 / rho)))
+
+
+def _positive(product: complex, what: str) -> float:
+    """The real part of an inner product that must be finite and positive."""
+    value = float(product.real)
+    if not 0 < value < math.inf:
+        raise ConjugateGradientError(
+            f"conjugate gradients broke down: {what} = {value}, not finite and positive"
+        )
+    return value
+
+
+def _pcg(apply_A, precondition, f: GridField, tol: float, max_iter: int
+         ) -> tuple[GridField, float, int]:
+    """Preconditioned conjugate gradients for A u = f; returns (u, the true
+    residual ||f - A u|| in the grid L^2 norm, iterations).
+
+    apply_A(values) returns A values, and precondition(r) the pair (z, A z)
+    with z = P^{-1} r; A and P must be Hermitian positive definite.  A p is
+    kept by the recurrence A p <- A z + beta A p, so an iteration makes one
+    precondition call and no apply_A.  If <r, z> or <p, A p> is not finite
+    and positive, the loop raises `ConjugateGradientError`.
+
+    The recursively updated residual r <- r - alpha A p drifts from the true
+    residual f - A u in floating point, so it only proposes a stop: when
+    ||r|| <= tol * ||f||, the true residual f - A u is computed, and the
+    iteration stops if it passes the same test and otherwise continues from
+    it, with A p recomputed by one apply_A (residual replacement, van der
+    Vorst & Ye 2000).  It also stops when the true residual is at the
+    rounding floor of evaluating f - A u, a normwise backward error
+    (`backward_error_scale`, so A is the Helmholtz operator) of at most 4
+    eps, which no iteration can lower; at tol=1e-10 that floor exceeds tol
+    * ||f|| on 1-D grids past about 10^4 points.
+    """
+    grid = f.grid
     f_norm = float(np.linalg.norm(f.values.ravel()))
     if f_norm == 0.0:
-        u = GridField(grid, np.zeros(grid.shape, dtype=np.complex128))
-        return u, SolveReport(0.0, "cg", 0, time.perf_counter() - start)
-
+        return GridField(grid, np.zeros(grid.shape, dtype=np.complex128)), 0.0, 0
+    f_l2 = grid_l2_norm(f)
     x = np.zeros(grid.shape, dtype=np.complex128)
     r = f.values.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    f_l2 = grid_l2_norm(f)
-    helmholtz = grid_operator(grid, symbol_array(helmholtz_symbol(), grid))
-    iterations = 0
-    for _ in range(max_iter):
-        ap = helmholtz(p)
-        alpha = rs / float(np.vdot(p, ap).real)
+    p, ap = precondition(r)
+    rz = _positive(np.vdot(r, p), "<r, z>")
+    for iterations in range(1, max_iter + 1):
+        alpha = rz / _positive(np.vdot(p, ap), "<p, A p>")
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.vdot(r, r).real)
-        iterations += 1
-        if np.sqrt(rs_new) <= tol * f_norm:
+        replaced = False
+        if np.sqrt(float(np.vdot(r, r).real)) <= tol * f_norm:
             u = GridField(grid, x)
-            true_residual = f.values - helmholtz(x)
+            true_residual = f.values - apply_A(x)
             residual_l2 = grid_l2_norm(GridField(grid, true_residual))
             floor = _ROUNDOFF_BACKWARD_ERROR * backward_error_scale(u, f)
             if residual_l2 <= max(tol * f_l2, floor):
-                return u, SolveReport(
-                    residual_l2=residual_l2,
-                    method="cg",
-                    iterations=iterations,
-                    wall_time=time.perf_counter() - start,
-                )
-            r = true_residual
-            rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+                return u, residual_l2, iterations
+            r, replaced = true_residual, True
+        z, az = precondition(r)
+        rz_new = _positive(np.vdot(r, z), "<r, z>")
+        beta = rz_new / rz
+        p = z + beta * p
+        ap = apply_A(p) if replaced else az + beta * ap
+        rz = rz_new
     raise ConjugateGradientError(
         f"conjugate gradients did not reach tol={tol} within {max_iter} iterations"
     )

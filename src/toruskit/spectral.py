@@ -159,10 +159,11 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
                if b == 0.0 or step in (next_check, max_iter)]
         stopped = set()
         if due:
+            # the diagonals of every due run at once
             tridiagonals = np.zeros((len(due), step, step))
-            for i, row in enumerate(due):
-                tridiagonals[i, range(step), range(step)] = alphas[runs[row]]
-                tridiagonals[i, range(1, step), range(step - 1)] = betas[runs[row]]
+            index = np.arange(step)
+            tridiagonals[:, index, index] = [alphas[runs[row]] for row in due]
+            tridiagonals[:, index[1:], index[:-1]] = [betas[runs[row]] for row in due]
             thetas, last = _top_ritz(tridiagonals)
             for row, theta, s in zip(due, thetas, last):
                 # some eigenvalue lambda of the normal operator lies within

@@ -362,9 +362,17 @@ def naive_inverse(c: SpectralField) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def grid_l2_norm(u: GridField) -> float:
-    """Quadrature L^2 norm sqrt(M^{-n} sum_m |u(x_m)|^2)."""
-    return float(np.linalg.norm(u.values.ravel()) / math.sqrt(u.grid.size))
+def grid_l2_norm(u: GridField) -> float | np.ndarray:
+    """Quadrature L^2 norm sqrt(M^{-n} sum_m |u(x_m)|^2): a float for one
+    field, the (k,) float64 array of each field's norm for a stack of k.
+
+    One field's norm is that of its raveled values, so its digits do not
+    depend on how a stack sums; a stack's norms may differ from them in the
+    last bits."""
+    if u.values.ndim == u.grid.dimension:
+        return float(np.linalg.norm(u.values.ravel()) / math.sqrt(u.grid.size))
+    rows = u.values.reshape(len(u.values), u.grid.size)
+    return np.linalg.norm(rows, axis=1) / math.sqrt(u.grid.size)
 
 
 def _field_sums(values: np.ndarray, dimension: int) -> float | np.ndarray:

@@ -136,6 +136,20 @@ def test_l2_norm_matches_grid_side(grid_2d_9):
     assert abs(l2_norm(c) - grid_side) < 1e-12
 
 
+def test_l2_norm_of_a_stack_is_each_fields_norm(grid_2d_9):
+    # a float for one field, the (k,) per-field norms for a stack of k
+    rng = np.random.default_rng(7)
+    c = np.stack([random_spectral(grid_2d_9, rng).coefficients for _ in range(3)])
+    norms = l2_norm(SpectralField(grid_2d_9, c))
+    assert isinstance(norms, np.ndarray) and norms.shape == (3,)
+    for row, norm in zip(c, norms):
+        alone = l2_norm(SpectralField(grid_2d_9, row))
+        assert type(alone) is float
+        assert norm == alone
+    ones = SpectralField(grid_2d_9, np.ones((3, *grid_2d_9.shape), dtype=complex))
+    assert np.array_equal(l2_norm(ones), np.full(3, 9.0))
+
+
 def test_apply_multiplier_is_linear(grid_2d_9):
     rng = np.random.default_rng(10)
     c, d = random_spectral(grid_2d_9, rng), random_spectral(grid_2d_9, rng)
@@ -296,6 +310,11 @@ def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
     one = grid_operator(g, rows[:1])(stack[:1])
     assert one.shape == (1, *g.shape)
     assert np.array_equal(one[0], grid_operator(g, rows[0])(stack[0]))
+    # one field against a stack of symbols: the stack of its responses
+    responses = grid_operator(g, rows)(stack[0])
+    assert responses.shape == stack.shape
+    for row_sigma, out in zip(rows, responses):
+        assert np.array_equal(out, grid_operator(g, row_sigma)(stack[0]))
 
 
 @pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from toruskit import (
     ConjugateGradientError,
+    cli,
     GridField,
     MultiplierSymbol,
     TorusGrid,
@@ -16,19 +19,20 @@ from toruskit import (
 
 from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
-from toruskit.solver import helmholtz_norm
+from toruskit.operators import norm_sq_array
+from toruskit.solver import _fd_helmholtz_array, _iteration_bound, helmholtz_norm
 
 from conftest import spectral_delta
 
 
-def distinct_levels_in_support(f: GridField, tol: float = 1e-12) -> int:
-    """Oracle: count distinct 1 + |xi|^2 values carried by f's spectrum."""
+def distinct_ratios_in_support(f: GridField, tol: float = 1e-12) -> int:
+    """Oracle: count the distinct values of (1 + |xi|^2) / sigma_FD(xi), the
+    eigenvalues of the preconditioned operator, on f's spectrum; values
+    within 1e-12 relative count as one."""
     c = forward(f)
-    levels = set()
-    for xi, z in zip(f.grid.frequencies(), c.coefficients.ravel()):
-        if abs(z) > tol:
-            levels.add(1 + sum(x * x for x in xi))
-    return len(levels)
+    ratio = (1.0 + norm_sq_array(f.grid)) / _fd_helmholtz_array(f.grid)
+    values = np.sort(ratio[np.abs(c.coefficients) > tol])
+    return int(np.count_nonzero(np.diff(values) > 1e-12 * values[1:])) + 1
 
 
 def test_multiplier_solves_constant():
@@ -74,7 +78,7 @@ def test_cg_evaluates_the_helmholtz_symbol_once_per_solve(monkeypatch):
     monkeypatch.setattr(solver_mod, "helmholtz_symbol", lambda: counted)
     f = random_field(TorusGrid(2, 9), np.random.default_rng(1))
     u, report = solve_cg(f)
-    assert report.iterations == 15
+    assert report.iterations == 12
     assert len(evaluations) == 1
     assert grid_l2_norm(u - solve_multiplier(f)[0]) < 1e-9
 
@@ -140,13 +144,83 @@ def test_cg_stops_at_the_rounding_floor_when_tol_lies_below_it(points, tol, seed
     assert backward <= 4 * np.finfo(float).eps
 
 
-def test_cg_iteration_count_bounded_by_level_count():
-    g = TorusGrid(2, 9)
+@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 5)])
+def test_cg_iteration_count_bounded_by_distinct_preconditioned_values(n, points):
+    # in exact arithmetic, PCG takes at most one iteration per distinct
+    # eigenvalue of P^{-1} A that f reaches; 2 more allow for rounding
+    g = TorusGrid(n, points)
     rng = np.random.default_rng(13)
     for _ in range(3):
         f = random_field(g, rng)
         _, report = solve_cg(f, tol=1e-10)
-        assert report.iterations <= distinct_levels_in_support(f) + 2
+        assert report.iterations <= distinct_ratios_in_support(f) + 2
+
+
+def test_cg_iteration_count_bounded_on_a_sparse_spectrum():
+    # two modes with distinct ratios: at most 2 + 2 iterations
+    g = TorusGrid(2, 9)
+    f = inverse(spectral_delta(g, (1, 0)) + spectral_delta(g, (4, -3)))
+    assert distinct_ratios_in_support(f) == 2
+    assert solve_cg(f, tol=1e-10)[1].iterations <= 4
+
+
+@pytest.mark.parametrize("n, points", [(1, 8191), (2, 89), (3, 19), (3, 9), (1, 1501)])
+def test_cg_iteration_count_within_the_proven_bound(n, points):
+    # kappa(P^{-1} A) <= pi^2/4 on every grid, prime M included (8191, 89,
+    # 19): the count grows only with log ||Delta + 1||
+    g = TorusGrid(n, points)
+    for seed in (1, 2):
+        f = random_field(g, np.random.default_rng(seed))
+        _, report = solve_cg(f, tol=1e-10)
+        assert report.iterations <= _iteration_bound(g, 1e-10)
+
+
+@pytest.mark.parametrize("n, points, bound", [(3, 9, 18), (1, 8191, 22), (2, 1023, 21)])
+def test_iteration_bound_at_tol_1e_10(n, points, bound):
+    assert _iteration_bound(TorusGrid(n, points), 1e-10) == bound
+
+
+@pytest.mark.parametrize("n, points", [(1, 3), (1, 8191), (2, 89), (2, 255), (3, 19)])
+def test_preconditioned_symbol_ratio_lies_in_one_to_pi_squared_over_four(n, points):
+    g = TorusGrid(n, points)
+    ratio = (1.0 + norm_sq_array(g)) / _fd_helmholtz_array(g)
+    assert ratio.min() == 1.0
+    assert ratio.max() <= math.pi**2 / 4
+
+
+def _plant_spacing(monkeypatch, scale):
+    # the grid spacing, which only the finite-difference preconditioner reads
+    monkeypatch.setattr(TorusGrid, "spacing",
+                        property(lambda g: scale * 2 * math.pi / g.points_per_axis))
+
+
+@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 9), (2, 89)])
+def test_a_preconditioner_with_a_wrong_spacing_changes_the_count_not_the_verdict(
+        monkeypatch, n, points):
+    f = random_field(TorusGrid(n, points), np.random.default_rng(1))
+    _, (_, right), _, failures = cli._check_solve(f)
+    assert failures == []
+    _plant_spacing(monkeypatch, 2.0)
+    _, (_, wrong), _, failures = cli._check_solve(f)
+    assert failures == []
+    assert wrong.iterations > right.iterations
+
+
+@pytest.mark.parametrize("flip", ["negative", "one-mode-negative"])
+def test_a_preconditioner_that_is_not_positive_definite_raises(monkeypatch, flip):
+    exact = solver_mod._fd_helmholtz_array
+
+    def faulty(grid):
+        sigma = exact(grid)
+        if flip == "negative":
+            return -sigma
+        sigma[(0,) * grid.dimension] *= -1
+        return sigma
+
+    monkeypatch.setattr(solver_mod, "_fd_helmholtz_array", faulty)
+    f = random_field(TorusGrid(2, 9), np.random.default_rng(1))
+    with pytest.raises(ConjugateGradientError, match="broke down"):
+        solve_cg(f)
 
 
 def test_solution_norm_never_exceeds_input_norm():

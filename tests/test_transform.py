@@ -360,6 +360,23 @@ def test_grid_l2_norm_matches_plancherel():
     )
 
 
+def test_grid_l2_norm_of_a_stack_is_each_fields_norm():
+    # a (3, 9, 9) stack of ones has per-field norms 1, not the stack's sqrt(3);
+    # one field keeps the norm of its raveled values, bit for bit
+    g = TorusGrid(2, 9)
+    ones = grid_l2_norm(GridField(g, np.ones((3, *g.shape), dtype=complex)))
+    assert isinstance(ones, np.ndarray) and ones.shape == (3,)
+    assert np.allclose(ones, 1.0, rtol=0, atol=1e-15)
+    fields = random_grid(g, np.random.default_rng(6)).values * np.arange(1, 4)[:, None, None]
+    norms = grid_l2_norm(GridField(g, fields))
+    for field, norm in zip(fields, norms):
+        alone = grid_l2_norm(GridField(g, field))
+        assert type(alone) is float
+        assert alone == float(np.linalg.norm(field.ravel()) / 9.0)
+        assert norm == pytest.approx(alone, rel=1e-14)
+    assert grid_l2_norm(GridField(g, np.empty((0, *g.shape)))).shape == (0,)
+
+
 def test_field_arithmetic_requires_same_grid():
     a = random_grid(TorusGrid(1, 5), np.random.default_rng(0))
     b = random_grid(TorusGrid(1, 7), np.random.default_rng(0))
