@@ -8,11 +8,11 @@ The parent ref is extracted into a temporary directory with ``git archive``,
 removed afterwards; the working tree runs from its own ``src/``.  Each
 command in ``COMMANDS`` runs once per revision, in an empty directory of its
 own and with one BLAS thread.  Every file the command writes, its stdout,
-its stderr and its exit code are compared after the timing fields are
-masked: the ``wall_time`` and ``median_seconds`` columns and JSON fields,
-and the ``(x s)`` group times that ``verify`` prints.  Each difference is
-printed, and the script exits 1 if there is any, 0 otherwise.  It is not
-part of the test suite.
+its stderr and its exit code are compared after the timings are masked:
+``bench``'s ``median_seconds`` column and JSON field, and the ``(x s)``
+times that ``verify`` and ``solve`` print at the end of a line.  Each
+difference is printed, and the script exits 1 if there is any, 0
+otherwise.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMING_FIELDS = ("wall_time", "median_seconds")
+TIMING_FIELDS = ("median_seconds",)
 _DATA_COMMANDS = [
     *(("spectrum", "--dimension", str(n), "--level-cap", "2500") for n in (1, 2, 3)),
     ("spectrum", "--dimension", "2", "--level-cap", "40000"),

@@ -78,13 +78,7 @@ def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
     resolvent = grid_operator(f.grid, symbol_array(resolvent_symbol(), f.grid))
     u = GridField(f.grid, resolvent(f.values))
     elapsed = time.perf_counter() - start
-    report = SolveReport(
-        residual_l2=_residual_l2(u, f),
-        method="multiplier",
-        iterations=0,
-        wall_time=elapsed,
-    )
-    return u, report
+    return u, SolveReport(_residual_l2(u, f), "multiplier", 0, elapsed)
 
 
 def solve_cg(
@@ -102,21 +96,22 @@ def solve_cg(
     `_iteration_bound(grid, tol)`, 18 at 3-D M=9 and 22 at 1-D M=8191 for
     tol=1e-10, and at most the number of distinct values of (1 +
     |xi|^2) / sigma_FD(xi) on f's spectral support.  max_iter defaults to
-    the grid size, the exact-arithmetic bound on any space of that
-    dimension.
+    twice the bound at P^{-1} A's condition number measured on the box, at
+    most 2 `_iteration_bound(grid, tol)`, so a solve that cannot converge
+    fails within a few dozen iterations.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    grid = f.grid
-    if max_iter is None:
-        max_iter = grid.size
-    elif max_iter < 1:
+    if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    grid = f.grid
     start = time.perf_counter()
     sigma = symbol_array(helmholtz_symbol(), grid)
+    precondition, kappa = _fd_preconditioner(grid, sigma)
+    if max_iter is None:
+        max_iter = 2 * _iteration_bound(grid, tol, kappa)
     u, residual_l2, iterations = _pcg(
-        grid_operator(grid, sigma), _fd_preconditioner(grid, sigma), f, tol, max_iter
-    )
+        grid_operator(grid, sigma), precondition, f, tol, max_iter)
     return u, SolveReport(residual_l2, "cg", iterations, time.perf_counter() - start)
 
 
@@ -139,8 +134,9 @@ def _fd_helmholtz_array(grid: TorusGrid) -> np.ndarray:
 
 
 def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray):
-    """precondition(r) -> (z, A z), z = P^{-1} r, for P the finite-difference
-    Helmholtz operator and A the multiplier `sigma`.
+    """(precondition, kappa): precondition(r) -> (z, A z), z = P^{-1} r, for P
+    the finite-difference Helmholtz operator and A the multiplier `sigma`;
+    kappa <= pi^2/4, P^{-1} A's condition number, max/min |sigma/sigma_FD|.
 
     Both come from one `operators.grid_operator` over the symbol stack
     (1/sigma_FD, sigma/sigma_FD), applied to r a `transform._stack_blocks`
@@ -158,29 +154,31 @@ def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray):
             out[block] = apply(r)
         return out[0], out[1]
 
-    return precondition
+    ratio = np.abs(symbols[1])
+    return precondition, float(ratio.max() / ratio.min())
 
 
-def _iteration_bound(grid: TorusGrid, tol: float) -> int:
+def _iteration_bound(grid: TorusGrid, tol: float,
+                     condition: float = _PRECONDITIONED_CONDITION) -> int:
     """Iterations within which the preconditioned Helmholtz CG meets
     ||r|| <= tol * ||f|| in exact arithmetic, whatever f.
 
-    With kappa = kappa(P^{-1} A) <= pi^2/4, the A-norm error falls by 2
-    rho^k after k iterations, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
-    (about 0.222).  The stop test reads the 2-norm of the residual, and
-    ||r|| <= sqrt(||A||) ||e||_A while ||e_0||_A <= ||f||, A having least
-    eigenvalue 1; so k = ceil(ln(2 sqrt(||A||) / tol) / ln(1/rho)), and at
-    least the one iteration every solve of a nonzero f takes.
+    With kappa(P^{-1} A) <= condition, pi^2/4 by default, the A-norm error
+    falls by 2 rho^k after k iterations, rho = (sqrt(condition) - 1) /
+    (sqrt(condition) + 1) (about 0.222 by default).  The stop test reads
+    the 2-norm of the residual, and ||r|| <= sqrt(||A||) ||e||_A while
+    ||e_0||_A <= ||f||, A having least eigenvalue 1; so k = ceil(ln(2
+    sqrt(||A||) / tol) / ln(1/rho)), and at least the one iteration every
+    solve of a nonzero f takes.
     """
-    root = math.sqrt(_PRECONDITIONED_CONDITION)
+    root = math.sqrt(condition)
     rho = (root - 1) / (root + 1)
     reduction = math.log(2 * math.sqrt(helmholtz_norm(grid)) / tol)
     return max(1, math.ceil(reduction / math.log(1 / rho)))
 
 
-def _positive(product: complex, what: str) -> float:
-    """The real part of an inner product that must be finite and positive."""
-    value = float(product.real)
+def _positive(value: float, what: str) -> float:
+    """An inner product that must be finite and positive."""
     if not 0 < value < math.inf:
         raise ConjugateGradientError(
             f"conjugate gradients broke down: {what} = {value}, not finite and positive"
@@ -210,21 +208,21 @@ def _pcg(apply_A, precondition, f: GridField, tol: float, max_iter: int
     eps, which no iteration can lower; at tol=1e-10 that floor exceeds tol
     * ||f|| on 1-D grids past about 10^4 points.
     """
-    grid = f.grid
-    f_norm = float(np.linalg.norm(f.values.ravel()))
+    grid, n = f.grid, f.grid.dimension
+    f_norm = math.sqrt(transform._inner(f.values, f.values, n))
     if f_norm == 0.0:
         return GridField(grid, np.zeros(grid.shape, dtype=np.complex128)), 0.0, 0
-    f_l2 = grid_l2_norm(f)
+    f_l2 = f_norm / math.sqrt(grid.size)
     x = np.zeros(grid.shape, dtype=np.complex128)
     r = f.values.copy()
     p, ap = precondition(r)
-    rz = _positive(np.vdot(r, p), "<r, z>")
+    rz = _positive(transform._inner(r, p, n), "<r, z>")
     for iterations in range(1, max_iter + 1):
-        alpha = rz / _positive(np.vdot(p, ap), "<p, A p>")
+        alpha = rz / _positive(transform._inner(p, ap, n), "<p, A p>")
         x = x + alpha * p
         r = r - alpha * ap
         replaced = False
-        if np.sqrt(float(np.vdot(r, r).real)) <= tol * f_norm:
+        if math.sqrt(transform._inner(r, r, n)) <= tol * f_norm:
             u = GridField(grid, x)
             true_residual = f.values - apply_A(x)
             residual_l2 = grid_l2_norm(GridField(grid, true_residual))
@@ -233,7 +231,7 @@ def _pcg(apply_A, precondition, f: GridField, tol: float, max_iter: int
                 return u, residual_l2, iterations
             r, replaced = true_residual, True
         z, az = precondition(r)
-        rz_new = _positive(np.vdot(r, z), "<r, z>")
+        rz_new = _positive(transform._inner(r, z, n), "<r, z>")
         beta = rz_new / rz
         p = z + beta * p
         ap = apply_A(p) if replaced else az + beta * ap

@@ -92,9 +92,10 @@ def operator_norm_power_iteration(
 
     Given a sequence of symbols rather than one, returns the list of their
     estimates, each bit for bit the symbol's own.  The runs share the seed's
-    start vector and go in lockstep on one stack of fields: one stacked
-    apply per step, one stacked eigh over the runs due for a check, and a
-    run leaves the stack when it stops.  A stack spans at most
+    start vector and go in lockstep on one stack of fields: per step one
+    stacked apply and one `transform._inner` each for the alphas and betas,
+    one stacked eigh (the one LAPACK call) over the runs due for a check,
+    and a run leaves the stack when it stops.  A stack spans at most
     `transform._STACK_POINTS` grid points per vector (one run on a larger
     grid), and the stacks go one after another.  A run that exhausts
     max_iter raises for the first such symbol in order.
@@ -134,7 +135,7 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
     runs = list(range(len(symbols)))
     normal = grid_operator(grid, squares)
     start = random_field(grid, np.random.default_rng(seed)).values
-    start /= np.linalg.norm(start.ravel())
+    start /= math.sqrt(transform._inner(start, start, grid.dimension))
     v = np.repeat(start[np.newaxis], len(runs), axis=0)
     del start  # the runs hold three vectors each and no other
     column = (len(runs),) + (1,) * grid.dimension
@@ -148,15 +149,13 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
         # beta_{j-1} v_{j-1} comes off before alpha_j is taken, the ordering
         # that Paige's analysis covers
         if v_prev is not None:
-            w -= np.reshape([betas[run][-1] for run in runs], column) * v_prev
-        alpha = [float(np.vdot(v[row].ravel(), w[row].ravel()).real)
-                 for row in range(len(runs))]
+            w -= np.reshape(beta, column) * v_prev
+        alpha = transform._inner(v, w, grid.dimension)
         w -= np.reshape(alpha, column) * v
-        beta = [float(np.linalg.norm(w[row].ravel())) for row in range(len(runs))]
+        beta = np.sqrt(transform._inner(w, w, grid.dimension))
         for run, a in zip(runs, alpha):
             alphas[run].append(a)
-        due = [row for row, b in enumerate(beta)
-               if b == 0.0 or step in (next_check, max_iter)]
+        due = np.flatnonzero((beta == 0.0) | (step in (next_check, max_iter))).tolist()
         stopped = set()
         if due:
             # the diagonals of every due run at once
@@ -182,7 +181,7 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
         if stopped:
             keep = [row for row in range(len(runs)) if row not in stopped]
             runs = [runs[row] for row in keep]
-            v, w, beta = v[keep], w[keep], [beta[row] for row in keep]
+            v, w, beta = v[keep], w[keep], beta[keep]
             column = (len(runs),) + (1,) * grid.dimension
             normal = grid_operator(grid, squares[runs])
         for run, b in zip(runs, beta):
@@ -294,12 +293,11 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     norm_sq = np.sum(transform._frequency_vectors(grid) ** 2, axis=1)
     eigenvalue_error = np.abs(eigenvalues - 1.0 / (1.0 + norm_sq))
 
-    commutator = np.empty((n, _PROBES))
-    for p, (r, t_r) in enumerate(zip(probes, responses[1:1 + _PROBES])):
-        r_norm = np.linalg.norm(r.ravel())
-        for j in range(n):
-            gap = responses[1 + _PROBES + p * n + j] - np.roll(t_r, 1, axis=j)
-            commutator[j, p] = np.linalg.norm(gap.ravel()) / r_norm
+    # row p * n + j of the gaps is T S_j r_p - S_j T r_p
+    gaps = responses[1 + _PROBES:] - np.stack(
+        [np.roll(t_r, 1, axis=j) for t_r in responses[1:1 + _PROBES] for j in range(n)])
+    commutator = np.sqrt(transform._inner(gaps, gaps, n).reshape(_PROBES, n)
+                         / transform._inner(probes, probes, n)[:, np.newaxis]).T
     small_ball = -math.expm1(
         (grid.size - 1) * math.log1p(-((CERTIFICATE_TOL / COMMUTATOR_FLOOR) ** 2))
     )

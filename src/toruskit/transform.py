@@ -362,19 +362,6 @@ def naive_inverse(c: SpectralField) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def grid_l2_norm(u: GridField) -> float | np.ndarray:
-    """Quadrature L^2 norm sqrt(M^{-n} sum_m |u(x_m)|^2): a float for one
-    field, the (k,) float64 array of each field's norm for a stack of k.
-
-    One field's norm is that of its raveled values, so its digits do not
-    depend on how a stack sums; a stack's norms may differ from them in the
-    last bits."""
-    if u.values.ndim == u.grid.dimension:
-        return float(np.linalg.norm(u.values.ravel()) / math.sqrt(u.grid.size))
-    rows = u.values.reshape(len(u.values), u.grid.size)
-    return np.linalg.norm(rows, axis=1) / math.sqrt(u.grid.size)
-
-
 def _field_sums(values: np.ndarray, dimension: int) -> float | np.ndarray:
     """`values` summed over the trailing `dimension` axes: a float for one
     field, the (k,) float64 array of the sums for a stack of k."""
@@ -382,10 +369,28 @@ def _field_sums(values: np.ndarray, dimension: int) -> float | np.ndarray:
     return float(sums) if sums.ndim == 0 else sums
 
 
+def _inner(a: np.ndarray, b: np.ndarray, dimension: int) -> float | np.ndarray:
+    """Re <a, b> = Re sum conj(a) b over the trailing `dimension` axes, a
+    float for one field and the (k,) array for stacks of k: the one sum
+    behind every norm and inner product, numpy's pairwise sum of the
+    float64 views' products (Higham 1993), not BLAS, so its digits do not
+    depend on the thread count and a stack's fields sum as each alone."""
+    a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
+    return _field_sums(a * b, dimension)
+
+
+def grid_l2_norm(u: GridField) -> float | np.ndarray:
+    """Quadrature L^2 norm sqrt(M^{-n} sum_m |u(x_m)|^2): a float for one
+    field, the (k,) float64 array of each field's norm for a stack of k,
+    each bit for bit the field's own."""
+    norms = np.sqrt(_inner(u.values, u.values, u.grid.dimension)) / math.sqrt(u.grid.size)
+    return float(norms) if norms.ndim == 0 else norms
+
+
 def plancherel_defect(u: GridField, c: SpectralField) -> float | np.ndarray:
     """|sum_xi |c(xi)|^2 - M^{-n} sum_m |u(x_m)|^2| for c = forward(u); for
     stacks, the (k,) array of each field's."""
     n = u.grid.dimension
-    spectral_energy = _field_sums(np.abs(c.coefficients) ** 2, n)
-    grid_energy = _field_sums(np.abs(u.values) ** 2, n) / u.grid.size
+    spectral_energy = _inner(c.coefficients, c.coefficients, n)
+    grid_energy = _inner(u.values, u.values, n) / u.grid.size
     return abs(spectral_energy - grid_energy)

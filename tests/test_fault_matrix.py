@@ -131,6 +131,17 @@ def _distances_understated(monkeypatch):
     monkeypatch.setattr(embedding_mod, "_distances", lambda rows, vec: exact(rows, vec) / 20)
 
 
+def _stack_reduced_to_its_first_field(monkeypatch):
+    # the one reduction gives every field of a stack the first field's sum
+    exact = transform_mod._inner
+
+    def faulty(a, b, dimension):
+        sums = exact(a, b, dimension)
+        return sums if np.ndim(sums) == 0 else np.repeat(sums[:1], len(sums))
+
+    monkeypatch.setattr(transform_mod, "_inner", faulty)
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -144,6 +155,7 @@ FAULTS = {
     "h1-norm-without-weight": _h1_norm_without_weight,
     "extraction-cutoff-0": _cutoff_always_zero,
     "extraction-distances-understated-20x": _distances_understated,
+    "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
 }
 # Faults that only one group's computation reaches, and that group; every
 # other fault lies in the transforms or the symbols.
@@ -153,6 +165,7 @@ ONE_GROUP_FAULTS = {
     "h1-norm-without-weight": "tail-bounds",
     "extraction-cutoff-0": "rellich-extraction",
     "extraction-distances-understated-20x": "rellich-extraction",
+    "stack-inner-products-of-field-0": "operator-norms",
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]

@@ -23,6 +23,7 @@ from toruskit.operators import norm_sq_array
 from toruskit.solver import _fd_helmholtz_array, _iteration_bound, helmholtz_norm
 
 from conftest import spectral_delta
+from test_fault_matrix import FAULTS
 
 
 def distinct_ratios_in_support(f: GridField, tol: float = 1e-12) -> int:
@@ -204,6 +205,30 @@ def test_a_preconditioner_with_a_wrong_spacing_changes_the_count_not_the_verdict
     _, (_, wrong), _, failures = cli._check_solve(f)
     assert failures == []
     assert wrong.iterations > right.iterations
+
+
+@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 9), (3, 19)])
+def test_a_nonsymmetric_operator_fails_within_twice_the_proven_bound(monkeypatch, n, points):
+    # inverse-off-at-one-point makes A nonsymmetric, so CG cannot converge.
+    # An iteration takes one precondition call and at most two applies of
+    # A, each call a grid_operator round trip per transform._stack_blocks
+    # block of the two preconditioner symbols; the default max_iter is at
+    # most twice the proven bound (36 at 3-D M=9, where it was 729)
+    FAULTS["inverse-off-at-one-point"](monkeypatch)
+    round_trips = []
+    exact = solver_mod.grid_operator
+
+    def counted(grid, sigma):
+        apply = exact(grid, sigma)
+        return lambda values: round_trips.append(1) or apply(values)
+
+    monkeypatch.setattr(solver_mod, "grid_operator", counted)
+    g = TorusGrid(n, points)
+    with pytest.raises(ConjugateGradientError):
+        solve_cg(random_field(g, np.random.default_rng(1)))
+    max_iter = 2 * _iteration_bound(g, 1e-10)
+    per_call = len(transform_mod._stack_blocks(2, g.size))
+    assert 0 < len(round_trips) <= per_call * (max_iter + 1) + 2 * max_iter
 
 
 @pytest.mark.parametrize("flip", ["negative", "one-mode-negative"])

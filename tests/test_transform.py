@@ -362,7 +362,7 @@ def test_grid_l2_norm_matches_plancherel():
 
 def test_grid_l2_norm_of_a_stack_is_each_fields_norm():
     # a (3, 9, 9) stack of ones has per-field norms 1, not the stack's sqrt(3);
-    # one field keeps the norm of its raveled values, bit for bit
+    # each field's norm in a stack is bit for bit its norm alone
     g = TorusGrid(2, 9)
     ones = grid_l2_norm(GridField(g, np.ones((3, *g.shape), dtype=complex)))
     assert isinstance(ones, np.ndarray) and ones.shape == (3,)
@@ -372,9 +372,26 @@ def test_grid_l2_norm_of_a_stack_is_each_fields_norm():
     for field, norm in zip(fields, norms):
         alone = grid_l2_norm(GridField(g, field))
         assert type(alone) is float
-        assert alone == float(np.linalg.norm(field.ravel()) / 9.0)
-        assert norm == pytest.approx(alone, rel=1e-14)
+        assert norm == alone
     assert grid_l2_norm(GridField(g, np.empty((0, *g.shape)))).shape == (0,)
+
+
+@pytest.mark.parametrize("n, m", [(3, 9), (3, 19), (2, 89), (2, 129), (1, 8191)])
+def test_inner_of_a_stack_is_each_fields_own_sum_bit_for_bit(n, m):
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    a, b = (transform_mod._random_values(g, rng, 3) for _ in range(2))
+    sums = transform_mod._inner(a, b, n)
+    assert isinstance(sums, np.ndarray) and sums.shape == (3,)
+    for field_a, field_b, total in zip(a, b, sums):
+        alone = transform_mod._inner(field_a, field_b, n)
+        assert type(alone) is float
+        assert alone == total
+        assert alone == pytest.approx(np.vdot(field_a, field_b).real, rel=1e-12)
+    # a view that is not contiguous sums as its copy does
+    flipped_a, flipped_b = a[..., ::-1], b[..., ::-1]
+    assert np.array_equal(transform_mod._inner(flipped_a, flipped_b, n),
+                          transform_mod._inner(flipped_a.copy(), flipped_b.copy(), n))
 
 
 def test_field_arithmetic_requires_same_grid():
