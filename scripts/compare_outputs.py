@@ -45,6 +45,9 @@ _DATA_COMMANDS = [
     ("embed-demo", "--dimension", "1", "--points", "8193", "--epsilon", "0.5", "--seed", "3"),
     ("solve", "--dimension", "2", "--points", "9", "--seed", "4"),
     ("solve", "--dimension", "3", "--points", "5", "--seed", "4"),
+    # 8281 points, past transform._STACK_POINTS: the preconditioner's
+    # symbols are inverted a block at a time from one forward transform
+    ("solve", "--dimension", "2", "--points", "91", "--seed", "4"),
     ("bench", "--dimension", "2", "--points", "9", "--seed", "1", "--repetitions", "2"),
 ]
 COMMANDS = [

@@ -2,7 +2,7 @@
 
 Everything acts diagonally on Fourier coefficients over a symmetric
 frequency box: transforms between grid samples and coefficients, multiplier
-operators (Laplacian, resolvent, truncations), Sobolev norms, spectra with
+operators (Helmholtz, resolvent, truncations), Sobolev norms, spectra with
 lattice multiplicities, quantitative compact-embedding demos, and a
 (Delta + 1) u = f solver with an independent conjugate-gradient oracle.
 """
@@ -10,7 +10,6 @@ lattice multiplicities, quantitative compact-embedding demos, and a
 from .embedding import (
     BoundedSequence,
     InsufficientResolutionError,
-    ball_projection,
     pairwise_l2_distances,
     random_bounded_sequence,
     rellich_extract,
@@ -29,11 +28,9 @@ from .lattice import (
 )
 from .operators import (
     MultiplierSymbol,
-    apply_multiplier,
     helmholtz_symbol,
     identity_symbol,
     l2_norm,
-    laplacian_symbol,
     resolvent_symbol,
     resolvent_tail_symbol,
     sobolev_norm_sq,

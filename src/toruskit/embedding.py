@@ -117,18 +117,10 @@ class TailProfile(NamedTuple):
     holds: np.ndarray
 
 
-def _kept_mask(c: SpectralField, cutoff: int) -> np.ndarray:
-    return kept_by_truncation(norm_sq_array(c.grid), cutoff)
-
-
 def tail_projection(c: SpectralField, cutoff: int) -> SpectralField:
     """High-frequency part: modes with norm_sq >= (cutoff+1)^2, zero otherwise."""
-    return SpectralField(c.grid, np.where(_kept_mask(c, cutoff), 0.0, c.coefficients))
-
-
-def ball_projection(c: SpectralField, cutoff: int) -> SpectralField:
-    """Low-frequency complement of tail_projection; the two sum to c exactly."""
-    return SpectralField(c.grid, np.where(_kept_mask(c, cutoff), c.coefficients, 0.0))
+    kept = kept_by_truncation(norm_sq_array(c.grid), cutoff)
+    return SpectralField(c.grid, np.where(kept, 0.0, c.coefficients))
 
 
 def tail_bound_check(c: SpectralField, cutoff: int) -> TailBound:

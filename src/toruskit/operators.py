@@ -1,14 +1,16 @@
 """Diagonal Fourier-multiplier operators and spectral-side Sobolev norms.
 
 A multiplier acts coefficient-wise, c(xi) -> sigma(xi) c(xi).  The built-in
-symbols cover the positive Laplacian |xi|^2, the Helmholtz operator
-1 + |xi|^2, its inverse (the resolvent, operator norm 1), and level-cutoff
-truncations of the resolvent.  Every symbol is a function of k = |xi|^2
-alone, computed on one cached |xi|^2 array per grid.
+symbols cover the identity, the Helmholtz operator 1 + |xi|^2, its inverse
+(the resolvent, operator norm 1), and level-cutoff truncations of the
+resolvent.  Every symbol is a function of k = |xi|^2 alone, computed on
+one cached |xi|^2 array per grid; the positive Laplacian's symbol is that
+array itself.
 
 Each of them applies to one field or to a stack of fields alike: the
-symbol array multiplies the trailing n axes, and `sobolev_norm_sq` sums
-over them, a float for one field and one sum per field for a stack.
+symbol array multiplies the trailing n axes, `grid_operator` applies it
+through the transforms, and `sobolev_norm_sq` sums over them, a float for
+one field and one sum per field for a stack.
 
 Truncation membership: a cutoff-N truncation keeps the mode xi exactly when
 norm_sq(xi) < (N + 1)^2, so the removed tail starts at squared norm
@@ -53,19 +55,14 @@ def kept_by_truncation(k: np.ndarray, cutoff: int) -> np.ndarray:
     """Mask of the squared norms k that a cutoff-N truncation keeps.
 
     The one place the membership rule norm_sq < tail_min_norm_sq(cutoff)
-    is applied; the truncation symbols and the embedding projections all
-    use it.
+    is applied; the truncation symbols, the tail projection and the
+    extraction all use it.
     """
     return k < tail_min_norm_sq(cutoff)
 
 
 def identity_symbol() -> MultiplierSymbol:
     return MultiplierSymbol("identity", of_norm_sq=np.ones_like)
-
-
-def laplacian_symbol() -> MultiplierSymbol:
-    # a copy: norm_sq_array hands out one shared read-only array per grid
-    return MultiplierSymbol("laplacian", of_norm_sq=np.copy)
 
 
 def helmholtz_symbol() -> MultiplierSymbol:
@@ -127,28 +124,42 @@ def norm_sq_array(grid: TorusGrid) -> np.ndarray:
     return k
 
 
-def apply_multiplier(c: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
-    """Diagonal action: output(xi) = sigma(xi) c(xi) on every stored mode."""
-    return SpectralField(c.grid, symbol_array(symbol, c.grid) * c.coefficients)
-
-
 def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Grid values -> inverse(sigma * forward(values)).values, sigma a symbol
-    array over the box: the one grid-side apply of CG, the multiplier solve,
-    Lanczos and the resolvent certificate.  The public transform pair is
-    looked up at each call, so a fault planted in it reaches all four.
+    array over the box: the one multiplier apply, that of CG and its
+    preconditioner, the multiplier solve, Lanczos and the resolvent
+    certificate.  The public transform pair is looked up at each call, so a
+    fault planted in it reaches all of them.
 
-    The values are one field or a (k, *grid.shape) stack of fields, which
-    goes through one call of each of `forward` and `inverse`; sigma is then
-    one symbol array shared by every field, or a (k, *grid.shape) stack of
-    them, one per field.  One field against a stack of k symbols is
-    transformed once and comes back as the stack of its k responses.  Each
-    field comes back bit for bit as it would alone."""
+    The values are one field or a (k, *grid.shape) stack of fields; sigma
+    is then one symbol array shared by every field, or a (k, *grid.shape)
+    stack of them, one per field.  One field against a stack of k symbols
+    comes back as the stack of its k responses.  The responses are made a
+    `transform._stack_blocks` block at a time: a stack of fields is
+    transformed a block at a time, while one field against a stack of
+    symbols is transformed forward once and its inverses are taken a block
+    of symbols at a time, its coefficients held until the last.  Each
+    response comes back bit for bit as it would alone."""
 
     def apply(values: np.ndarray) -> np.ndarray:
-        c = transform.forward(GridField(grid, values))
-        c.coefficients = c.coefficients * sigma
-        return transform.inverse(c).values
+        stacked = np.shape(values)[1:] == grid.shape
+        shape = np.broadcast_shapes(np.shape(values) if stacked else grid.shape, sigma.shape)
+        fields = np.reshape(values, (-1, *grid.shape))
+        out = np.empty(shape, dtype=np.complex128).reshape(-1, *grid.shape)
+        once = len(fields) < len(out)
+        if once:
+            c = transform.forward(GridField(grid, fields))
+            spectrum = c.coefficients
+        for block in transform._stack_blocks(len(out), grid.size):
+            symbols = sigma[block] if sigma.ndim > grid.dimension else sigma
+            # the products bypass SpectralField's check; `inverse` validates them
+            if once:
+                c.coefficients = spectrum * symbols
+            else:
+                c = transform.forward(GridField(grid, fields[block]))
+                c.coefficients *= symbols
+            out[block] = transform.inverse(c).values
+        return out.reshape(shape)
 
     return apply
 

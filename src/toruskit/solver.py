@@ -134,28 +134,19 @@ def _fd_helmholtz_array(grid: TorusGrid) -> np.ndarray:
 
 
 def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray):
-    """(precondition, kappa): precondition(r) -> (z, A z), z = P^{-1} r, for P
-    the finite-difference Helmholtz operator and A the multiplier `sigma`;
-    kappa <= pi^2/4, P^{-1} A's condition number, max/min |sigma/sigma_FD|.
+    """(precondition, kappa): precondition(r) -> the stack (z, A z), z =
+    P^{-1} r, for P the finite-difference Helmholtz operator and A the
+    multiplier `sigma`; kappa <= pi^2/4, P^{-1} A's condition number,
+    max/min |sigma/sigma_FD|.
 
-    Both come from one `operators.grid_operator` over the symbol stack
-    (1/sigma_FD, sigma/sigma_FD), applied to r a `transform._stack_blocks`
-    block of symbols at a time: on a small grid one forward transform of r
-    and one stacked inverse of both, on a large one a round trip of one
-    field per symbol.  Nothing here reads the resolvent symbol."""
+    precondition is one `operators.grid_operator` over the symbol stack
+    (1/sigma_FD, sigma/sigma_FD): it transforms r forward once and takes
+    the inverses of both under that apply's stack budget.  Nothing here
+    reads the resolvent symbol."""
     sigma_fd = _fd_helmholtz_array(grid)
     symbols = np.stack([1.0 / sigma_fd, sigma / sigma_fd])
-    blocks = transform._stack_blocks(len(symbols), grid.size)
-    applies = [grid_operator(grid, symbols[block]) for block in blocks]
-
-    def precondition(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty(symbols.shape, dtype=np.complex128)
-        for block, apply in zip(blocks, applies):
-            out[block] = apply(r)
-        return out[0], out[1]
-
     ratio = np.abs(symbols[1])
-    return precondition, float(ratio.max() / ratio.min())
+    return grid_operator(grid, symbols), float(ratio.max() / ratio.min())
 
 
 def _iteration_bound(grid: TorusGrid, tol: float,
@@ -191,11 +182,12 @@ def _pcg(apply_A, precondition, f: GridField, tol: float, max_iter: int
     """Preconditioned conjugate gradients for A u = f; returns (u, the true
     residual ||f - A u|| in the grid L^2 norm, iterations).
 
-    apply_A(values) returns A values, and precondition(r) the pair (z, A z)
-    with z = P^{-1} r; A and P must be Hermitian positive definite.  A p is
-    kept by the recurrence A p <- A z + beta A p, so an iteration makes one
-    precondition call and no apply_A.  If <r, z> or <p, A p> is not finite
-    and positive, the loop raises `ConjugateGradientError`.
+    apply_A(values) returns A values, and precondition(r) the pair (z, A z),
+    or a stack of the two, with z = P^{-1} r; A and P must be Hermitian
+    positive definite.  A p is kept by the recurrence A p <- A z + beta A p,
+    so an iteration makes one precondition call and no apply_A.  If <r, z>
+    or <p, A p> is not finite and positive, the loop raises
+    `ConjugateGradientError`.
 
     The recursively updated residual r <- r - alpha A p drifts from the true
     residual f - A u in floating point, so it only proposes a stop: when

@@ -244,7 +244,8 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     T is `operators.grid_operator`, which looks up the public
     `transform.forward`/`transform.inverse` at call time, so a fault planted
     in either shows here.  Every field that T meets goes through it in
-    one stacked round trip: delta_0, the probes r and their shifts S_j r.
+    one call, as one stack of 1 + _PROBES (1 + n) fields that T takes under
+    its stack budget: delta_0, the probes r and their shifts S_j r.
     (a) From the impulse response kappa = T delta_0, lambda(xi) = M^n
     naive_forward(kappa)(xi) comes for every xi from one FFT-free direct
     sum; eigenvalue_error compares it with 1/(1+|xi|^2), |xi|^2 taken from
@@ -282,12 +283,9 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     impulse = np.zeros(grid.shape, dtype=np.complex128)
     impulse[(0,) * n] = 1.0
     probes = transform._random_values(grid, np.random.default_rng(seed), _PROBES)
-    # T delta_0, then T r_p, then T S_j r_p, a stack at a time
-    fields = np.stack([impulse, *probes, *(np.roll(r, 1, axis=j) for r in probes
-                                           for j in range(n))])
-    responses = np.empty_like(fields)
-    for block in transform._stack_blocks(len(fields), grid.size):
-        responses[block] = apply(fields[block])
+    # T delta_0, then T r_p, then T S_j r_p
+    responses = apply(np.stack([impulse, *probes, *(np.roll(r, 1, axis=j) for r in probes
+                                                     for j in range(n))]))
     kappa = GridField(grid, responses[0])
     eigenvalues = grid.size * transform.naive_forward(kappa).coefficients.ravel()
     norm_sq = np.sum(transform._frequency_vectors(grid) ** 2, axis=1)

@@ -160,15 +160,16 @@ def _random_values(grid: TorusGrid, rng: np.random.Generator, count: int) -> np.
 
 
 # Grid points, summed over its fields, that a stack spans where a loop over
-# many fields takes them a stack at a time (`_stack_blocks`): the lockstep
-# Lanczos runs, the certificate's fields, a family's rows, verify's
-# transform and tail-bound fields.  A field of this size or more is a stack
-# alone, so a large grid holds no more fields at once than one field at a
-# time does.  At 2**13 points a complex stack takes 128 KiB, and 3-D M=9
-# stacks 11 fields.  In-process `verify --dimension 3 --points 9` (one BLAS
-# thread, 2-core x86-64 VM) ran about as fast at 2**13 as at 2**14, and at
-# 2**12 about 15% slower; its peak RSS after 300 runs was 0.6, 1.6 and 0.3
-# MiB above one field at a time.
+# many fields takes them a stack at a time (`_stack_blocks`): the
+# responses of `operators.grid_operator`, which include the certificate's
+# fields and the preconditioner's two symbols; the lockstep Lanczos runs,
+# a family's rows, verify's transform and tail-bound fields.  A field of
+# this size or more is a stack alone, so a large grid holds no more fields
+# at once than one field at a time does.  At 2**13 points a complex stack
+# takes 128 KiB, and 3-D M=9 stacks 11 fields.  In-process `verify
+# --dimension 3 --points 9` (one BLAS thread, 2-core x86-64 VM) ran about
+# as fast at 2**13 as at 2**14, and at 2**12 about 15% slower; its peak RSS
+# after 300 runs was 0.6, 1.6 and 0.3 MiB above one field at a time.
 _STACK_POINTS = 2**13
 
 

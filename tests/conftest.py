@@ -5,11 +5,11 @@ from toruskit import (
     GridField,
     SpectralField,
     TorusGrid,
-    apply_multiplier,
     forward,
     grid_l2_norm,
     inverse,
 )
+from toruskit.operators import symbol_array
 
 
 @pytest.fixture
@@ -39,12 +39,15 @@ def random_grid(grid: TorusGrid, rng: np.random.Generator) -> GridField:
 
 
 def per_mode_residuals(grid, symbol):
-    """The eigenpair residuals one mode at a time, from float phases."""
+    """The eigenpair residuals one mode at a time, from float phases, each
+    mode's coefficients multiplied by the symbol's array here, not through
+    `operators.grid_operator`."""
     x = np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij")
     out = []
     for xi in grid.frequencies():
         psi = GridField(grid, np.exp(1j * sum(k * axis for k, axis in zip(xi, x))))
-        t_psi = inverse(apply_multiplier(forward(psi), symbol))
+        c = forward(psi)
+        t_psi = inverse(SpectralField(grid, symbol_array(symbol, grid) * c.coefficients))
         out.append(grid_l2_norm(t_psi - psi * (1.0 / (1.0 + sum(k * k for k in xi)))))
     return np.array(out)
 

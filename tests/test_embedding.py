@@ -11,7 +11,6 @@ from toruskit import (
     InsufficientResolutionError,
     SpectralField,
     TorusGrid,
-    ball_projection,
     l2_norm,
     pairwise_l2_distances,
     random_bounded_sequence,
@@ -23,7 +22,12 @@ from toruskit import (
     tail_projection,
 )
 from toruskit.embedding import _tail_layout
-from toruskit.operators import norm_sq_array
+from toruskit.operators import (
+    norm_sq_array,
+    resolvent_tail_symbol,
+    symbol_array,
+    truncated_resolvent_symbol,
+)
 from toruskit.transform import random_field
 
 from conftest import random_spectral, spectral_delta
@@ -49,17 +53,21 @@ def test_tail_membership_straddles_integer_radii():
     g = TorusGrid(2, 9)
     c = spectral_delta(g, (1, 1))
     assert np.max(np.abs(tail_projection(c, 1).coefficients)) == 0.0
-    assert np.array_equal(ball_projection(c, 1).coefficients, c.coefficients)
     d = spectral_delta(g, (0, 2))
     assert np.array_equal(tail_projection(d, 1).coefficients, d.coefficients)
 
 
-def test_tail_plus_ball_reconstructs_exactly():
+def test_tail_projection_keeps_the_support_of_the_resolvent_tail():
+    # the projection keeps c exactly where resolvent_tail_symbol is nonzero
+    # and zeroes it exactly where truncated_resolvent_symbol is
     g = TorusGrid(2, 9)
     c = random_spectral(g, np.random.default_rng(2))
     for cutoff in range(g.box_radius + 1):
-        merged = tail_projection(c, cutoff) + ball_projection(c, cutoff)
-        assert np.array_equal(merged.coefficients, c.coefficients)
+        tail = symbol_array(resolvent_tail_symbol(cutoff), g) != 0.0
+        head = symbol_array(truncated_resolvent_symbol(cutoff), g) != 0.0
+        assert np.array_equal(tail, ~head)
+        projected = tail_projection(c, cutoff).coefficients
+        assert np.array_equal(projected, np.where(tail, c.coefficients, 0.0))
 
 
 def test_tail_bound_two_mode_example():
@@ -206,7 +214,7 @@ def test_required_cutoff_is_minimal():
     assert exact >= 100
 
 
-@pytest.mark.parametrize("check", [tail_projection, ball_projection, tail_bound_check])
+@pytest.mark.parametrize("check", [tail_projection, tail_bound_check])
 def test_negative_cutoff_rejected(check):
     c = spectral_delta(TorusGrid(2, 5), (0, 0))
     with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):

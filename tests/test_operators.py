@@ -9,12 +9,10 @@ from toruskit import (
     NonFiniteError,
     SpectralField,
     TorusGrid,
-    apply_multiplier,
     helmholtz_symbol,
     identity_symbol,
     inverse,
     l2_norm,
-    laplacian_symbol,
     norm_sq,
     resolvent_symbol,
     resolvent_tail_symbol,
@@ -24,7 +22,16 @@ from toruskit import (
 )
 from toruskit.operators import grid_operator, norm_sq_array, symbol_array
 
-from conftest import random_spectral, spectral_delta
+from conftest import random_grid, random_spectral, spectral_delta
+
+# the positive Laplacian: its symbol is the |xi|^2 array itself, copied
+# because norm_sq_array hands out one shared read-only array per grid
+LAPLACIAN = MultiplierSymbol("laplacian", of_norm_sq=np.copy)
+
+
+def multiplied(c: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
+    """The diagonal action sigma(xi) c(xi) on every stored mode."""
+    return SpectralField(c.grid, symbol_array(symbol, c.grid) * c.coefficients)
 
 
 def kept_mode_count(grid: TorusGrid, cutoff: int) -> int:
@@ -39,35 +46,35 @@ def kept_mode_count(grid: TorusGrid, cutoff: int) -> int:
 
 def test_identity_symbol_leaves_field_unchanged(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(0))
-    out = apply_multiplier(c, identity_symbol())
+    out = multiplied(c, identity_symbol())
     assert np.array_equal(out.coefficients, c.coefficients)
 
 
 def test_laplacian_scales_unit_mode(grid_2d_9):
     c = spectral_delta(grid_2d_9, (1, 0))
-    assert apply_multiplier(c, laplacian_symbol())[(1, 0)] == 1.0
+    assert multiplied(c, LAPLACIAN)[(1, 0)] == 1.0
 
 
 def test_resolvent_scales_by_one_fifth(grid_2d_9):
     c = spectral_delta(grid_2d_9, (2, 0))
-    assert apply_multiplier(c, resolvent_symbol())[(2, 0)] == pytest.approx(0.2, abs=0)
+    assert multiplied(c, resolvent_symbol())[(2, 0)] == pytest.approx(0.2, abs=0)
 
 
 def test_laplacian_kills_constants(grid_2d_9):
     c = spectral_delta(grid_2d_9, (0, 0))
-    assert np.max(np.abs(apply_multiplier(c, laplacian_symbol()).coefficients)) == 0.0
-    assert apply_multiplier(c, resolvent_symbol())[(0, 0)] == 1.0
+    assert np.max(np.abs(multiplied(c, LAPLACIAN).coefficients)) == 0.0
+    assert multiplied(c, resolvent_symbol())[(0, 0)] == 1.0
 
 
 def test_resolvent_inverts_helmholtz(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(1))
-    back = apply_multiplier(apply_multiplier(c, laplacian_symbol()) + c, resolvent_symbol())
+    back = multiplied(multiplied(c, LAPLACIAN) + c, resolvent_symbol())
     assert np.max(np.abs(back.coefficients - c.coefficients)) < 1e-13
 
 
 def test_truncation_cutoff_zero_keeps_only_constant(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(2))
-    out = apply_multiplier(c, truncated_resolvent_symbol(0))
+    out = multiplied(c, truncated_resolvent_symbol(0))
     assert out[(0, 0)] == c[(0, 0)]
     rest = out.coefficients.copy()
     rest[grid_2d_9.box_radius, grid_2d_9.box_radius] = 0.0
@@ -77,8 +84,8 @@ def test_truncation_cutoff_zero_keeps_only_constant(grid_2d_9):
 def test_truncation_covering_the_box_equals_resolvent(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(3))
     # (N+1)^2 > 2 * 4^2 guarantees nothing is discarded
-    full = apply_multiplier(c, truncated_resolvent_symbol(6))
-    resolved = apply_multiplier(c, resolvent_symbol())
+    full = multiplied(c, truncated_resolvent_symbol(6))
+    resolved = multiplied(c, resolvent_symbol())
     assert np.array_equal(full.coefficients, resolved.coefficients)
 
 
@@ -87,9 +94,9 @@ def test_truncation_membership_straddles_integer_radii(grid_2d_9):
     # a cutoff-1 truncation while |xi|^2 = 4 does not
     c = spectral_delta(grid_2d_9, (1, 1))
     truncation = truncated_resolvent_symbol(1)
-    assert apply_multiplier(c, truncation)[(1, 1)] == pytest.approx(1 / 3, abs=0)
+    assert multiplied(c, truncation)[(1, 1)] == pytest.approx(1 / 3, abs=0)
     d = spectral_delta(grid_2d_9, (0, 2))
-    assert apply_multiplier(d, truncation)[(0, 2)] == 0.0
+    assert multiplied(d, truncation)[(0, 2)] == 0.0
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 4])
@@ -102,7 +109,7 @@ def test_truncation_rank_on_stored_box(grid_2d_9, cutoff):
 def test_truncation_rejects_negative_cutoff(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        apply_multiplier(c, truncated_resolvent_symbol(-1))
+        multiplied(c, truncated_resolvent_symbol(-1))
 
 
 def test_sobolev_norm_single_modes(grid_2d_9):
@@ -150,19 +157,19 @@ def test_l2_norm_of_a_stack_is_each_fields_norm(grid_2d_9):
     assert np.array_equal(l2_norm(ones), np.full(3, 9.0))
 
 
-def test_apply_multiplier_is_linear(grid_2d_9):
+def test_grid_operator_is_linear(grid_2d_9):
     rng = np.random.default_rng(10)
-    c, d = random_spectral(grid_2d_9, rng), random_spectral(grid_2d_9, rng)
-    sym = resolvent_symbol()
-    lhs = apply_multiplier(2.5 * c + (1 - 2j) * d, sym)
-    rhs = 2.5 * apply_multiplier(c, sym) + (1 - 2j) * apply_multiplier(d, sym)
-    assert np.max(np.abs(lhs.coefficients - rhs.coefficients)) < 1e-13
+    u, v = random_grid(grid_2d_9, rng).values, random_grid(grid_2d_9, rng).values
+    apply = grid_operator(grid_2d_9, symbol_array(resolvent_symbol(), grid_2d_9))
+    lhs = apply(2.5 * u + (1 - 2j) * v)
+    rhs = 2.5 * apply(u) + (1 - 2j) * apply(v)
+    assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_multipliers_commute_to_roundoff(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(6))
-    ab = apply_multiplier(apply_multiplier(c, resolvent_symbol()), laplacian_symbol())
-    ba = apply_multiplier(apply_multiplier(c, laplacian_symbol()), resolvent_symbol())
+    ab = multiplied(multiplied(c, resolvent_symbol()), LAPLACIAN)
+    ba = multiplied(multiplied(c, LAPLACIAN), resolvent_symbol())
     assert np.max(np.abs(ab.coefficients - ba.coefficients)) < 1e-14
 
 
@@ -170,27 +177,27 @@ def test_resolvent_is_a_contraction(grid_2d_9):
     rng = np.random.default_rng(7)
     for _ in range(5):
         c = random_spectral(grid_2d_9, rng)
-        assert l2_norm(apply_multiplier(c, resolvent_symbol())) <= l2_norm(c)
+        assert l2_norm(multiplied(c, resolvent_symbol())) <= l2_norm(c)
     # equality exactly on fields supported at the zero mode
     c0 = spectral_delta(grid_2d_9, (0, 0))
-    assert l2_norm(apply_multiplier(c0, resolvent_symbol())) == l2_norm(c0)
+    assert l2_norm(multiplied(c0, resolvent_symbol())) == l2_norm(c0)
 
 
 @pytest.mark.parametrize("order", [-1.0, 0.0, 1.5])
 def test_resolvent_smoothing_gains_two_orders(grid_2d_9, order):
     c = random_spectral(grid_2d_9, np.random.default_rng(8))
-    gained = sobolev_norm_sq(apply_multiplier(c, resolvent_symbol()), order + 2.0)
+    gained = sobolev_norm_sq(multiplied(c, resolvent_symbol()), order + 2.0)
     assert gained == pytest.approx(sobolev_norm_sq(c, order), rel=1e-12)
 
 
 def test_truncation_plus_tail_is_resolvent_exactly(grid_2d_9):
     c = random_spectral(grid_2d_9, np.random.default_rng(9))
     for cutoff in (0, 1, 3):
-        head = apply_multiplier(c, truncated_resolvent_symbol(cutoff))
-        tail = apply_multiplier(c, resolvent_tail_symbol(cutoff))
+        head = multiplied(c, truncated_resolvent_symbol(cutoff))
+        tail = multiplied(c, resolvent_tail_symbol(cutoff))
         assert np.array_equal(
             (head + tail).coefficients,
-            apply_multiplier(c, resolvent_symbol()).coefficients,
+            multiplied(c, resolvent_symbol()).coefficients,
         )
 
 
@@ -211,7 +218,7 @@ def test_non_finite_radial_symbol_rejected(grid_2d_9):
     c = spectral_delta(grid_2d_9, (0, 0))
     bad = MultiplierSymbol("explodes", of_norm_sq=lambda k: np.where(k > 4, np.inf, k))
     with pytest.raises(ValueError, match="explodes"):
-        apply_multiplier(c, bad)
+        multiplied(c, bad)
 
 
 def test_symbol_reducing_k_rejected():
@@ -226,7 +233,7 @@ def test_symbol_returning_part_of_k_rejected():
     row = MultiplierSymbol("first_row", of_norm_sq=lambda k: k[0])
     c = spectral_delta(TorusGrid(2, 5), (0, 0))
     with pytest.raises(ValueError, match=r"'first_row' returned shape \(5,\)"):
-        apply_multiplier(c, row)
+        multiplied(c, row)
 
 
 def test_symbol_takes_of_norm_sq_by_keyword_only():
@@ -248,7 +255,7 @@ def _reference_symbols(cutoff: int) -> list:
 
     return [
         (identity_symbol(), lambda xi: 1.0),
-        (laplacian_symbol(), lambda xi: float(norm_sq(xi))),
+        (LAPLACIAN, lambda xi: float(norm_sq(xi))),
         (helmholtz_symbol(), lambda xi: 1.0 + norm_sq(xi)),
         (resolvent_symbol(), inv),
         (
@@ -294,9 +301,10 @@ def test_symbol_with_a_non_finite_value_raises_non_finite_error(grid_2d_9, bad):
         symbol_array(pole, grid_2d_9)
 
 
-@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7)])
+@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7), (2, 91)])
 def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
-    # one shared symbol row, or one row per field; a stack of one too
+    # one shared symbol row, or one row per field; a stack of one too.  At
+    # 2-D M=91, past transform._STACK_POINTS, each block is one field
     g = TorusGrid(n, m)
     rng = np.random.default_rng(m)
     stack = np.stack([random_spectral(g, rng).coefficients for _ in range(4)])
@@ -315,6 +323,7 @@ def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
     assert responses.shape == stack.shape
     for row_sigma, out in zip(rows, responses):
         assert np.array_equal(out, grid_operator(g, row_sigma)(stack[0]))
+    assert grid_operator(g, shared)(stack[:0]).shape == (0, *g.shape)
 
 
 @pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])

@@ -36,6 +36,15 @@ def distinct_ratios_in_support(f: GridField, tol: float = 1e-12) -> int:
     return int(np.count_nonzero(np.diff(values) > 1e-12 * values[1:])) + 1
 
 
+def _count_forwards(monkeypatch) -> list:
+    """A list that gains one entry per `transform.forward` call made through
+    the module lookup, which is how `operators.grid_operator` calls it."""
+    forwards = []
+    exact = transform_mod.forward
+    monkeypatch.setattr(transform_mod, "forward", lambda u: forwards.append(1) or exact(u))
+    return forwards
+
+
 def test_multiplier_solves_constant():
     g = TorusGrid(2, 5)
     f = GridField(g, np.ones(g.shape, dtype=complex))
@@ -207,28 +216,43 @@ def test_a_preconditioner_with_a_wrong_spacing_changes_the_count_not_the_verdict
     assert wrong.iterations > right.iterations
 
 
-@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 9), (3, 19)])
+@pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 9), (3, 19), (2, 91)])
 def test_a_nonsymmetric_operator_fails_within_twice_the_proven_bound(monkeypatch, n, points):
     # inverse-off-at-one-point makes A nonsymmetric, so CG cannot converge.
     # An iteration takes one precondition call and at most two applies of
-    # A, each call a grid_operator round trip per transform._stack_blocks
-    # block of the two preconditioner symbols; the default max_iter is at
-    # most twice the proven bound (36 at 3-D M=9, where it was 729)
+    # A, each one forward transform on every grid, 2-D M=91 (past
+    # transform._STACK_POINTS) included; the default max_iter is at most
+    # twice the proven bound (36 at 3-D M=9, where it was 729)
     FAULTS["inverse-off-at-one-point"](monkeypatch)
-    round_trips = []
-    exact = solver_mod.grid_operator
-
-    def counted(grid, sigma):
-        apply = exact(grid, sigma)
-        return lambda values: round_trips.append(1) or apply(values)
-
-    monkeypatch.setattr(solver_mod, "grid_operator", counted)
+    forwards = _count_forwards(monkeypatch)
     g = TorusGrid(n, points)
     with pytest.raises(ConjugateGradientError):
         solve_cg(random_field(g, np.random.default_rng(1)))
     max_iter = 2 * _iteration_bound(g, 1e-10)
-    per_call = len(transform_mod._stack_blocks(2, g.size))
-    assert 0 < len(round_trips) <= per_call * (max_iter + 1) + 2 * max_iter
+    assert 0 < len(forwards) <= (max_iter + 1) + 2 * max_iter
+
+
+def test_cg_transforms_each_residual_forward_once_on_a_blocked_grid(monkeypatch):
+    # 2-D M=91 holds 8281 points, past transform._STACK_POINTS, so the
+    # preconditioner's two symbols are inverted one block at a time, from
+    # one forward transform of r.  Every precondition call and every apply
+    # of A makes one forward: here one before the loop, one per iteration
+    # that goes on, and one for the single true-residual check
+    calls = {"precondition": 0, "A": 0}
+    exact = solver_mod.grid_operator
+
+    def counted(grid, sigma):
+        apply = exact(grid, sigma)
+        kind = "precondition" if sigma.ndim > grid.dimension else "A"
+        return lambda values: calls.__setitem__(kind, calls[kind] + 1) or apply(values)
+
+    monkeypatch.setattr(solver_mod, "grid_operator", counted)
+    forwards = _count_forwards(monkeypatch)
+    g = TorusGrid(2, 91)
+    assert len(transform_mod._stack_blocks(2, g.size)) == 2
+    _, report = solve_cg(random_field(g, np.random.default_rng(1)))
+    assert len(forwards) == report.iterations + 1
+    assert calls == {"precondition": report.iterations, "A": 1}
 
 
 @pytest.mark.parametrize("flip", ["negative", "one-mode-negative"])

@@ -8,7 +8,6 @@ from toruskit import (
     LanczosError,
     MultiplierSymbol,
     TorusGrid,
-    apply_multiplier,
     forward,
     grid_l2_norm,
     identity_symbol,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -392,6 +393,41 @@ def test_inner_of_a_stack_is_each_fields_own_sum_bit_for_bit(n, m):
     flipped_a, flipped_b = a[..., ::-1], b[..., ::-1]
     assert np.array_equal(transform_mod._inner(flipped_a, flipped_b, n),
                           transform_mod._inner(flipped_a.copy(), flipped_b.copy(), n))
+
+
+def _pairwise_sum_bound(terms: list[float]) -> float:
+    """Higham's bound (1993) on the error of numpy's pairwise sum of `terms`
+    against their correctly rounded sum: gamma_d sum |t_i| plus half an ulp
+    of the sum, gamma_d = d u / (1 - d u), u = 2**-53, where d bounds the
+    additions a term passes through.  numpy halves the terms down to blocks
+    of at most 128, ceil(log2 L) levels, and sums a block with 15 serial
+    additions into each of 8 accumulators, 3 levels joining them and at
+    most 7 serial additions of the rest: d = ceil(log2 L) + 25."""
+    u = 2.0**-53
+    d = math.ceil(math.log2(len(terms))) + 25
+    return d * u / (1 - d * u) * math.fsum(map(abs, terms)) + u * abs(math.fsum(terms))
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (1, 8191), (2, 9), (2, 89), (3, 5), (3, 19)])
+@pytest.mark.parametrize("count", [None, 3])
+def test_inner_is_the_correctly_rounded_sum_within_higham_s_bound(n, m, count):
+    # an oracle apart from numpy's reductions: math.fsum over the float64
+    # view's products, taken in Python, one field or each of a stack's
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    a, b = (transform_mod._random_values(g, rng, count or 1) for _ in range(2))
+    if count is None:
+        a, b = a[0], b[0]
+    got = transform_mod._inner(a, b, n)
+    assert type(got) is float if count is None else got.shape == (count,)
+    for x, y, total in zip(a.reshape(-1, g.size), b.reshape(-1, g.size), np.ravel(got)):
+        products = [p * q for p, q in zip(x.view(np.float64).tolist(),
+                                          y.view(np.float64).tolist())]
+        bound = _pairwise_sum_bound(products)
+        assert abs(total - math.fsum(products)) <= bound
+        # so a sum without the imaginary products, or without the real ones,
+        # lies far outside the bound
+        assert min(abs(math.fsum(products[0::2])), abs(math.fsum(products[1::2]))) > 1e6 * bound
 
 
 def test_field_arithmetic_requires_same_grid():
