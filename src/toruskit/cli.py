@@ -493,7 +493,7 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
     failures = []
     for block in transform._stack_blocks(20, grid.size):
         draws = rng.standard_normal((block.stop - block.start, 3, *grid.shape))
-        fields = transform.GridField(grid, draws[:, 0] + 1j * draws[:, 1])
+        fields = transform.GridField(grid, transform._complex_values(draws[:, 0], draws[:, 1]))
         reals = transform.GridField(grid, draws[:, 2] + 0j)
         del draws
         if not transform.forward(reals).is_conjugate_symmetric(1e-12):

@@ -141,17 +141,21 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
     of symbols at a time, its coefficients held until the last.  Each
     response comes back bit for bit as it would alone."""
 
+    symbols_stacked = sigma.ndim > grid.dimension
+
     def apply(values: np.ndarray) -> np.ndarray:
-        stacked = np.shape(values)[1:] == grid.shape
-        shape = np.broadcast_shapes(np.shape(values) if stacked else grid.shape, sigma.shape)
-        fields = np.reshape(values, (-1, *grid.shape))
-        out = np.empty(shape, dtype=np.complex128).reshape(-1, *grid.shape)
-        once = len(fields) < len(out)
+        stacked = values.ndim > grid.dimension
+        fields = values if stacked else values[np.newaxis]
+        if symbols_stacked and len(fields) not in (1, len(sigma)):
+            raise ValueError(f"{len(fields)} fields against {len(sigma)} symbols")
+        count = len(sigma) if symbols_stacked else len(fields)
+        out = np.empty((count, *grid.shape), dtype=np.complex128)
+        once = len(fields) < count
         if once:
             c = transform.forward(GridField(grid, fields))
             spectrum = c.coefficients
         for block in transform._stack_blocks(len(out), grid.size):
-            symbols = sigma[block] if sigma.ndim > grid.dimension else sigma
+            symbols = sigma[block] if symbols_stacked else sigma
             # the products bypass SpectralField's check; `inverse` validates them
             if once:
                 c.coefficients = spectrum * symbols
@@ -159,7 +163,7 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
                 c = transform.forward(GridField(grid, fields[block]))
                 c.coefficients *= symbols
             out[block] = transform.inverse(c).values
-        return out.reshape(shape)
+        return out if stacked or symbols_stacked else out[0]
 
     return apply
 

@@ -21,18 +21,24 @@ per-call cost once instead of k times.
 
 Two independent evaluation routes are provided.  The production path is
 numpy.fft (pocketfft, O(M^n log M) at every length, primes included),
-applied by one private array-level pair over the trailing n axes, which
-`forward` and `inverse` wrap.  The pair moves numpy's order k = 0..M-1
-into the box xi = -h..h with the 2**n block copies that `np.fft.fftshift`
-makes, from (destination, source) slices cached per (M, n, direction), so
-the output is the same permutation, bit for bit, without fftshift's
-per-call bookkeeping.  The oracle that cross-checks it, `naive_forward` and
-`naive_inverse`, is a direct sum with no FFT, taken one axis at a time: the
-kernel exp(-+i xi . x_m) is the product of its per-axis factors, so the sum
-is n contractions of the grid with the M x M axis table, O(n M^{n+1}) in
-all.  Each block of table rows is gathered from the M roots of unity by the
-exact integer phase (xi_j m_j) mod M, made without a division per entry,
-and serves every field of a stack at once.
+applied by one private array-level pair, `_analysis` and `_synthesis`,
+which `forward` and `inverse` wrap.  Each makes one `np.fft.fft` or `ifft`
+pass per trailing axis, last axis first as `np.fft.fftn` orders them, all
+written with `out=` into one buffer: the same pocketfft arithmetic as
+fftn, bit for bit, with one FFT buffer per transform where fftn allocates
+an array per axis.  The analysis buffer is its first pass's output, the
+synthesis buffer the box shift's copy, so the caller's array is never
+written.  The shift moves numpy's order k = 0..M-1 into the box xi =
+-h..h with the 2**n block copies that `np.fft.fftshift` makes, from
+(destination, source) slices cached per (M, n, direction), so the output
+is the same permutation, bit for bit, without fftshift's per-call
+bookkeeping.  The oracle that cross-checks it, `naive_forward` and
+`naive_inverse`, is a direct sum with no FFT, taken one axis at a time:
+the kernel exp(-+i xi . x_m) is the product of its per-axis factors, so
+the sum is n contractions of the grid with the M x M axis table, O(n
+M^{n+1}) in all.  Each block of table rows is gathered from the M roots
+of unity by the exact integer phase (xi_j m_j) mod M, made without a
+division per entry, and serves every field of a stack at once.
 """
 
 from __future__ import annotations
@@ -116,7 +122,11 @@ def _validated_values(grid: TorusGrid, values, what: str) -> np.ndarray:
                 f"{what} has {arr.size} entries, grid holds {grid.size}"
             )
         arr = arr.reshape(grid.shape)
-    if not np.isfinite(arr).all():
+    # a complex value is finite exactly when both of its parts are, so a
+    # C-contiguous array is checked on its float64 view, which is cheaper;
+    # any other array is checked as it is, not copied
+    parts = arr.view(np.float64) if arr.flags.c_contiguous else arr
+    if not np.isfinite(parts).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
     return arr
 
@@ -156,7 +166,16 @@ def _random_values(grid: TorusGrid, rng: np.random.Generator, count: int) -> np.
     (count, *grid.shape) stack from one draw of the same stream: each
     field's real parts, then its imaginary parts."""
     parts = rng.standard_normal((count, 2, *grid.shape))
-    return parts[:, 0] + 1j * parts[:, 1]
+    return _complex_values(parts[:, 0], parts[:, 1])
+
+
+def _complex_values(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """real + 1j * imag as one complex128 array, its parts filled in place:
+    no complex temporaries, and each value the same as the expression's."""
+    values = np.empty(real.shape, dtype=np.complex128)
+    values.real = real
+    values.imag = imag
+    return values
 
 
 # Grid points, summed over its fields, that a stack spans where a loop over
@@ -256,17 +275,18 @@ def _box_shift(values: np.ndarray, dimension: int, into_box: bool) -> np.ndarray
 
 def _analysis(values: np.ndarray, dimension: int) -> np.ndarray:
     """Forward transform of the trailing `dimension` axes, shifted into the box."""
-    axes = tuple(range(-dimension, 0))
-    coefficients = np.fft.fftn(values, axes=axes, norm="forward")
+    coefficients = np.fft.fft(values, axis=-1, norm="forward")
+    for axis in range(-2, -dimension - 1, -1):
+        np.fft.fft(coefficients, axis=axis, norm="forward", out=coefficients)
     return _box_shift(coefficients, dimension, into_box=True)
 
 
 def _synthesis(coefficients: np.ndarray, dimension: int) -> np.ndarray:
     """Inverse of `_analysis` over the trailing `dimension` axes."""
-    axes = tuple(range(-dimension, 0))
-    return np.fft.ifftn(
-        _box_shift(coefficients, dimension, into_box=False), axes=axes, norm="forward"
-    )
+    values = _box_shift(coefficients, dimension, into_box=False)
+    for axis in range(-1, -dimension - 1, -1):
+        np.fft.ifft(values, axis=axis, norm="forward", out=values)
+    return values
 
 
 def forward(u: GridField) -> SpectralField:
@@ -377,7 +397,14 @@ def _inner(a: np.ndarray, b: np.ndarray, dimension: int) -> float | np.ndarray:
     float64 views' products (Higham 1993), not BLAS, so its digits do not
     depend on the thread count and a stack's fields sum as each alone."""
     a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
-    return _field_sums(a * b, dimension)
+    products = a * b
+    # one reduction over the trailing axes flattened, the same pairwise sum
+    # as np.sum over them; their size is written out, since an empty stack
+    # cannot infer it
+    cut = products.ndim - dimension
+    lines = products.reshape(*products.shape[:cut], math.prod(products.shape[cut:]))
+    sums = np.add.reduce(lines, axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def grid_l2_norm(u: GridField) -> float | np.ndarray:

@@ -142,6 +142,13 @@ def _stack_reduced_to_its_first_field(monkeypatch):
     monkeypatch.setattr(transform_mod, "_inner", faulty)
 
 
+def _inner_drops_imaginary_products(monkeypatch):
+    # the one reduction sums the products of the real parts alone
+    exact = transform_mod._inner
+    monkeypatch.setattr(transform_mod, "_inner", lambda a, b, dimension: exact(
+        np.real(a) + 0j, np.real(b) + 0j, dimension))
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -156,9 +163,10 @@ FAULTS = {
     "extraction-cutoff-0": _cutoff_always_zero,
     "extraction-distances-understated-20x": _distances_understated,
     "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
+    "inner-drops-imaginary-products": _inner_drops_imaginary_products,
 }
-# Faults that only one group's computation reaches, and that group; every
-# other fault lies in the transforms or the symbols.
+# Faults that one group alone catches, and that group; every other fault
+# lies in the transforms or the symbols.
 ONE_GROUP_FAULTS = {
     "truncation-keeps-k=(N+1)^2": "operator-norms",
     "lanczos-second-ritz-value": "operator-norms",
@@ -166,6 +174,7 @@ ONE_GROUP_FAULTS = {
     "extraction-cutoff-0": "rellich-extraction",
     "extraction-distances-understated-20x": "rellich-extraction",
     "stack-inner-products-of-field-0": "operator-norms",
+    "inner-drops-imaginary-products": "transform-roundtrip-plancherel",
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]

@@ -324,6 +324,9 @@ def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
     for row_sigma, out in zip(rows, responses):
         assert np.array_equal(out, grid_operator(g, row_sigma)(stack[0]))
     assert grid_operator(g, shared)(stack[:0]).shape == (0, *g.shape)
+    # a stack of symbols takes one field, or as many fields as symbols
+    with pytest.raises(ValueError, match="3 fields against 4 symbols"):
+        grid_operator(g, rows)(stack[:3])
 
 
 @pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])

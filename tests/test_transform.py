@@ -75,6 +75,33 @@ def test_rejects_non_finite_values():
             GridField(g, bad)
         with pytest.raises(NonFiniteError, match="non-finite"):
             SpectralField(g, bad)
+    # a contiguous stack is checked on its float64 view, any other as it
+    # is: a strided 3-D stack whose only non-finite part is one imaginary
+    # infinity, and a contiguous one with one NaN
+    g = TorusGrid(3, 21)
+    holder = np.ones((6, *g.shape), dtype=complex)
+    holder[4, 1, 2, 3] = complex(0.0, np.inf)
+    strided = holder[::2]
+    assert not strided.flags.c_contiguous
+    bad = np.ones((3, *g.shape), dtype=complex)
+    bad[1, 4, 4, 4] = np.nan
+    for values in (strided, bad):
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            GridField(g, values)
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            SpectralField(g, values)
+    # without the non-finite entry the strided stack passes, and is checked
+    # in place: the check allocates its mask, one byte a value, not a copy
+    # of the 444 KB stack
+    holder[4, 1, 2, 3] = 1.0
+    tracemalloc.start()
+    try:
+        checked = transform_mod._validated_values(g, strided, "stack")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked is strided
+    assert peak < strided.nbytes / 4
 
 
 def test_forward_constant_field():
@@ -291,17 +318,27 @@ def test_naive_oracle_refuses_a_sequence_on_two_grids():
 @pytest.mark.parametrize(
     "n, m, stack",
     [(1, 3, ()), (1, 9, (4,)), (1, 2053, ()), (2, 5, ()), (2, 15, (3,)),
-     (2, 13, (2, 2)), (3, 3, ()), (3, 9, (5,)), (3, 7, ())],
+     (2, 13, (2, 2)), (2, 9, (0,)), (3, 3, ()), (3, 9, (5,)), (3, 7, ())],
 )
 def test_box_shift_is_fftshift_bit_for_bit(n, m, stack):
+    # the per-axis passes and the cached box shift give fftn and fftshift's
+    # values bit for bit, on the array and on a strided view of the same
+    # values, and leave the input as it was
     rng = np.random.default_rng(n * m)
     shape = stack + (m,) * n
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    holder = np.zeros((*shape[:-1], 2 * m), dtype=complex)
+    holder[..., ::2] = values
+    strided = holder[..., ::2]
+    assert strided.flags.c_contiguous == (values.size == 0)
     axes = tuple(range(-n, 0))
-    expected = np.fft.fftshift(np.fft.fftn(values, axes=axes, norm="forward"), axes=axes)
-    assert np.array_equal(_analysis(values, n), expected)
-    expected = np.fft.ifftn(np.fft.ifftshift(values, axes=axes), axes=axes, norm="forward")
-    assert np.array_equal(_synthesis(values, n), expected)
+    for given in (values, strided):
+        before = given.copy()
+        expected = np.fft.fftshift(np.fft.fftn(given, axes=axes, norm="forward"), axes=axes)
+        assert np.array_equal(_analysis(given, n), expected)
+        expected = np.fft.ifftn(np.fft.ifftshift(given, axes=axes), axes=axes, norm="forward")
+        assert np.array_equal(_synthesis(given, n), expected)
+        assert np.array_equal(given, before)
 
 
 def test_naive_linearity():
@@ -393,6 +430,26 @@ def test_inner_of_a_stack_is_each_fields_own_sum_bit_for_bit(n, m):
     flipped_a, flipped_b = a[..., ::-1], b[..., ::-1]
     assert np.array_equal(transform_mod._inner(flipped_a, flipped_b, n),
                           transform_mod._inner(flipped_a.copy(), flipped_b.copy(), n))
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (1, 8191), (2, 9), (2, 89), (3, 9), (3, 19)])
+@pytest.mark.parametrize("count", [None, 0, 1, 3, 7])
+def test_inner_is_the_sum_over_the_tuple_of_trailing_axes_bit_for_bit(n, m, count):
+    # one reduction over the flattened trailing axes sums as np.sum over
+    # the tuple of them does, for one field and for stacks, empty ones too
+    g = TorusGrid(n, m)
+    rng = np.random.default_rng(m)
+    a, b = (transform_mod._random_values(g, rng, 1 if count is None else count)
+            for _ in range(2))
+    if count is None:
+        a, b = a[0], b[0]
+    expected = np.sum(a.view(np.float64) * b.view(np.float64), axis=tuple(range(-n, 0)))
+    got = transform_mod._inner(a, b, n)
+    if count is None:
+        assert type(got) is float
+    else:
+        assert got.shape == (count,)
+    assert np.asarray(got).tobytes() == expected.tobytes()
 
 
 def _pairwise_sum_bound(terms: list[float]) -> float:
@@ -517,6 +574,21 @@ def test_random_values_are_successive_random_field_draws(n, m):
     assert stack.shape == (6, *g.shape)
     for values in stack:
         assert np.array_equal(values, transform_mod.random_field(g, rng).values)
+
+
+@pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7)])
+@pytest.mark.parametrize("seed", range(10))
+def test_complex_draws_are_real_plus_1j_imag_bit_for_bit(n, m, seed):
+    # the parts filled in place take the same stream, and give the same
+    # values, as the expression a + 1j * b did
+    g = TorusGrid(n, m)
+    got = transform_mod._random_values(g, np.random.default_rng(seed), 3)
+    parts = np.random.default_rng(seed).standard_normal((3, 2, *g.shape))
+    assert got.tobytes() == (parts[:, 0] + 1j * parts[:, 1]).tobytes()
+    # verify's transform group draws three parts a field, the first two complex
+    draws = np.random.default_rng(seed).standard_normal((3, 3, *g.shape))
+    got = transform_mod._complex_values(draws[:, 0], draws[:, 1])
+    assert got.tobytes() == (draws[:, 0] + 1j * draws[:, 1]).tobytes()
 
 
 @pytest.mark.parametrize("count, size, blocks", [
