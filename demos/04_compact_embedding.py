@@ -23,7 +23,7 @@ seq = tk.random_bounded_sequence(grid, count=64, h1_bound=1.0, seed=5)
 eps = 0.5
 indices = tk.rellich_extract(seq, eps)
 distances = tk.pairwise_l2_distances(seq, indices)
-print(f"\nextracted {len(indices)} of {len(seq.items)} items at eps = {eps}")
+print(f"\nextracted {len(indices)} of {len(seq.coefficients)} items at eps = {eps}")
 print("selected indices:", indices)
 print("max pairwise L2 distance:", max(distances))
 

@@ -60,8 +60,9 @@ MAX_GRID_POINTS = 2**22
 # about 1.7 s in all.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
-# their 64 kept coefficient vectors, about 2.2 KB per grid point (558 MiB
-# at 2-D M=511, 586 MiB at 1-D M=262143), so about 600 MiB at this size.
+# their 64 kept coefficient vectors, about 2.2 KB per grid point (562-563
+# MiB at 2-D M=511, one BLAS thread on a 2-core x86-64 VM; 586 MiB at 1-D
+# M=262143), so about 600 MiB at this size.
 MAX_EMBED_POINTS = 2**18
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 (one BLAS thread, 2-core
 # x86-64 VM) takes 2.8-3.8 s and peaks at 73 MiB writing 96 MB of JSON or
@@ -322,7 +323,7 @@ def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
         "epsilon": epsilon,
         "h1_bound": seq.h1_bound,
         "cutoff": embedding.required_cutoff(seq.h1_bound, epsilon),
-        "item_count": len(seq.items),
+        "item_count": len(seq.coefficients),
         "indices": list(indices),
         "max_pairwise_l2": max_distance,
     }

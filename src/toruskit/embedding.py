@@ -11,13 +11,13 @@ small tail, in a fixed finite-dimensional coefficient space, and greedy
 clustering there extracts subfamilies that are pairwise close in L^2.
 That is the whole compactness mechanism, made finite.
 
-A family (`BoundedSequence`) is held as one (count, grid size) array of
-coefficients, whose rows its items view.  It is drawn into that array a
-stack of fields at a time, from the same stream as one `random_field` draw
-per field, and its H^1 check, the extraction's distances to the cluster
-leaders and the pairwise distances of the oracle are taken on stacks of
-rows of at most `transform._STACK_POINTS` points, so that on a large grid
-their temporaries are the size of one field.
+A family (`BoundedSequence`) is one SpectralField stack, (count,
+*grid.shape).  It is drawn into that stack a block of fields at a time,
+from the same stream as one `random_field` draw per field, and its H^1
+check, the extraction's distances from each cluster leader and the
+pairwise distances of the oracle are taken on blocks of fields of at most
+`transform._STACK_POINTS` points, so that on a large grid their
+temporaries are the size of one field.
 
 `tail_profile` evaluates the bound at every cutoff 0..box radius in one
 pass: the tail energies as one reversed cumulative sum of |c|^2 over the
@@ -53,44 +53,25 @@ class InsufficientResolutionError(ValueError):
 class BoundedSequence:
     """Finite family of spectral fields on one grid with a certified H^1 bound.
 
-    The family is one (count, grid size) complex array, `coefficients`, a
-    row per item in storage order, and each of `items` is a SpectralField
-    viewing its row, so no item is held twice.  Built from a list of
-    spectral fields, it copies them into that array; `from_rows` takes the
-    array itself.  The bound is re-verified on construction, never
+    The family is one SpectralField stack of shape (count, *grid.shape),
+    and `coefficients` is that stack's array, held as it is: item i is
+    coefficients[i].  The bound is re-verified on construction, never
     trusted: every item must satisfy sobolev_norm_sq(item, 1) <=
-    h1_bound**2 (up to roundoff), checked on the stacked rows.
+    h1_bound**2 (up to roundoff), checked a block of items at a time.
     """
 
-    def __init__(self, items: list[SpectralField], h1_bound: float) -> None:
-        items = list(items)
-        grid = items[0].grid if items else None
-        for i, item in enumerate(items):
-            if item.grid != grid:
-                raise ValueError(f"item {i} lives on a different grid")
-        rows = [item.coefficients.ravel() for item in items]
-        self._certify(grid, np.stack(rows) if rows else np.zeros((0, 0), complex), h1_bound)
-
-    @classmethod
-    def from_rows(cls, grid: TorusGrid, coefficients: np.ndarray,
-                  h1_bound: float) -> "BoundedSequence":
-        """The family whose item i has row i of the (count, grid.size)
-        complex array `coefficients` as its coefficients, held as it is."""
-        seq = cls.__new__(cls)
-        seq._certify(grid, coefficients, h1_bound)
-        return seq
-
-    def _certify(self, grid, coefficients: np.ndarray, h1_bound: float) -> None:
+    def __init__(self, family: SpectralField, h1_bound: float) -> None:
+        grid, coefficients = family.grid, family.coefficients
+        if coefficients.ndim != grid.dimension + 1:
+            raise ValueError("a family is a stack of fields, shape (count, *grid.shape)")
         if not len(coefficients):
             raise ValueError("sequence must contain at least one item")
         if h1_bound <= 0:
             raise ValueError(f"h1_bound must be positive, got {h1_bound}")
         self.grid, self.coefficients, self.h1_bound = grid, coefficients, h1_bound
-        self.items = [SpectralField(grid, row) for row in coefficients]
         h1_sq = np.empty(len(coefficients))
         for block in transform._stack_blocks(len(coefficients), grid.size):
-            rows = coefficients[block].reshape(-1, *grid.shape)
-            h1_sq[block] = sobolev_norm_sq(SpectralField(grid, rows), 1.0)
+            h1_sq[block] = sobolev_norm_sq(SpectralField(grid, coefficients[block]), 1.0)
         over = np.flatnonzero(h1_sq > h1_bound**2 * (1.0 + _H1_SLACK))
         if len(over):
             raise ValueError(
@@ -198,8 +179,11 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
     Procedure: choose the cutoff N so both tails of any pair cost at most
     eps/2 in total, then greedily leader-cluster the kept coefficient
     vectors with join radius eps/4 (so kept parts of a cluster have
-    diameter at most eps/2) and return the largest cluster.  Clustering is
-    sequential and deterministic; ties go to the earliest cluster.
+    diameter at most eps/2) and return the largest cluster, in ascending
+    order.  Clustering takes one pass per leader: an item no earlier
+    leader has taken becomes a leader and takes every later item not yet
+    taken within eps/4, so an item joins the first leader within eps/4,
+    and of equal clusters the earliest is returned.
 
     Raises InsufficientResolutionError when the needed cutoff exceeds the
     stored box.
@@ -212,43 +196,43 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
             f"the stored box only holds frequencies up to {grid.box_radius} per axis"
         )
 
-    kept = np.where(kept_by_truncation(norm_sq_array(grid), cutoff).ravel(),
-                    seq.coefficients, 0.0)
+    kept = np.where(kept_by_truncation(norm_sq_array(grid), cutoff), seq.coefficients, 0.0)
     join_radius = eps / 4.0
-    clusters: list[list[int]] = []
-    leaders: list[int] = []
-    for i, vec in enumerate(kept):
-        for block in transform._stack_blocks(len(leaders), grid.size):
-            near = _distances(kept[leaders[block]], vec) <= join_radius
-            if near.any():
-                clusters[block.start + int(np.argmax(near))].append(i)
-                break
-        else:
-            leaders.append(i)
-            clusters.append([i])
-    return max(clusters, key=len)
+    # cluster[i] is the leader item i joined, -1 while no leader has taken it
+    cluster = np.full(len(kept), -1)
+    for leader in range(len(kept)):
+        if cluster[leader] >= 0:
+            continue
+        cluster[leader] = leader
+        free = leader + 1 + np.flatnonzero(cluster[leader + 1:] < 0)
+        for block in transform._stack_blocks(len(free), grid.size):
+            items = free[block]
+            near = _distances(kept[items], kept[leader]) <= join_radius
+            cluster[items[near]] = leader
+    largest = np.bincount(cluster).argmax()
+    return np.flatnonzero(cluster == largest).tolist()
 
 
-def _distances(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The l2 distance of each row of `rows`, a copy it overwrites, from
-    vec: the squares are summed over the float view, so that no other
-    array of a row's size is made."""
-    rows -= vec
-    flat = rows.view(np.float64)
+def _distances(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """The l2 distance of each field of `stack`, a copy it overwrites, from
+    `field`: the squares are summed over the float view, so that no other
+    array of a field's size is made."""
+    stack -= field
+    flat = stack.reshape(len(stack), -1).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def pairwise_l2_distances(seq: BoundedSequence, indices: list[int]) -> list[float]:
     """Direct L^2 distances between all selected pairs (validation oracle),
     in the order (a, b) for a < b: each the l2 norm of the difference of
-    two rows of the family, over stacks of such differences."""
+    two items of the family, over stacks of such differences."""
     pairs = [(indices[a], indices[b])
              for a in range(len(indices)) for b in range(a + 1, len(indices))]
     out = []
     for block in transform._stack_blocks(len(pairs), seq.grid.size):
         first, second = zip(*pairs[block])
         gaps = seq.coefficients[list(first)] - seq.coefficients[list(second)]
-        out += np.sqrt(np.sum(np.abs(gaps) ** 2, axis=1)).tolist()
+        out += np.sqrt(np.sum(np.abs(gaps.reshape(len(gaps), -1)) ** 2, axis=1)).tolist()
     return out
 
 
@@ -266,24 +250,24 @@ def random_bounded_sequence(
     the extractor exists for: most of its mass is spread over finitely many
     low modes, so large pairwise-close subfamilies exist.  The anchors and
     then the perturbations are drawn as `random_field` draws them, in
-    stacks of fields, straight into the family's rows.
+    stacks of fields, straight into the family's stack.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     weights = 1.0 / (1.0 + norm_sq_array(grid))
 
-    def draw(rows: np.ndarray, scale: float) -> np.ndarray:
-        # each row a weighted draw rescaled to H^1 norm `scale`
-        for block in transform._stack_blocks(len(rows), grid.size):
+    def draw(fields: int, scale: float) -> np.ndarray:
+        # a stack of `fields` weighted draws, each rescaled to H^1 norm `scale`
+        stack = np.empty((fields, *grid.shape), complex)
+        for block in transform._stack_blocks(fields, grid.size):
             raw = transform._random_values(grid, rng, block.stop - block.start) * weights
             h1 = np.sqrt(sobolev_norm_sq(SpectralField(grid, raw), 1.0))
-            rows[block] = (raw * (scale / h1).reshape((-1,) + (1,) * grid.dimension)
-                           ).reshape(len(raw), -1)
-        return rows
+            stack[block] = raw * (scale / h1).reshape((-1,) + (1,) * grid.dimension)
+        return stack
 
-    anchors = draw(np.empty((_ANCHOR_COUNT, grid.size), complex), 0.8 * h1_bound)
-    items = draw(np.empty((count, grid.size), complex), _SPREAD * h1_bound)
+    anchors = draw(_ANCHOR_COUNT, 0.8 * h1_bound)
+    family = draw(count, _SPREAD * h1_bound)
     for a, anchor in enumerate(anchors):
-        items[a::_ANCHOR_COUNT] += anchor
-    return BoundedSequence.from_rows(grid, items, h1_bound)
+        family[a::_ANCHOR_COUNT] += anchor
+    return BoundedSequence(SpectralField(grid, family), h1_bound)

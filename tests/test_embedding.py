@@ -177,22 +177,26 @@ def test_tail_profile_property(n, m, seed, sparsity):
     _assert_profile_matches_oracle(SpectralField(g, arr))
 
 
+def _family(*fields: SpectralField) -> SpectralField:
+    """The fields, all on one grid, as one stack in the given order."""
+    return SpectralField(fields[0].grid, np.stack([c.coefficients for c in fields]))
+
+
 def test_bounded_sequence_rechecks_the_bound():
     g = TorusGrid(1, 9)
     ok = spectral_delta(g, (1,))  # H^1 norm sqrt(2)
     with pytest.raises(ValueError, match="item 0"):
-        BoundedSequence([ok], h1_bound=1.0)
-    seq = BoundedSequence([ok], h1_bound=1.5)
+        BoundedSequence(_family(ok), h1_bound=1.0)
+    seq = BoundedSequence(_family(ok), h1_bound=1.5)
     assert seq.h1_bound == 1.5
 
 
-def test_bounded_sequence_rejects_mixed_grids_and_empty():
+def test_bounded_sequence_rejects_one_field_and_empty():
     a = spectral_delta(TorusGrid(1, 9), (0,))
-    b = spectral_delta(TorusGrid(1, 7), (0,))
-    with pytest.raises(ValueError, match="different grid"):
-        BoundedSequence([a, b], h1_bound=2.0)
-    with pytest.raises(ValueError):
-        BoundedSequence([], h1_bound=1.0)
+    with pytest.raises(ValueError, match=r"^a family is a stack of fields"):
+        BoundedSequence(a, h1_bound=2.0)
+    with pytest.raises(ValueError, match="at least one item"):
+        BoundedSequence(SpectralField(a.grid, np.zeros((0, 9))), h1_bound=1.0)
 
 
 def test_required_cutoff_is_minimal():
@@ -224,7 +228,7 @@ def test_negative_cutoff_rejected(check):
 def test_extract_constant_sequence_returns_everything():
     g = TorusGrid(1, 17)
     item = spectral_delta(g, (1,)) * 0.1
-    seq = BoundedSequence([item] * 6, h1_bound=1.0)
+    seq = BoundedSequence(_family(*[item] * 6), h1_bound=1.0)
     assert rellich_extract(seq, 0.5) == [0, 1, 2, 3, 4, 5]
 
 
@@ -232,11 +236,62 @@ def test_extract_pure_modes_picks_the_repeats():
     g = TorusGrid(1, 37)
     modes = [(0,), (1,), (-2,), (1,), (1,)]
     items = [spectral_delta(g, xi) for xi in modes]
-    seq = BoundedSequence(items, h1_bound=math.sqrt(5.0))
+    seq = BoundedSequence(_family(*items), h1_bound=math.sqrt(5.0))
     # distinct unit modes sit at L2 distance sqrt(2); only repeats cluster
     assert rellich_extract(seq, 0.5) == [1, 3, 4]
     gaps = pairwise_l2_distances(seq, [1, 2])
     assert gaps[0] == pytest.approx(math.sqrt(2.0))
+
+
+# join radius eps/4 = 0.25 at eps = 1; h1_bound 1 needs cutoff 3, which
+# keeps the modes 0 and 1 of a 1-D M=17 grid
+_JOIN = 0.25
+
+
+@pytest.mark.parametrize("radii, expected", [
+    # 0.99 join radii from leader 0: item 1 joins it
+    ([(0.0, 0.0), (0.99, 0.0)], [0, 1]),
+    # 1.01 join radii from leader 0: item 1 leads its own cluster, item 2 joins it
+    ([(0.0, 0.0), (1.01, 0.0), (1.01, 0.0)], [1, 2]),
+    # item 3 lies 0.505 join radii from leaders 0 and 1 alike: it joins the first
+    ([(0.0, 0.0), (1.01, 0.0), (1.01, 0.0), (0.505, 0.0)], [0, 3]),
+    # clusters {0, 3} and {1, 2} are equal: the earlier is returned
+    ([(0.0, 0.0), (0.0, 2.0), (0.0, 2.0), (-0.5, 0.0)], [0, 3]),
+])
+def test_extraction_join_rule_at_its_boundary(radii, expected):
+    # each item a0 * join radius at mode 0 plus a1 * join radius at mode 1
+    g = TorusGrid(1, 17)
+    items = [spectral_delta(g, (0,)) * (a0 * _JOIN) + spectral_delta(g, (1,)) * (a1 * _JOIN)
+             for a0, a1 in radii]
+    assert rellich_extract(BoundedSequence(_family(*items), h1_bound=1.0), 1.0) == expected
+
+
+def _extract_item_by_item(seq, eps):
+    """The greedy leader clustering one item at a time: each item joins the
+    first leader within eps/4 or becomes a leader; the earliest of the
+    largest clusters.  The oracle of the pass-per-leader extraction."""
+    kept = seq.coefficients.copy()
+    kept[:, norm_sq_array(seq.grid) >= (required_cutoff(seq.h1_bound, eps) + 1) ** 2] = 0
+    clusters = []
+    for i, item in enumerate(kept):
+        for cluster in clusters:
+            if math.sqrt(np.sum(np.abs(item - kept[cluster[0]]) ** 2)) <= eps / 4:
+                cluster.append(i)
+                break
+        else:
+            clusters.append([i])
+    return max(clusters, key=len)
+
+
+# 4 leaders of 16 items each, then 6, 29 and 47 leaders as eps shrinks
+# below the spread of the perturbations
+@pytest.mark.parametrize("n, m, seed, eps", [
+    (1, 17, 5, 0.5), (2, 33, 3, 0.5), (3, 9, 1, 1.0),
+    (1, 79, 4, 0.1), (1, 159, 6, 0.06), (1, 159, 4, 0.05),
+])
+def test_extraction_is_the_item_by_item_clustering(n, m, seed, eps):
+    seq = random_bounded_sequence(TorusGrid(n, m), count=64, h1_bound=1.0, seed=seed)
+    assert rellich_extract(seq, eps) == _extract_item_by_item(seq, eps)
 
 
 def test_extract_seeded_sequence_passes_independent_distance_check():
@@ -274,15 +329,15 @@ def test_cutoff_beyond_float_range_is_insufficient_resolution(eps):
 def test_generated_sequence_is_certified():
     g = TorusGrid(1, 17)
     seq = random_bounded_sequence(g, count=16, h1_bound=0.7, seed=9)
-    for item in seq.items:
-        assert math.sqrt(sobolev_norm_sq(item, 1.0)) <= 0.7 * (1 + 1e-9)
+    for item in seq.coefficients:
+        assert math.sqrt(sobolev_norm_sq(SpectralField(g, item), 1.0)) <= 0.7 * (1 + 1e-9)
 
 
 def test_pairwise_distances_oracle_is_direct():
     g = TorusGrid(1, 9)
     a = spectral_delta(g, (0,))
     b = spectral_delta(g, (1,))
-    seq = BoundedSequence([a, b], h1_bound=2.0)
+    seq = BoundedSequence(_family(a, b), h1_bound=2.0)
     (d,) = pairwise_l2_distances(seq, [0, 1])
     assert d == l2_norm(a - b)
 
@@ -307,24 +362,20 @@ def test_stacked_draw_gives_the_per_field_family_bit_for_bit(n, m, seed):
     g = TorusGrid(n, m)
     seq = random_bounded_sequence(g, count=9, h1_bound=0.7, seed=seed)
     expected = _family_one_field_at_a_time(g, 9, 0.7, seed)
-    assert seq.coefficients.shape == (9, g.size)
-    for item, row, oracle in zip(seq.items, seq.coefficients, expected):
-        assert np.array_equal(item.coefficients, oracle.coefficients)
-        assert np.shares_memory(item.coefficients, row)
+    assert seq.coefficients.shape == (9, *g.shape)
+    for item, oracle in zip(seq.coefficients, expected):
+        assert np.array_equal(item, oracle.coefficients)
 
 
-def test_from_rows_holds_the_array_it_is_given():
+def test_bounded_sequence_holds_the_stack_it_is_given():
     g = TorusGrid(1, 9)
-    rows = np.zeros((3, g.size), complex)
-    rows[:, g.box_radius] = 0.5
-    seq = BoundedSequence.from_rows(g, rows, h1_bound=1.0)
-    assert seq.coefficients is rows and seq.grid == g
-    assert all(np.shares_memory(item.coefficients, rows) for item in seq.items)
-    rows[1, g.box_radius + 1] = 1.0  # H^1 norm sqrt(2.25) of item 1
+    stack = np.zeros((3, *g.shape), complex)
+    stack[:, g.box_radius] = 0.5
+    seq = BoundedSequence(SpectralField(g, stack), h1_bound=1.0)
+    assert seq.coefficients is stack and seq.grid == g
+    stack[1, g.box_radius + 1] = 1.0  # H^1 norm sqrt(2.25) of item 1
     with pytest.raises(ValueError, match=r"^item 1 violates the H\^1 bound: 1.5 > 1.0$"):
-        BoundedSequence.from_rows(g, rows, h1_bound=1.0)
-    with pytest.raises(ValueError, match="at least one item"):
-        BoundedSequence.from_rows(g, rows[:0], h1_bound=1.0)
+        BoundedSequence(SpectralField(g, stack), h1_bound=1.0)
 
 
 @pytest.mark.parametrize("n, m", [(1, 31), (2, 9), (3, 7)])
@@ -349,7 +400,8 @@ def test_pairwise_distances_are_the_norms_of_differences_bit_for_bit(n, m):
     g = TorusGrid(n, m)
     seq = random_bounded_sequence(g, count=6, h1_bound=1.0, seed=4)
     indices = [5, 0, 3, 2]
-    expected = [l2_norm(seq.items[indices[a]] - seq.items[indices[b]])
+    items = seq.coefficients
+    expected = [l2_norm(SpectralField(g, items[indices[a]] - items[indices[b]]))
                 for a in range(4) for b in range(a + 1, 4)]
     assert pairwise_l2_distances(seq, indices) == expected
     assert pairwise_l2_distances(seq, [3]) == []

@@ -131,6 +131,14 @@ def _distances_understated(monkeypatch):
     monkeypatch.setattr(embedding_mod, "_distances", lambda rows, vec: exact(rows, vec) / 20)
 
 
+def _oracle_distances_overstated(monkeypatch):
+    # the direct pairwise oracle reads every distance 20 times too long, so
+    # a close subfamily seems to exceed eps
+    exact = embedding_mod.pairwise_l2_distances
+    monkeypatch.setattr(embedding_mod, "pairwise_l2_distances",
+                        lambda seq, indices: [20 * d for d in exact(seq, indices)])
+
+
 def _stack_reduced_to_its_first_field(monkeypatch):
     # the one reduction gives every field of a stack the first field's sum
     exact = transform_mod._inner
@@ -162,6 +170,7 @@ FAULTS = {
     "h1-norm-without-weight": _h1_norm_without_weight,
     "extraction-cutoff-0": _cutoff_always_zero,
     "extraction-distances-understated-20x": _distances_understated,
+    "extraction-oracle-overstated-20x": _oracle_distances_overstated,
     "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
     "inner-drops-imaginary-products": _inner_drops_imaginary_products,
 }
@@ -173,6 +182,7 @@ ONE_GROUP_FAULTS = {
     "h1-norm-without-weight": "tail-bounds",
     "extraction-cutoff-0": "rellich-extraction",
     "extraction-distances-understated-20x": "rellich-extraction",
+    "extraction-oracle-overstated-20x": "rellich-extraction",
     "stack-inner-products-of-field-0": "operator-norms",
     "inner-drops-imaginary-products": "transform-roundtrip-plancherel",
 }
