@@ -42,6 +42,9 @@ _DATA_COMMANDS = [
     ("embed-demo", "--dimension", "2", "--points", "33", "--epsilon", "0.5", "--seed", "3"),
     # a 3-D family: 3375 points, 2 fields per stack
     ("embed-demo", "--dimension", "3", "--points", "15", "--epsilon", "0.5", "--seed", "3"),
+    # cutoff 79 of box radius 80: each item's kept modes pass
+    # transform._STACK_POINTS, so the extraction takes one item per block
+    ("embed-demo", "--dimension", "2", "--points", "161", "--epsilon", "0.05", "--seed", "3"),
     # 4097 tail rows, N = 0..4096: a keyed table across two pieces of
     # cli._CHUNK_ROWS = 4096 rows, so the boundary between pieces is compared
     ("embed-demo", "--dimension", "1", "--points", "8193", "--epsilon", "0.5", "--seed", "3"),

@@ -7,7 +7,7 @@ or inf, 2 on usage/validation errors.  Commands that draw random data
 require an explicit --seed (there is no wall-clock default), and identical
 configurations produce byte-identical data files but for `bench`'s
 `median_seconds`, with one BLAS thread or two: norms and inner products are
-numpy pairwise sums (`transform._inner`), the one LAPACK call left is the
+numpy pairwise sums (`transform._field_sums`), the one LAPACK call left is the
 Lanczos `eigh`, and `solve` prints its wall times instead of writing them.
 
 Each self-check is one `_check_*` function, called by its command and by
@@ -59,10 +59,11 @@ MAX_GRID_POINTS = 2**22
 # solver-agreement 0.1 s (16 CG iterations), the rest under 0.15 s each;
 # about 1.7 s in all.
 MAX_VERIFY_POINTS = 2**13
-# Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and
-# their 64 kept coefficient vectors, about 2.2 KB per grid point (562-563
-# MiB at 2-D M=511, one BLAS thread on a 2-core x86-64 VM; 586 MiB at 1-D
-# M=262143), so about 600 MiB at this size.
+# Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and the
+# modes of theirs the extraction keeps, about 1.4 KB per grid point at eps
+# 0.5 (351.6 MiB at 2-D M=511, one BLAS thread on a 2-core x86-64 VM; 359-360
+# MiB at 1-D M=262143); at --epsilon 0.016 (cutoff 249, most of the box kept)
+# 500 MiB at 2-D M=511.
 MAX_EMBED_POINTS = 2**18
 # Largest `spectrum --level-cap`: in 3-D, cap 2**20 (one BLAS thread, 2-core
 # x86-64 VM) takes 2.8-3.8 s and peaks at 73 MiB writing 96 MB of JSON or

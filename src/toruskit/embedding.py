@@ -13,11 +13,12 @@ That is the whole compactness mechanism, made finite.
 
 A family (`BoundedSequence`) is one SpectralField stack, (count,
 *grid.shape).  It is drawn into that stack a block of fields at a time,
-from the same stream as one `random_field` draw per field, and its H^1
-check, the extraction's distances from each cluster leader and the
-pairwise distances of the oracle are taken on blocks of fields of at most
+from the same stream as one `random_field` draw per field; its H^1 check
+and the oracle's pairwise distances take blocks of fields of at most
 `transform._STACK_POINTS` points, so that on a large grid their
-temporaries are the size of one field.
+temporaries are the size of one field.  The extraction clusters a
+(count, K) gather of the K modes its cutoff keeps, in blocks of at most
+`transform._STACK_POINTS` modes, and makes no array of the family's size.
 
 `tail_profile` evaluates the bound at every cutoff 0..box radius in one
 pass: the tail energies as one reversed cumulative sum of |c|^2 over the
@@ -85,17 +86,12 @@ _TAIL_SLACK = 1e-12
 
 
 class TailBound(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
+    """Both sides of the tail bound and whether it holds: floats at one
+    cutoff, arrays over the cutoffs N = 0..box radius (`tail_profile`)."""
 
-
-class TailProfile(NamedTuple):
-    """Both sides of the tail bound at cutoffs N = 0..box radius, as arrays."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    holds: np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def tail_projection(c: SpectralField, cutoff: int) -> SpectralField:
@@ -135,7 +131,7 @@ def _tail_layout(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, thresholds
 
 
-def tail_profile(c: SpectralField) -> TailProfile:
+def tail_profile(c: SpectralField) -> TailBound:
     """`tail_bound_check` at every cutoff N = 0..box radius, in one pass.
 
     The tail at cutoff N is the suffix of the modes sorted by |xi|^2 from
@@ -157,7 +153,7 @@ def tail_profile(c: SpectralField) -> TailProfile:
     lhs = np.sqrt(tails[:, starts]).reshape(*batch, len(starts))
     h1_sq = sobolev_norm_sq(c, 1.0)
     rhs = np.sqrt(np.expand_dims(h1_sq, -1) / (1.0 + thresholds))
-    return TailProfile(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
+    return TailBound(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
 def required_cutoff(h1_bound: float, eps: float) -> int:
@@ -196,7 +192,9 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
             f"the stored box only holds frequencies up to {grid.box_radius} per axis"
         )
 
-    kept = np.where(kept_by_truncation(norm_sq_array(grid), cutoff), seq.coefficients, 0.0)
+    # (count, K) and C-contiguous, where rows[:, mask] comes back F-ordered
+    mask = kept_by_truncation(norm_sq_array(grid), cutoff).ravel()
+    kept = np.compress(mask, seq.coefficients.reshape(-1, grid.size), axis=1)
     join_radius = eps / 4.0
     # cluster[i] is the leader item i joined, -1 while no leader has taken it
     cluster = np.full(len(kept), -1)
@@ -205,7 +203,7 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
             continue
         cluster[leader] = leader
         free = leader + 1 + np.flatnonzero(cluster[leader + 1:] < 0)
-        for block in transform._stack_blocks(len(free), grid.size):
+        for block in transform._stack_blocks(len(free), kept.shape[1]):
             items = free[block]
             near = _distances(kept[items], kept[leader]) <= join_radius
             cluster[items[near]] = leader
@@ -213,13 +211,14 @@ def rellich_extract(seq: BoundedSequence, eps: float) -> list[int]:
     return np.flatnonzero(cluster == largest).tolist()
 
 
-def _distances(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """The l2 distance of each field of `stack`, a copy it overwrites, from
-    `field`: the squares are summed over the float view, so that no other
-    array of a field's size is made."""
-    stack -= field
-    flat = stack.reshape(len(stack), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _distances(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The l2 distance of each of `rows`, a (k, K) copy it overwrites, from
+    `row`: their float view squared in place, so no other array of their
+    size is made, and summed by `transform._field_sums`."""
+    rows -= row
+    squares = rows.view(np.float64)
+    squares *= squares
+    return np.sqrt(transform._field_sums(squares, 1))
 
 
 def pairwise_l2_distances(seq: BoundedSequence, indices: list[int]) -> list[float]:

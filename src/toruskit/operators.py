@@ -180,5 +180,5 @@ def sobolev_norm_sq(c: SpectralField, order: float) -> float | np.ndarray:
 def l2_norm(c: SpectralField) -> float | np.ndarray:
     """sqrt(sum_xi |c(xi)|^2): a float for one field, the (k,) float64 array
     of each field's for a stack."""
-    norm = np.sqrt(sobolev_norm_sq(c, 0.0))
+    norm = np.sqrt(transform._field_sums(np.abs(c.coefficients) ** 2, c.grid.dimension))
     return float(norm) if norm.ndim == 0 else norm

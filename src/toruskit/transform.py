@@ -385,26 +385,23 @@ def naive_inverse(c: SpectralField) -> GridField:
 
 def _field_sums(values: np.ndarray, dimension: int) -> float | np.ndarray:
     """`values` summed over the trailing `dimension` axes: a float for one
-    field, the (k,) float64 array of the sums for a stack of k."""
-    sums = np.sum(values, axis=tuple(range(-dimension, 0)))
+    field, the (k,) float64 array of the sums for a stack of k.  The one sum
+    of every norm, inner product and distance: numpy's pairwise sum (Higham
+    1993) of those axes flattened, their size written out for an empty
+    stack; not BLAS, so its digits do not depend on the thread count, and
+    a stack's fields sum as each alone."""
+    cut = values.ndim - dimension
+    lines = values.reshape(*values.shape[:cut], math.prod(values.shape[cut:]))
+    sums = np.add.reduce(lines, axis=-1)
     return float(sums) if sums.ndim == 0 else sums
 
 
 def _inner(a: np.ndarray, b: np.ndarray, dimension: int) -> float | np.ndarray:
     """Re <a, b> = Re sum conj(a) b over the trailing `dimension` axes, a
-    float for one field and the (k,) array for stacks of k: the one sum
-    behind every norm and inner product, numpy's pairwise sum of the
-    float64 views' products (Higham 1993), not BLAS, so its digits do not
-    depend on the thread count and a stack's fields sum as each alone."""
+    float for one field and the (k,) array for stacks of k: `_field_sums`
+    of the float64 views' products."""
     a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
-    products = a * b
-    # one reduction over the trailing axes flattened, the same pairwise sum
-    # as np.sum over them; their size is written out, since an empty stack
-    # cannot infer it
-    cut = products.ndim - dimension
-    lines = products.reshape(*products.shape[:cut], math.prod(products.shape[cut:]))
-    sums = np.add.reduce(lines, axis=-1)
-    return float(sums) if sums.ndim == 0 else sums
+    return _field_sums(a * b, dimension)
 
 
 def grid_l2_norm(u: GridField) -> float | np.ndarray:

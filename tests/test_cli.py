@@ -716,7 +716,7 @@ def _scaled_cg(f, tol):
 def _violated_profile(c):
     # the profile of one field, or one row per field of a stack
     shape = (*c.coefficients.shape[:-c.grid.dimension], c.grid.box_radius + 1)
-    return embedding_mod.TailProfile(
+    return embedding_mod.TailBound(
         np.ones(shape), np.full(shape, 0.5), np.zeros(shape, dtype=bool)
     )
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,20 @@ def _extract_item_by_item(seq, eps):
 def test_extraction_is_the_item_by_item_clustering(n, m, seed, eps):
     seq = random_bounded_sequence(TorusGrid(n, m), count=64, h1_bound=1.0, seed=seed)
     assert rellich_extract(seq, eps) == _extract_item_by_item(seq, eps)
+
+
+# at 2-D M=129, eps 0.5 keeps 193 of 16641 modes; at 2-D M=161, eps 0.05
+# (cutoff 79 of box radius 80) about 80% of them
+@pytest.mark.parametrize("m, eps, share", [(129, 0.5, 1 / 8), (161, 0.05, 1.0)])
+def test_extraction_holds_no_array_of_the_family_s_size(m, eps, share):
+    seq = random_bounded_sequence(TorusGrid(2, m), count=64, h1_bound=1.0, seed=3)
+    tracemalloc.start()
+    try:
+        rellich_extract(seq, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < share * seq.coefficients.nbytes
 
 
 def test_extract_seeded_sequence_passes_independent_distance_check():

@@ -157,6 +157,18 @@ def _inner_drops_imaginary_products(monkeypatch):
         np.real(a) + 0j, np.real(b) + 0j, dimension))
 
 
+def _field_sums_of_field_0(monkeypatch):
+    # the one sum gives every field of a stack the first field's sum: each
+    # inner product, norm and extraction distance of a stack reads field 0's
+    exact = transform_mod._field_sums
+
+    def faulty(values, dimension):
+        sums = exact(values, dimension)
+        return sums if np.ndim(sums) == 0 else np.repeat(sums[:1], len(sums))
+
+    monkeypatch.setattr(transform_mod, "_field_sums", faulty)
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -173,6 +185,7 @@ FAULTS = {
     "extraction-oracle-overstated-20x": _oracle_distances_overstated,
     "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
     "inner-drops-imaginary-products": _inner_drops_imaginary_products,
+    "field-sums-of-field-0": _field_sums_of_field_0,
 }
 # Faults that one group alone catches, and that group; every other fault
 # lies in the transforms or the symbols.
@@ -185,6 +198,11 @@ ONE_GROUP_FAULTS = {
     "extraction-oracle-overstated-20x": "rellich-extraction",
     "stack-inner-products-of-field-0": "operator-norms",
     "inner-drops-imaginary-products": "transform-roundtrip-plancherel",
+}
+# Faults that neither resolvent-eigenpairs nor one group alone catches, and
+# the groups that catch them on every grid.
+SPREAD_FAULTS = {
+    "field-sums-of-field-0": ["operator-norms", "rellich-extraction"],
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]
@@ -200,10 +218,19 @@ def verify_statuses(n, m, seed=1):
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
-@pytest.mark.parametrize("fault", [f for f in FAULTS if f not in ONE_GROUP_FAULTS])
+@pytest.mark.parametrize(
+    "fault", [f for f in FAULTS if f not in ONE_GROUP_FAULTS and f not in SPREAD_FAULTS])
 def test_every_planted_fault_fails_resolvent_eigenpairs(monkeypatch, fault, n, m):
     FAULTS[fault](monkeypatch)
     assert verify_statuses(n, m)["resolvent-eigenpairs"] == "FAIL"
+
+
+@pytest.mark.parametrize("n, m", GRIDS)
+@pytest.mark.parametrize("fault", list(SPREAD_FAULTS))
+def test_spread_faults_fail_their_groups(monkeypatch, fault, n, m):
+    FAULTS[fault](monkeypatch)
+    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
+    assert set(SPREAD_FAULTS[fault]) <= set(failed)
 
 
 @pytest.mark.parametrize("n, m", GRIDS)

@@ -155,6 +155,10 @@ def test_l2_norm_of_a_stack_is_each_fields_norm(grid_2d_9):
         assert norm == alone
     ones = SpectralField(grid_2d_9, np.ones((3, *grid_2d_9.shape), dtype=complex))
     assert np.array_equal(l2_norm(ones), np.full(3, 9.0))
+    # the norm is the order-0 Sobolev norm, byte for byte
+    for field in (SpectralField(grid_2d_9, c), SpectralField(grid_2d_9, c[1])):
+        expected = np.sqrt(sobolev_norm_sq(field, 0.0))
+        assert np.asarray(l2_norm(field)).tobytes() == expected.tobytes()
 
 
 def test_grid_operator_is_linear(grid_2d_9):

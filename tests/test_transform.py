@@ -436,20 +436,24 @@ def test_inner_of_a_stack_is_each_fields_own_sum_bit_for_bit(n, m):
 @pytest.mark.parametrize("count", [None, 0, 1, 3, 7])
 def test_inner_is_the_sum_over_the_tuple_of_trailing_axes_bit_for_bit(n, m, count):
     # one reduction over the flattened trailing axes sums as np.sum over
-    # the tuple of them does, for one field and for stacks, empty ones too
+    # the tuple of them does, for one field and for stacks, empty ones too:
+    # _field_sums on plain float64 fields, and _inner through it
     g = TorusGrid(n, m)
     rng = np.random.default_rng(m)
     a, b = (transform_mod._random_values(g, rng, 1 if count is None else count)
             for _ in range(2))
     if count is None:
         a, b = a[0], b[0]
-    expected = np.sum(a.view(np.float64) * b.view(np.float64), axis=tuple(range(-n, 0)))
-    got = transform_mod._inner(a, b, n)
-    if count is None:
-        assert type(got) is float
-    else:
-        assert got.shape == (count,)
-    assert np.asarray(got).tobytes() == expected.tobytes()
+    plain = rng.standard_normal(a.shape)
+    axes = tuple(range(-n, 0))
+    products = a.view(np.float64) * b.view(np.float64)
+    for got, expected in [(transform_mod._field_sums(plain, n), np.sum(plain, axis=axes)),
+                          (transform_mod._inner(a, b, n), np.sum(products, axis=axes))]:
+        if count is None:
+            assert type(got) is float
+        else:
+            assert got.shape == (count,)
+        assert np.asarray(got).tobytes() == expected.tobytes()
 
 
 def _pairwise_sum_bound(terms: list[float]) -> float:
