@@ -63,6 +63,8 @@ COMMANDS = [
     ("verify", "--dimension", "1", "--points", "15"),
     ("verify", "--dimension", "2", "--points", "9"),
     ("verify", "--dimension", "3", "--points", "9"),
+    # 8281 points, past MAX_VERIFY_POINTS: refused with exit 2 before any group runs
+    ("verify", "--dimension", "2", "--points", "91"),
 ]
 _MAIN = "import sys; from toruskit.cli import main; sys.exit(main(sys.argv[1:]))"
 _JSON_TIMING = re.compile(r'("(?:%s)": )[^,\n}]+' % "|".join(TIMING_FIELDS))

@@ -10,15 +10,10 @@ configurations produce byte-identical data files but for `bench`'s
 numpy pairwise sums (`transform._field_sums`), the one LAPACK call left is the
 Lanczos `eigh`, and `solve` prints its wall times instead of writing them.
 
-Each self-check is one `_check_*` function, called by its command and by
-the matching `verify` group, so both apply the same rule; `bench` runs the
-`solve` check on every repetition.  `verify` prints one PASS/FAIL line per
-group with its wall seconds; a loop that fails to converge, or a field or
-symbol that holds NaN or inf, fails its group, and the other groups still
-run.  A flag whose rule needs no other flag is validated once, by its
-argparse `type=`, so a bad value exits 2 naming the flag before any work is
-done; `_make_grid` checks `--points` against `--dimension` and the
-command's grid-size limit.
+The self-checks and `verify`'s groups are in `checks`.  A flag whose rule
+needs no other flag is validated once, by its argparse `type=`, so a bad
+value exits 2 naming the flag before any work is done; `_make_grid` checks
+`--points` against `--dimension` and the command's grid-size limit.
 A command's CSV table and JSON document are written from the same columns.
 Every table is one type, `_Columns`, of ndarray columns: a field's
 `[re, im]` values and the spectrum levels, and the record tables (the rows
@@ -40,13 +35,12 @@ import json
 import math
 import statistics
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import embedding, operators, solver, spectral, transform
+from . import checks, embedding, operators, spectral, transform
 
 _DIMENSIONS = (1, 2, 3)
 # Largest grid a command builds: 2**22 points, 64 MiB per complex field.
@@ -55,9 +49,9 @@ MAX_GRID_POINTS = 2**22
 # direct sums, six and one, of O(n M**(n+1)), which is O(size**2) in 1-D,
 # so they set the 1-D limit; preconditioned CG takes at most about 20
 # iterations on any grid.  At 1-D M=8191 (one BLAS thread, 2-core x86-64
-# VM) the groups take: fast-vs-naive 0.8 s, resolvent-eigenpairs 0.3 s,
-# solver-agreement 0.1 s (16 CG iterations), the rest under 0.15 s each;
-# about 1.7 s in all.
+# VM) the groups take: fast-vs-naive 0.6-0.9 s, resolvent-eigenpairs 0.3 s,
+# solver-agreement 0.05-0.08 s (16 CG iterations), the rest under 0.15 s
+# each; 1.4-1.8 s of wall time in all, peaking at 46 MiB.
 MAX_VERIFY_POINTS = 2**13
 # Largest grid `embed-demo` builds: it holds 64 H^1-bounded fields and the
 # modes of theirs the extraction keeps, about 1.4 KB per grid point at eps
@@ -77,13 +71,6 @@ _CHUNK_ROWS = 2**12
 
 class UsageError(ValueError):
     pass
-
-
-# A loop that stops without converging, or a computed field or symbol that
-# holds NaN or inf; a command exits 1 on it, and in `verify` it is the
-# failure of the group that ran into it.
-_NUMERICAL_FAILURES = (spectral.LanczosError, solver.ConjugateGradientError,
-                       transform.NonFiniteError)
 
 
 def _make_grid(
@@ -240,10 +227,6 @@ def _write_table(args, make_table, make_doc=None) -> None:
     _write(args.output, chunks)
 
 
-def _exceeds(what: str, value: float, bound: float) -> list[str]:
-    return [f"{what} {value} > {bound}"] if value > bound else []
-
-
 def _report_failures(failures: list[str]) -> int:
     for failure in failures:
         print(f"check failed: {failure}", file=sys.stderr)
@@ -256,103 +239,13 @@ def _random_spectral_field(
     return transform.SpectralField(grid, transform.random_field(grid, rng).values)
 
 
-# ---------------------------------------------------------------------------
-# Self-checks shared by the commands and `verify`.  Each returns its measured
-# numbers and a list of failures, empty when the invariant holds.
-# ---------------------------------------------------------------------------
-
-
-def _check_transform(u: transform.GridField):
-    """Forward-transform u, one field or a stack of fields; for each field
-    the round trip (relative to its max|u|, so independent of scale) and
-    Parseval must hold to 1e-12.  Returns (forward(u), the worst roundtrip
-    error, the worst Parseval defect, failures)."""
-    c = transform.forward(u)
-    back = transform.inverse(c)
-    axes = tuple(range(-u.grid.dimension, 0))
-    roundtrip = (np.max(np.abs(back.values - u.values), axis=axes)
-                 / np.max(np.abs(u.values), axis=axes))
-    defect = transform.plancherel_defect(u, c)
-    failures = []
-    for field_rt, field_defect in zip(np.atleast_1d(roundtrip).tolist(),
-                                      np.atleast_1d(defect).tolist()):
-        failures += _exceeds("roundtrip error", field_rt, 1e-12)
-        failures += _exceeds("plancherel defect", field_defect, 1e-12)
-    return c, float(np.max(roundtrip)), float(np.max(defect)), failures
-
-
-def _check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int, leading=()):
-    """Rows (N, exact, estimate, diff): the Lanczos norm estimate of each
-    resolvent tail against 1/((N+1)^2+1), to 1e-8.  All estimates, those of
-    the symbols `leading` first, run in one lockstep call.  Returns (rows,
-    failures, the estimates of `leading`)."""
-    cutoffs = list(cutoffs)
-    estimates = spectral.operator_norm_power_iteration(
-        [*leading, *map(operators.resolvent_tail_symbol, cutoffs)], grid, tol=1e-9, seed=seed
-    )
-    rows = []
-    for k, estimate in zip(cutoffs, estimates[len(leading):]):
-        exact = spectral.truncation_error_exact(k)
-        rows.append((k, exact, estimate, abs(exact - estimate)))
-    failures = [f"N={k}: |exact - lanczos| = {diff} > 1e-8"
-                for k, _, _, diff in rows if diff > 1e-8]
-    return rows, failures, estimates[:len(leading)]
-
-
-def _tail_failures(holds: np.ndarray) -> list[str]:
-    """The failures of one field's tail profile: a cutoff where it fails."""
-    return [f"tail bound violated at N={cutoff}"
-            for cutoff in np.flatnonzero(~holds).tolist()]
-
-
 def _check_tail_bounds(c: transform.SpectralField):
     """The table (N, tail_lhs, tail_rhs) of the H^1 tail bound, N = 0..box
     radius."""
     profile = embedding.tail_profile(c)
     table = _Columns((np.arange(len(profile.lhs)), profile.lhs, profile.rhs),
                      ("N", "tail_lhs", "tail_rhs"))
-    return table, _tail_failures(profile.holds)
-
-
-def _check_extraction(grid: transform.TorusGrid, epsilon: float, seed: int):
-    """Extract from 64 seeded H^1-bounded fields; at least two indices, every
-    pair within epsilon by the direct oracle.  Returns the report."""
-    seq = embedding.random_bounded_sequence(grid, count=64, h1_bound=1.0, seed=seed)
-    indices = embedding.rellich_extract(seq, epsilon)
-    max_distance = max(embedding.pairwise_l2_distances(seq, indices), default=0.0)
-    report = {
-        "epsilon": epsilon,
-        "h1_bound": seq.h1_bound,
-        "cutoff": embedding.required_cutoff(seq.h1_bound, epsilon),
-        "item_count": len(seq.coefficients),
-        "indices": list(indices),
-        "max_pairwise_l2": max_distance,
-    }
-    failures = ["extraction returned fewer than 2 indices"] if len(indices) < 2 else []
-    failures += _exceeds("extracted pair at L2 distance", max_distance, epsilon)
-    return report, failures
-
-
-def _check_solve(f: transform.GridField):
-    """Solve (Delta + 1) u = f by the multiplier and by CG.
-
-    Each solve's normwise backward error, its residual over
-    `solver.backward_error_scale`, must be <= 1e-10; a residual bound in
-    ||f|| alone falls below the roundoff of applying A when ||A|| is large.  The solutions must agree
-    to 1e-9, and ||u|| <= ||f|| since the resolvent has norm 1.
-    Returns (u, (multiplier report, CG report), disagreement, failures).
-    """
-    u_mult, rep_mult = solver.solve_multiplier(f)
-    u_cg, rep_cg = solver.solve_cg(f, tol=1e-10)
-    gap = transform.grid_l2_norm(u_mult - u_cg)
-    f_l2 = transform.grid_l2_norm(f)
-    failures = []
-    for u, rep in ((u_mult, rep_mult), (u_cg, rep_cg)):
-        backward = rep.residual_l2 / solver.backward_error_scale(u, f)
-        failures += _exceeds(f"{rep.method} backward error", backward, 1e-10)
-    failures += _exceeds("solver disagreement", gap, 1e-9)
-    failures += _exceeds("||u||", transform.grid_l2_norm(u_mult), f_l2 * (1 + 1e-12))
-    return u_mult, (rep_mult, rep_cg), gap, failures
+    return table, checks.tail_failures(profile.holds)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +255,7 @@ def _check_solve(f: transform.GridField):
 
 def _cmd_transform(args) -> int:
     grid = _make_grid(args.dimension, args.points)
-    c, roundtrip, defect, failures = _check_transform(
+    c, roundtrip, defect, failures = checks.check_transform(
         transform.random_field(grid, np.random.default_rng(args.seed))
     )
     print(f"roundtrip_error = {roundtrip!r}")
@@ -406,7 +299,7 @@ def _cmd_truncate(args) -> int:
             f"points: box radius {grid.box_radius} too small for truncation "
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
-    rows, failures, _ = _check_norm_law(grid, range(cutoff + 1), args.seed)
+    rows, failures, _ = checks.check_norm_law(grid, range(cutoff + 1), args.seed)
     _write_table(args, lambda: _record_table(
         ("N", "exact_error", "power_iteration_error", "abs_diff"), rows))
     return _report_failures(failures)
@@ -424,7 +317,7 @@ def _cmd_embed_demo(args) -> int:
     c = _random_spectral_field(grid, np.random.default_rng(args.seed))
     tails, failures = _check_tail_bounds(c)
     try:
-        extraction, extraction_failures = _check_extraction(
+        extraction, extraction_failures = checks.check_extraction(
             grid, args.epsilon, args.seed
         )
     except embedding.InsufficientResolutionError as exc:
@@ -439,7 +332,7 @@ def _cmd_embed_demo(args) -> int:
 def _cmd_solve(args) -> int:
     grid = _make_grid(args.dimension, args.points)
     f = transform.random_field(grid, np.random.default_rng(args.seed))
-    u, reports, gap, failures = _check_solve(f)
+    u, reports, gap, failures = checks.check_solve(f)
     for rep in reports:
         print(f"{rep.method} residual_l2 = {rep.residual_l2!r} after {rep.iterations} "
               f"iterations ({rep.wall_time:.3f} s)")
@@ -467,7 +360,7 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     runs, failures = [], []
     for repetition in range(1, args.repetitions + 1):
-        _, reports, _, run_failures = _check_solve(transform.random_field(grid, rng))
+        _, reports, _, run_failures = checks.check_solve(transform.random_field(grid, rng))
         runs.append(reports)
         failures += [f"repetition {repetition}: {failure}" for failure in run_failures]
     rows = [
@@ -482,114 +375,12 @@ def _cmd_bench(args) -> int:
     return _report_failures(failures)
 
 
-# ---------------------------------------------------------------------------
-# verify: the whole invariant suite; each group returns (summary, failures).
-# ---------------------------------------------------------------------------
-
-
-def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
-    # 20 draws of a complex field then a real one, from one stream, checked
-    # a stack at a time
-    rng = np.random.default_rng(seed)
-    worst_rt = worst_defect = 0.0
-    failures = []
-    for block in transform._stack_blocks(20, grid.size):
-        draws = rng.standard_normal((block.stop - block.start, 3, *grid.shape))
-        fields = transform.GridField(grid, transform._complex_values(draws[:, 0], draws[:, 1]))
-        reals = transform.GridField(grid, draws[:, 2] + 0j)
-        del draws
-        if not transform.forward(reals).is_conjugate_symmetric(1e-12):
-            failures.append("transform of a real field is not conjugate-symmetric")
-        _, roundtrip, defect, block_failures = _check_transform(fields)
-        worst_rt, worst_defect = max(worst_rt, roundtrip), max(worst_defect, defect)
-        failures += block_failures
-    return f"roundtrip {worst_rt:.2e}, plancherel {worst_defect:.2e}", failures
-
-
-def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
-    # 3 draws of a field then of a spectral field, from one stream
-    draws = transform._random_values(grid, np.random.default_rng(seed), 6)
-    fields = transform.GridField(grid, draws[0::2])
-    spectra = transform.SpectralField(grid, draws[1::2])
-    slow_c, slow_u = transform.naive_forward(fields), transform.naive_inverse(spectra)
-    fast_c, fast_u = transform.forward(fields), transform.inverse(spectra)
-    worst = max(float(np.max(np.abs(fast_c.coefficients - slow_c.coefficients))),
-                float(np.max(np.abs(fast_u.values - slow_u.values))))
-    failures = _exceeds("max |fast - naive|", worst, 1e-10)
-    return f"max |fast - naive| = {worst:.2e}", failures
-
-
-def _verify_eigenpairs(grid, seed) -> tuple[str, list[str]]:
-    certificate = spectral.resolvent_certificate(grid, seed)
-    error = float(np.max(certificate.eigenvalue_error))
-    commutator = float(np.max(certificate.commutator))
-    failures = _exceeds("eigenvalue error", error, spectral.CERTIFICATE_TOL)
-    failures += _exceeds("shift commutator", commutator, spectral.CERTIFICATE_TOL)
-    detail = (f"eigenvalue error {error:.2e} over {grid.size} modes, shift "
-              f"commutator {commutator:.2e}, P(a commutator >= "
-              f"{spectral.COMMUTATOR_FLOOR:.0e} passes) <= "
-              f"{certificate.miss_probability:.1e}")
-    return detail, failures
-
-
-def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
-    rows, failures, (estimate,) = _check_norm_law(
-        grid, range(min(3, grid.box_radius - 2) + 1), seed, [operators.resolvent_symbol()]
-    )
-    failures += _exceeds("resolvent: |1 - lanczos|", abs(estimate - 1.0), 1e-8)
-    worst = max([abs(estimate - 1.0)] + [diff for *_, diff in rows])
-    return f"worst |lanczos - exact| = {worst:.2e}", failures
-
-
-def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
-    # 50 spectral fields, drawn and profiled a stack at a time
-    rng = np.random.default_rng(seed)
-    for block in transform._stack_blocks(50, grid.size):
-        draws = transform._random_values(grid, rng, block.stop - block.start)
-        profile = embedding.tail_profile(transform.SpectralField(grid, draws))
-        for field, holds in enumerate(profile.holds, block.start + 1):
-            failures = _tail_failures(holds)
-            if failures:
-                return f"field {field} of 50", failures
-    return "50 fields, all cutoffs", []
-
-
-def _verify_extraction(seed) -> tuple[str, list[str]]:
-    report, failures = _check_extraction(transform.TorusGrid(1, 17), 0.5, seed)
-    count, worst = len(report["indices"]), report["max_pairwise_l2"]
-    return f"{count} indices, max pairwise L2 {worst:.3f}", failures
-
-
-def _verify_solver(grid, seed) -> tuple[str, list[str]]:
-    f = transform.random_field(grid, np.random.default_rng(seed))
-    _, (_, rep_cg), gap, failures = _check_solve(f)
-    return f"disagreement {gap:.2e}, cg iterations {rep_cg.iterations}", failures
-
-
 def _cmd_verify(args) -> int:
     grid = _make_grid(args.dimension, args.points, MAX_VERIFY_POINTS)
-    groups = [
-        ("transform-roundtrip-plancherel", lambda: _verify_transforms(grid, args.seed)),
-        ("fast-vs-naive-transform", lambda: _verify_fast_vs_naive(grid, args.seed)),
-        ("resolvent-eigenpairs", lambda: _verify_eigenpairs(grid, args.seed)),
-        ("operator-norms", lambda: _verify_operator_norms(grid, args.seed)),
-        ("tail-bounds", lambda: _verify_tail_bounds(grid, args.seed)),
-        ("rellich-extraction", lambda: _verify_extraction(args.seed)),
-        ("solver-agreement", lambda: _verify_solver(grid, args.seed)),
-    ]
-    failures = []
-    for name, check in groups:
-        start = time.perf_counter()
-        try:
-            detail, group_failures = check()
-        except _NUMERICAL_FAILURES as exc:
-            detail = f"numerical failure: {exc}"
-            group_failures = [detail]
-        seconds = time.perf_counter() - start
-        status = "FAIL" if group_failures else "PASS"
-        print(f"{status} {name}: {detail} ({seconds:.3f} s)")
-        failures += [f"{name}: {failure}" for failure in group_failures]
-    return _report_failures(failures)
+    results = checks.verify(grid, args.seed)
+    for r in results:
+        print(f"{'FAIL' if r.failures else 'PASS'} {r.name}: {r.detail} ({r.seconds:.3f} s)")
+    return _report_failures([f"{r.name}: {failure}" for r in results for failure in r.failures])
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +499,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _NUMERICAL_FAILURES as exc:
+    except checks.NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

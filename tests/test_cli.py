@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruskit import MultiplierSymbol, cli, spectral as spectral_mod
+from toruskit import MultiplierSymbol, checks, cli, spectral as spectral_mod
 from toruskit import embedding as embedding_mod
 from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
@@ -304,7 +304,7 @@ def test_transform_check_transforms_its_input_once(monkeypatch):
 
     monkeypatch.setattr(transform_mod, "_analysis", counted)
     u = random_grid(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
-    *_, failures = cli._check_transform(u)
+    *_, failures = checks.check_transform(u)
     assert failures == [] and calls == [(9, 9)]
 
 
@@ -491,7 +491,7 @@ def test_verify_norm_estimates_take_at_most_20_applications(monkeypatch, seed):
     # are applications, the first holds all four, and they number at most
     # 20, where one at a time took 4 x 8-15.
     counts = _count_norm_applications(monkeypatch)
-    _, failures = cli._verify_operator_norms(transform_mod.TorusGrid(3, 9), seed)
+    _, failures = checks._verify_operator_norms(transform_mod.TorusGrid(3, 9), seed)
     assert failures == []
     assert len(counts) == 1
     (fields,) = counts
@@ -793,7 +793,7 @@ def test_solve_check_on_perturbed_cg_solutions(monkeypatch, xi, residual, expect
     report = solver_mod.SolveReport(solver_mod._residual_l2(u, f), "cg", 1, 0.0)
     monkeypatch.setattr(solver_mod, "solve_cg", lambda f, tol: (u, report))
 
-    _, (_, rep_cg), _, failures = cli._check_solve(f)
+    _, (_, rep_cg), _, failures = checks.check_solve(f)
     assert rep_cg.residual_l2 > 1e-10 * transform_mod.grid_l2_norm(f)
     assert [failure.rsplit(" ", 3)[0] for failure in failures] == expected
 
@@ -831,7 +831,7 @@ def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "solve_multiplier", inflated)
     f = transform_mod.random_field(transform_mod.TorusGrid(2, 9), np.random.default_rng(0))
-    *_, failures = cli._check_solve(f)
+    *_, failures = checks.check_solve(f)
     assert any(failure.startswith("||u||") for failure in failures)
 
 
@@ -889,6 +889,13 @@ def test_verify_reports_a_numerical_failure_as_its_groups_fail(monkeypatch, caps
                                "did not reach tol=1e-09 within 1 steps")
     assert err.startswith("check failed: operator-norms: numerical failure: ")
     assert len(err.splitlines()) == 1
+    # the lines are the results of `checks.verify` on the default grid
+    results = checks.verify(transform_mod.TorusGrid(2, 9), 1)
+    assert [r.name for r in results] == [name for name, _ in checks.GROUPS]
+    assert results[3].failures == [results[3].detail]
+    seconds = re.compile(r"\(\d+\.\d{3} s\)$")
+    assert [seconds.sub("", line) for line in lines] == [
+        f"{'FAIL' if r.failures else 'PASS'} {r.name}: {r.detail} " for r in results]
 
 
 _analysis = transform_mod._analysis
@@ -1287,7 +1294,7 @@ def _captured(monkeypatch, module, name):
 def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, m):
     grid, seed = transform_mod.TorusGrid(n, m), 7
     forwards = _captured(monkeypatch, transform_mod, "forward")
-    cli._verify_transforms(grid, seed)
+    checks._verify_transforms(grid, seed)
     rng = np.random.default_rng(seed)
     fields, reals = [], []
     for _ in range(20):
@@ -1302,7 +1309,7 @@ def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, 
     monkeypatch.undo()
     analysed = _captured(monkeypatch, transform_mod, "naive_forward")
     synthesised = _captured(monkeypatch, transform_mod, "naive_inverse")
-    cli._verify_fast_vs_naive(grid, seed)
+    checks._verify_fast_vs_naive(grid, seed)
     rng = np.random.default_rng(seed)
     assert len(analysed) == len(synthesised) == 1
     for i in range(3):
@@ -1312,7 +1319,7 @@ def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, 
 
     monkeypatch.undo()
     profiled = _captured(monkeypatch, embedding_mod, "tail_profile")
-    assert cli._verify_tail_bounds(grid, seed) == ("50 fields, all cutoffs", [])
+    assert checks._verify_tail_bounds(grid, seed) == ("50 fields, all cutoffs", [])
     rng = np.random.default_rng(seed)
     drawn = [c for fields in profiled for c in fields]
     assert len(drawn) == 50

@@ -1,18 +1,25 @@
 """Faults planted below `verify`'s checks, each on one binding that a check
-calls into and never inside a check, and the groups that must catch them.
+calls into and never inside a check, and the fault x group table of the
+groups that catch them.
 
-`scripts/fault_matrix.py` prints the whole fault x group table from the
-catalogue `FAULTS` and the grids `GRIDS` below."""
+`failed_groups` plants one fault of the catalogue `FAULTS` alone and runs
+`checks.verify` with seed 1 on one grid of `GRIDS`.  `fault_table` lays
+out those runs for every fault and grid; the table is committed as
+``scripts/fault_matrix.txt``, which `scripts/fault_matrix.py` regenerates.
+One test compares the two whole; the others state, from `ONE_GROUP_FAULTS`,
+`SPREAD_FAULTS` and the faults' kinds, which groups must catch a fault, so
+that a regenerated table cannot quietly drop what the catalogue means."""
 
-import contextlib
-import io
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toruskit import MultiplierSymbol, cli
+from toruskit import MultiplierSymbol, TorusGrid, checks, cli
 from toruskit import embedding as embedding_mod
 from toruskit import operators as operators_mod
+from toruskit import solver as solver_mod
 from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
 
@@ -169,6 +176,17 @@ def _field_sums_of_field_0(monkeypatch):
     monkeypatch.setattr(transform_mod, "_field_sums", faulty)
 
 
+def _cg_residual_understated(monkeypatch):
+    # CG reports a tenth of the true residual it computed
+    exact = solver_mod._pcg
+
+    def faulty(*args):
+        u, residual_l2, iterations = exact(*args)
+        return u, residual_l2 / 10, iterations
+
+    monkeypatch.setattr(solver_mod, "_pcg", faulty)
+
+
 FAULTS = {
     "symbol-1e-9-at-one-mode": _symbol_off_at_one_mode,
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
@@ -186,6 +204,7 @@ FAULTS = {
     "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
     "inner-drops-imaginary-products": _inner_drops_imaginary_products,
     "field-sums-of-field-0": _field_sums_of_field_0,
+    "cg-residual-understated-10x": _cg_residual_understated,
 }
 # Faults that one group alone catches, and that group; every other fault
 # lies in the transforms or the symbols.
@@ -198,6 +217,7 @@ ONE_GROUP_FAULTS = {
     "extraction-oracle-overstated-20x": "rellich-extraction",
     "stack-inner-products-of-field-0": "operator-norms",
     "inner-drops-imaginary-products": "transform-roundtrip-plancherel",
+    "cg-residual-understated-10x": "solver-agreement",
 }
 # Faults that neither resolvent-eigenpairs nor one group alone catches, and
 # the groups that catch them on every grid.
@@ -208,54 +228,81 @@ SPREAD_FAULTS = {
 GRIDS = [(1, 15), (2, 9), (3, 9)]
 
 
-def verify_statuses(n, m, seed=1):
-    """{group: "PASS" or "FAIL"} of one in-process `verify` run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(["verify", "--dimension", str(n), "--points", str(m), "--seed", str(seed)])
-    return {line.split(":")[0].split(" ", 1)[1]: line.split(" ", 1)[0]
-            for line in out.getvalue().splitlines()}
+@functools.cache
+def failed_groups(fault: str, n: int, m: int) -> list[str]:
+    """The groups, in `checks.GROUPS` order, that fail one `checks.verify`
+    run with seed 1 on the n-D M=m grid while `fault` alone is planted.
+    Each (fault, grid) is run once per session; the table and the tests
+    below read the same runs."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        FAULTS[fault](monkeypatch)
+        results = checks.verify(TorusGrid(n, m), seed=1)
+    return [r.name for r in results if r.failures]
+
+
+def fault_table() -> tuple[str, list[str]]:
+    """The fault x group table, and each fault with a grid on which no
+    group catches it.  A row is a fault, a column a group, and a cell holds
+    one letter per grid of `GRIDS` in that order: P for PASS, F for FAIL."""
+    names = [name for name, _ in checks.GROUPS]
+    width = max(map(len, FAULTS))
+    grids = ", ".join(f"{n}-D M={m}" for n, m in GRIDS)
+    lines = [
+        "groups: " + ", ".join(f"{i} {name}" for i, name in enumerate(names, 1)),
+        f"cells: the verdicts at {grids} (P pass, F fail)",
+        "fault".ljust(width) + "".join(f"  {i:<3}" for i in range(1, len(names) + 1)).rstrip(),
+    ]
+    uncaught = []
+    for fault in FAULTS:
+        runs = []
+        for n, m in GRIDS:
+            failed = failed_groups(fault, n, m)
+            runs.append("".join("F" if name in failed else "P" for name in names))
+            if not failed:
+                uncaught.append(f"{fault} at {n}-D M={m}")
+        lines.append(fault.ljust(width) + "".join(f"  {''.join(cell)}" for cell in zip(*runs)))
+    return "\n".join(lines) + "\n", uncaught
+
+
+def test_every_fault_is_caught_as_the_committed_table_says():
+    text, uncaught = fault_table()
+    assert uncaught == []
+    committed = Path(__file__).resolve().parent.parent / "scripts" / "fault_matrix.txt"
+    assert text == committed.read_text()
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
 @pytest.mark.parametrize(
     "fault", [f for f in FAULTS if f not in ONE_GROUP_FAULTS and f not in SPREAD_FAULTS])
-def test_every_planted_fault_fails_resolvent_eigenpairs(monkeypatch, fault, n, m):
-    FAULTS[fault](monkeypatch)
-    assert verify_statuses(n, m)["resolvent-eigenpairs"] == "FAIL"
+def test_every_planted_fault_fails_resolvent_eigenpairs(fault, n, m):
+    assert "resolvent-eigenpairs" in failed_groups(fault, n, m)
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
 @pytest.mark.parametrize("fault", list(SPREAD_FAULTS))
-def test_spread_faults_fail_their_groups(monkeypatch, fault, n, m):
-    FAULTS[fault](monkeypatch)
-    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
-    assert set(SPREAD_FAULTS[fault]) <= set(failed)
+def test_spread_faults_fail_their_groups(fault, n, m):
+    assert set(SPREAD_FAULTS[fault]) <= set(failed_groups(fault, n, m))
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
 @pytest.mark.parametrize("fault", list(ONE_GROUP_FAULTS))
-def test_one_group_faults_fail_their_group_alone(monkeypatch, fault, n, m):
-    FAULTS[fault](monkeypatch)
-    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
-    assert failed == [ONE_GROUP_FAULTS[fault]]
+def test_one_group_faults_fail_their_group_alone(fault, n, m):
+    assert failed_groups(fault, n, m) == [ONE_GROUP_FAULTS[fault]]
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
 @pytest.mark.parametrize("fault", ["forward-scaled-1+1e-9", "inverse-off-at-one-point"])
-def test_public_pair_faults_fail_solver_agreement(monkeypatch, fault, n, m):
+def test_public_pair_faults_fail_solver_agreement(fault, n, m):
     # CG and the multiplier solve apply their operators through the public
     # transform pair, looked up at call time
-    FAULTS[fault](monkeypatch)
-    assert verify_statuses(n, m)["solver-agreement"] == "FAIL"
+    assert "solver-agreement" in failed_groups(fault, n, m)
 
 
 @pytest.mark.parametrize("n, m", GRIDS)
-def test_an_oracle_fault_fails_the_two_oracle_groups_alone(monkeypatch, n, m):
+def test_an_oracle_fault_fails_the_two_oracle_groups_alone(n, m):
     # only fast-vs-naive-transform and resolvent-eigenpairs take direct sums
-    FAULTS["axis-table-root-off-1e-9"](monkeypatch)
-    failed = [group for group, status in verify_statuses(n, m).items() if status == "FAIL"]
-    assert failed == ["fast-vs-naive-transform", "resolvent-eigenpairs"]
+    assert failed_groups("axis-table-root-off-1e-9", n, m) == [
+        "fast-vs-naive-transform", "resolvent-eigenpairs"]
 
 
 @pytest.mark.parametrize("n, m", GRIDS)

@@ -5,7 +5,7 @@ import pytest
 
 from toruskit import (
     ConjugateGradientError,
-    cli,
+    checks,
     GridField,
     MultiplierSymbol,
     TorusGrid,
@@ -208,10 +208,10 @@ def _plant_spacing(monkeypatch, scale):
 def test_a_preconditioner_with_a_wrong_spacing_changes_the_count_not_the_verdict(
         monkeypatch, n, points):
     f = random_field(TorusGrid(n, points), np.random.default_rng(1))
-    _, (_, right), _, failures = cli._check_solve(f)
+    _, (_, right), _, failures = checks.check_solve(f)
     assert failures == []
     _plant_spacing(monkeypatch, 2.0)
-    _, (_, wrong), _, failures = cli._check_solve(f)
+    _, (_, wrong), _, failures = checks.check_solve(f)
     assert failures == []
     assert wrong.iterations > right.iterations
 
