@@ -37,6 +37,9 @@ _DATA_COMMANDS = [
     ("truncate", "--dimension", "2", "--points", "11", "--truncation", "2", "--seed", "1"),
     # nine lockstep Lanczos runs in one stack, which stop at different steps
     ("truncate", "--dimension", "2", "--points", "31", "--truncation", "8", "--seed", "1"),
+    # the norm law off 2-D, where the box's levels and their gaps differ
+    ("truncate", "--dimension", "1", "--points", "15", "--truncation", "4", "--seed", "1"),
+    ("truncate", "--dimension", "3", "--points", "9", "--truncation", "2", "--seed", "1"),
     ("embed-demo", "--dimension", "1", "--points", "17", "--epsilon", "0.5", "--seed", "3"),
     # a 2-D family, drawn and extracted on stacked rows
     ("embed-demo", "--dimension", "2", "--points", "33", "--epsilon", "0.5", "--seed", "3"),

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import embedding, operators, solver, spectral, transform
+from . import embedding, lattice, operators, solver, spectral, transform
 
 # A loop that stops without converging, or a computed field or symbol that
 # holds NaN or inf; a command exits 1 on it, and in `verify` it is the
@@ -48,19 +48,24 @@ def check_transform(u: transform.GridField):
 
 def check_norm_law(grid: transform.TorusGrid, cutoffs, seed: int, leading=()):
     """Rows (N, exact, estimate, diff): the Lanczos norm estimate of each
-    resolvent tail against 1/((N+1)^2+1), to 1e-8.  All estimates, those of
-    the symbols `leading` first, run in one lockstep call.  Returns (rows,
-    failures, the estimates of `leading`)."""
+    resolvent tail against 1/((N+1)^2+1), to min(1e-8, g_N/4), with Lanczos
+    at tol min(1e-9, g_N/8) over all N.  g_N = 1/(1+(N+1)^2) - 1/(1+k') is
+    the gap to the tail's next eigenvalue, k' the box's next |xi|^2 above
+    (N+1)^2 (inf if none), so no other eigenvalue of the tail passes row N.
+    All estimates, those of the symbols `leading` first, run in one
+    lockstep call.  Returns (rows, failures, the estimates of `leading`)."""
     cutoffs = list(cutoffs)
+    levels = np.append(np.unique(operators.norm_sq_array(grid)), np.inf)
+    tops = np.array([lattice.tail_min_norm_sq(k) for k in cutoffs], dtype=float)
+    gaps = 1 / (1 + tops) - 1 / (1 + levels[np.searchsorted(levels, tops, side="right")])
     estimates = spectral.operator_norm_power_iteration(
-        [*leading, *map(operators.resolvent_tail_symbol, cutoffs)], grid, tol=1e-9, seed=seed
-    )
-    rows = []
-    for k, estimate in zip(cutoffs, estimates[len(leading):]):
-        exact = spectral.truncation_error_exact(k)
-        rows.append((k, exact, estimate, abs(exact - estimate)))
-    failures = [f"N={k}: |exact - lanczos| = {diff} > 1e-8"
-                for k, _, _, diff in rows if diff > 1e-8]
+        [*leading, *map(operators.resolvent_tail_symbol, cutoffs)], grid,
+        tol=float(min([1e-9, *gaps / 8])), seed=seed)
+    rows = [(k, exact, estimate, abs(exact - estimate)) for k, exact, estimate in zip(
+        cutoffs, map(spectral.truncation_error_exact, cutoffs), estimates[len(leading):])]
+    failures = [f"N={k}: |exact - lanczos| = {diff} > "
+                + np.format_float_scientific(bound, trim="-", exp_digits=1)
+                for (k, *_, diff), bound in zip(rows, np.minimum(1e-8, gaps / 4)) if diff > bound]
     return rows, failures, estimates[:len(leading)]
 
 
@@ -161,8 +166,7 @@ def _verify_eigenpairs(grid, seed) -> tuple[str, list[str]]:
 
 def _verify_operator_norms(grid, seed) -> tuple[str, list[str]]:
     rows, failures, (estimate,) = check_norm_law(
-        grid, range(min(3, grid.box_radius - 2) + 1), seed, [operators.resolvent_symbol()]
-    )
+        grid, range(min(3, grid.box_radius - 2) + 1), seed, [operators.resolvent_symbol()])
     failures += exceeds("resolvent: |1 - lanczos|", abs(estimate - 1.0), 1e-8)
     worst = max([abs(estimate - 1.0)] + [diff for *_, diff in rows])
     return f"worst |lanczos - exact| = {worst:.2e}", failures

@@ -67,8 +67,8 @@ class BoundedSequence:
             raise ValueError("a family is a stack of fields, shape (count, *grid.shape)")
         if not len(coefficients):
             raise ValueError("sequence must contain at least one item")
-        if h1_bound <= 0:
-            raise ValueError(f"h1_bound must be positive, got {h1_bound}")
+        if not 0 < h1_bound < math.inf:
+            raise ValueError(f"h1_bound must be finite and positive, got {h1_bound}")
         self.grid, self.coefficients, self.h1_bound = grid, coefficients, h1_bound
         h1_sq = np.empty(len(coefficients))
         for block in transform._stack_blocks(len(coefficients), grid.size):
@@ -158,8 +158,10 @@ def tail_profile(c: SpectralField) -> TailBound:
 
 def required_cutoff(h1_bound: float, eps: float) -> int:
     """Smallest N with 2 * h1_bound / sqrt(1 + (N+1)^2) <= eps / 2."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not math.isfinite(h1_bound):
+        raise ValueError(f"h1_bound must be finite, got {h1_bound}")
     # need the integer (N+1)^2 >= (4 h1 / eps)^2 - 1, i.e. >= its ceiling
     try:
         needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)

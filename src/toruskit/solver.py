@@ -51,8 +51,8 @@ _ROUNDOFF_BACKWARD_ERROR = 4 * np.finfo(float).eps
 
 
 class ConjugateGradientError(RuntimeError):
-    """CG exhausted max_iter before its residual met tol, or broke down: an
-    inner product that must be finite and positive was not."""
+    """CG reached its iteration cap (`solve_cg`) before its residual met tol,
+    or broke down: an inner product that must be finite and positive was not."""
 
 
 def helmholtz_norm(grid: TorusGrid) -> float:
@@ -81,9 +81,7 @@ def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
     return u, SolveReport(_residual_l2(u, f), "multiplier", 0, elapsed)
 
 
-def solve_cg(
-    f: GridField, tol: float = 1e-10, max_iter: int | None = None
-) -> tuple[GridField, SolveReport]:
+def solve_cg(f: GridField, tol: float = 1e-10) -> tuple[GridField, SolveReport]:
     """Preconditioned conjugate gradients on the grid-side operator.
 
     A = Delta + 1 is applied by `operators.grid_operator` with the Helmholtz
@@ -95,23 +93,19 @@ def solve_cg(
     grid L^2 norm.  In exact arithmetic the iteration count is at most
     `_iteration_bound(grid, tol)`, 18 at 3-D M=9 and 22 at 1-D M=8191 for
     tol=1e-10, and at most the number of distinct values of (1 +
-    |xi|^2) / sigma_FD(xi) on f's spectral support.  max_iter defaults to
-    twice the bound at P^{-1} A's condition number measured on the box, at
-    most 2 `_iteration_bound(grid, tol)`, so a solve that cannot converge
-    fails within a few dozen iterations.
+    |xi|^2) / sigma_FD(xi) on f's spectral support.  No parameter caps the
+    iterations: the cap is twice the bound at P^{-1} A's condition number
+    measured on the box, so a solve that cannot converge raises
+    `ConjugateGradientError` within a few dozen iterations.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = f.grid
     start = time.perf_counter()
     sigma = symbol_array(helmholtz_symbol(), grid)
     precondition, kappa = _fd_preconditioner(grid, sigma)
-    if max_iter is None:
-        max_iter = 2 * _iteration_bound(grid, tol, kappa)
-    u, residual_l2, iterations = _pcg(
-        grid_operator(grid, sigma), precondition, f, tol, max_iter)
+    u, residual_l2, iterations = _pcg(grid_operator(grid, sigma), precondition, f, tol,
+                                      2 * _iteration_bound(grid, tol, kappa))
     return u, SolveReport(residual_l2, "cg", iterations, time.perf_counter() - start)
 
 

@@ -57,14 +57,13 @@ def truncation_error_exact(cutoff: int) -> float:
 
 
 class LanczosError(RuntimeError):
-    """Lanczos exhausted max_iter before its top Ritz pair met tol."""
+    """Lanczos reached its step cap (`_step_cap`) before its top Ritz pair met tol."""
 
 
 def operator_norm_power_iteration(
     symbol: MultiplierSymbol | Sequence[MultiplierSymbol],
     grid: TorusGrid,
     tol: float = 1e-10,
-    max_iter: int = 20000,
     seed: int = 0,
 ) -> float | list[float]:
     """Estimate the l2 -> l2 norm of the multiplier on the stored box.
@@ -76,7 +75,7 @@ def operator_norm_power_iteration(
     diagonal shortcut it is checking.  The start vector is seeded
     pseudo-random with support on all modes.  Only three vectors are held
     per run: no Lanczos basis is kept and none is reorthogonalized.
-    max_iter counts Lanczos steps, one operator application each.
+    Each step is one operator application.
 
     After step j the top Ritz pair (theta, s) of the tridiagonal T_j has the
     residual beta_j |s_j|, and the loop stops when beta_j |s_j| <= tol *
@@ -97,8 +96,12 @@ def operator_norm_power_iteration(
     one stacked eigh (the one LAPACK call) over the runs due for a check,
     and a run leaves the stack when it stops.  A stack spans at most
     `transform._STACK_POINTS` grid points per vector (one run on a larger
-    grid), and the stacks go one after another.  A run that exhausts
-    max_iter raises for the first such symbol in order.
+    grid), and the stacks go one after another.  No parameter bounds the
+    steps: in exact arithmetic a run's Krylov space is used up within d
+    steps, d the number of distinct values of its stack's squared symbols,
+    so a stack stops at 2 d steps (`_step_cap`) and raises `LanczosError`
+    for its first run still going.  d is 4096 for the resolvent at 1-D
+    M=8191, where a run that goes on to the cap pays O(j^3) per check.
 
     The name, and the `power_iteration_error` column of `truncate`'s table,
     outlived the power iteration they were named for: perfbench's norm-law
@@ -106,12 +109,10 @@ def operator_norm_power_iteration(
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     symbols = [symbol] if isinstance(symbol, MultiplierSymbol) else list(symbol)
     estimates = []
     for block in transform._stack_blocks(len(symbols), grid.size):
-        estimates += _lockstep_lanczos(symbols[block], grid, tol, max_iter, seed)
+        estimates += _lockstep_lanczos(symbols[block], grid, tol, seed)
     return estimates[0] if isinstance(symbol, MultiplierSymbol) else estimates
 
 
@@ -123,8 +124,12 @@ def _top_ritz(tridiagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ritz[:, -1], vectors[:, -1, -1]
 
 
-def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
-                      seed: int) -> list[float]:
+def _step_cap(squares: np.ndarray) -> int:
+    """Twice the number of distinct values of the squared symbols."""
+    return 2 * len(np.unique(squares))
+
+
+def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, seed: int) -> list[float]:
     """`operator_norm_power_iteration` of each symbol, in lockstep on one
     stack.  Row r of each stack belongs to the run runs[r]; a run's row
     goes when it stops, and the stacked operator is rebuilt for the rows
@@ -132,19 +137,20 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
     squares = np.empty((len(symbols), *grid.shape))
     for symbol, square in zip(symbols, squares):
         np.square(symbol_array(symbol, grid), out=square)
+    cap = _step_cap(squares)
     runs = list(range(len(symbols)))
     normal = grid_operator(grid, squares)
     start = random_field(grid, np.random.default_rng(seed)).values
     start /= math.sqrt(transform._inner(start, start, grid.dimension))
     v = np.repeat(start[np.newaxis], len(runs), axis=0)
     del start  # the runs hold three vectors each and no other
-    column = (len(runs),) + (1,) * grid.dimension
+    column = (-1,) + (1,) * grid.dimension  # one value per run
     v_prev = None
     alphas: list[list[float]] = [[] for _ in runs]
     betas: list[list[float]] = [[] for _ in runs]
     estimates: list[float] = [0.0] * len(runs)
     next_check = 1
-    for step in range(1, max_iter + 1):
+    for step in range(1, cap + 1):
         w = normal(v)
         # beta_{j-1} v_{j-1} comes off before alpha_j is taken, the ordering
         # that Paige's analysis covers
@@ -155,7 +161,7 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
         beta = np.sqrt(transform._inner(w, w, grid.dimension))
         for run, a in zip(runs, alpha):
             alphas[run].append(a)
-        due = np.flatnonzero((beta == 0.0) | (step in (next_check, max_iter))).tolist()
+        due = np.flatnonzero((beta == 0.0) | (step in (next_check, cap))).tolist()
         stopped = set()
         if due:
             # the diagonals of every due run at once
@@ -176,23 +182,17 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, max_iter: int,
             next_check = step + max(1, step // 16)
         if len(stopped) == len(runs):
             return estimates
-        if step == max_iter:
-            break
         if stopped:
             keep = [row for row in range(len(runs)) if row not in stopped]
             runs = [runs[row] for row in keep]
             v, w, beta = v[keep], w[keep], beta[keep]
-            column = (len(runs),) + (1,) * grid.dimension
             normal = grid_operator(grid, squares[runs])
         for run, b in zip(runs, beta):
             betas[run].append(b)
         w /= np.reshape(beta, column)
         v_prev, v = v, w
-    run = min(run for row, run in enumerate(runs) if row not in stopped)
-    raise LanczosError(
-        f"Lanczos did not reach tol={tol} within {max_iter} steps "
-        f"(last estimate {estimates[run]})"
-    )
+    raise LanczosError(f"Lanczos did not reach tol={tol} within {cap} steps "
+                       f"(last estimate {estimates[runs[0]]})")
 
 
 def singular_values(

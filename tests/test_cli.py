@@ -20,6 +20,7 @@ from toruskit import solver as solver_mod
 from toruskit import transform as transform_mod
 
 from conftest import random_grid
+from test_fault_matrix import FAULTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -436,6 +437,54 @@ def test_verify_detects_tampering(monkeypatch, capsys):
     assert "FAIL operator-norms" in capsys.readouterr().out
 
 
+def test_truncate_detects_tampering(tmp_path, monkeypatch, capsys):
+    # the gaps come from the box's levels, not from the law, so a wrong law
+    # is a failed check and not a usage error
+    monkeypatch.setattr(spectral_mod, "truncation_error_exact", lambda n: 0.123)
+    assert run("truncate", "--dimension", 2, "--points", 11, "--truncation", 1,
+               "--seed", 1, "--output", tmp_path / "t.csv") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == [
+        f"check failed: N={k}: |exact - lanczos|" for k in (0, 1)]
+    assert all(line.endswith(" > 1e-8") for line in lines)
+
+
+@pytest.mark.parametrize("fault, failed",
+                         [(None, []), ("truncation-keeps-k=(N+1)^2", [99, 100])],
+                         ids=["unfaulted", "boundary-kept"])
+def test_norm_law_tells_the_law_from_the_next_level_past_1e_8(monkeypatch, fault, failed):
+    # at 2-D M=205 the level after (N+1)^2 is (N+1)^2 + 1, whose resolvent
+    # value is under 1e-8 from the law's at N = 99 and 100: the faulted rows
+    # read 9.997e-9 and 9.607e-9, within a fixed 1e-8 but not within a
+    # quarter of the gap
+    if fault:
+        FAULTS[fault](monkeypatch)
+    rows, failures, _ = checks.check_norm_law(transform_mod.TorusGrid(2, 205), [99, 100], 1)
+    assert [row[0] for row in rows] == [99, 100]
+    assert [int(f.split(":")[0].removeprefix("N=")) for f in failures] == failed
+
+
+def test_norm_law_fails_an_estimate_of_0_where_the_law_is_under_1e_8(monkeypatch):
+    # at 1-D M=20003 the law at N = 9999 is 9.99999990e-9, so an estimate of
+    # 0 is within 1e-8 of it; the next level is 10001^2, and Lanczos is asked
+    # for an eighth of the gap, the row for a quarter
+    tols = []
+
+    def zero_estimates(symbols, grid, tol, seed):
+        tols.append(tol)
+        return [0.0] * len(symbols)
+
+    monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", zero_estimates)
+    rows, failures, _ = checks.check_norm_law(transform_mod.TorusGrid(1, 20003), [9999], 1)
+    exact = 1 / (10000**2 + 1)
+    gap = exact - 1 / (10001**2 + 1)
+    assert rows == [(9999, exact, 0.0, exact)] and exact < 1e-8
+    (failure,) = failures
+    assert failure.startswith(f"N=9999: |exact - lanczos| = {exact} > ")
+    assert float(failure.rsplit(" ", 1)[1]) == pytest.approx(gap / 4, rel=1e-12)
+    assert tols == [pytest.approx(gap / 8, rel=1e-12)]
+
+
 def test_verify_detects_wrong_resolvent_symbol(monkeypatch, capsys):
     wrong = MultiplierSymbol("resolvent", of_norm_sq=lambda k: 1.0 / (2.0 + k))
     monkeypatch.setattr(spectral_mod, "resolvent_symbol", lambda: wrong)
@@ -840,27 +889,25 @@ def test_solve_check_rejects_a_solution_above_the_resolvent_norm(monkeypatch):
 # `verify` reports it as its group's FAIL and runs the other groups.
 # ---------------------------------------------------------------------------
 
-_power_iteration = spectral_mod.operator_norm_power_iteration
+# Each loop's cap, lowered: Lanczos stops after one step, CG after two
+def _one_lanczos_step(squares):
+    return 1
 
 
-def _one_power_step(*args, **kwargs):
-    return _power_iteration(*args, **{**kwargs, "max_iter": 1})
-
-
-def _one_cg_step(f, tol):
-    return _solve_cg(f, tol=tol, max_iter=1)
+def _cg_bound_of_one(grid, tol, condition):
+    return 1
 
 
 @pytest.mark.parametrize(
     "module, name, fake, argv, message",
     [
-        (spectral_mod, "operator_norm_power_iteration", _one_power_step,
+        (spectral_mod, "_step_cap", _one_lanczos_step,
          ("truncate", "--dimension", 2, "--points", 11, "--truncation", 2, "--seed", 1),
          "Lanczos did not reach tol=1e-09 within 1 steps"),
-        (solver_mod, "solve_cg", _one_cg_step, SOLVE_ARGS,
-         "conjugate gradients did not reach tol=1e-10 within 1 iterations"),
-        (solver_mod, "solve_cg", _one_cg_step, ("bench", *SOLVE_ARGS[1:]),
-         "conjugate gradients did not reach tol=1e-10 within 1 iterations"),
+        (solver_mod, "_iteration_bound", _cg_bound_of_one, SOLVE_ARGS,
+         "conjugate gradients did not reach tol=1e-10 within 2 iterations"),
+        (solver_mod, "_iteration_bound", _cg_bound_of_one, ("bench", *SOLVE_ARGS[1:]),
+         "conjugate gradients did not reach tol=1e-10 within 2 iterations"),
     ],
     ids=["truncate", "solve", "bench"],
 )
@@ -876,7 +923,7 @@ def test_numerical_failure_exits_1_and_writes_nothing(
 
 
 def test_verify_reports_a_numerical_failure_as_its_groups_fail(monkeypatch, capsys):
-    monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", _one_power_step)
+    monkeypatch.setattr(spectral_mod, "_step_cap", _one_lanczos_step)
     assert run("verify") == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()

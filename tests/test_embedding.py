@@ -192,12 +192,38 @@ def test_bounded_sequence_rechecks_the_bound():
     assert seq.h1_bound == 1.5
 
 
-def test_bounded_sequence_rejects_one_field_and_empty():
-    a = spectral_delta(TorusGrid(1, 9), (0,))
-    with pytest.raises(ValueError, match=r"^a family is a stack of fields"):
-        BoundedSequence(a, h1_bound=2.0)
-    with pytest.raises(ValueError, match="at least one item"):
-        BoundedSequence(SpectralField(a.grid, np.zeros((0, 9))), h1_bound=1.0)
+# a 1-D M=9 family of one field of coefficients 1e6, far outside any H^1
+# ball that a finite bound under 1e6 names
+_LARGE = SpectralField(TorusGrid(1, 9), np.full((1, 9), 1e6 + 0j))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: BoundedSequence(spectral_delta(TorusGrid(1, 9), (0,)), 2.0),
+      r"a family is a stack of fields, shape \(count, \*grid.shape\)"),
+     (lambda: BoundedSequence(SpectralField(TorusGrid(1, 9), np.zeros((0, 9))), 1.0),
+      "sequence must contain at least one item"),
+     (lambda: BoundedSequence(_LARGE, 0.0), "h1_bound must be finite and positive, got 0.0"),
+     (lambda: BoundedSequence(_LARGE, -1.0), "h1_bound must be finite and positive, got -1.0"),
+     (lambda: BoundedSequence(_LARGE, math.nan), "h1_bound must be finite and positive, got nan"),
+     (lambda: BoundedSequence(_LARGE, math.inf), "h1_bound must be finite and positive, got inf"),
+     (lambda: random_bounded_sequence(TorusGrid(1, 9), 0, 1.0, 1), "count must be >= 1, got 0"),
+     (lambda: required_cutoff(1.0, 0.0), "eps must be finite and positive, got 0.0"),
+     (lambda: required_cutoff(1.0, -1.0), "eps must be finite and positive, got -1.0"),
+     (lambda: required_cutoff(1.0, math.nan), "eps must be finite and positive, got nan"),
+     (lambda: required_cutoff(1.0, math.inf), "eps must be finite and positive, got inf"),
+     (lambda: required_cutoff(math.nan, 0.5), "h1_bound must be finite, got nan"),
+     (lambda: required_cutoff(math.inf, 0.5), "h1_bound must be finite, got inf")],
+    ids=["one-field", "empty", "bound-0", "bound-negative", "bound-nan", "bound-inf",
+         "count-0", "eps-0", "eps-negative", "eps-nan", "eps-inf", "cutoff-bound-nan",
+         "cutoff-bound-inf"],
+)
+def test_families_and_cutoffs_refuse_bad_arguments(call, message):
+    # no norm exceeds a NaN bound, so one would certify any family, and an
+    # infinite one would reach the extraction's exact cutoff as an
+    # OverflowError that names no argument
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_required_cutoff_is_minimal():

@@ -176,6 +176,18 @@ def _field_sums_of_field_0(monkeypatch):
     monkeypatch.setattr(transform_mod, "_field_sums", faulty)
 
 
+def _field_sums_drop_last_term(monkeypatch):
+    # the one sum leaves out the last term of each sum: every norm and inner
+    # product misses one point or mode, and Lanczos's normal operator is no
+    # longer the one it is given
+    exact = transform_mod._field_sums
+
+    def faulty(values, dimension):
+        return exact(values, dimension) - values[(..., *(-1,) * dimension)]
+
+    monkeypatch.setattr(transform_mod, "_field_sums", faulty)
+
+
 def _cg_residual_understated(monkeypatch):
     # CG reports a tenth of the true residual it computed
     exact = solver_mod._pcg
@@ -204,6 +216,7 @@ FAULTS = {
     "stack-inner-products-of-field-0": _stack_reduced_to_its_first_field,
     "inner-drops-imaginary-products": _inner_drops_imaginary_products,
     "field-sums-of-field-0": _field_sums_of_field_0,
+    "field-sums-drop-last-term": _field_sums_drop_last_term,
     "cg-residual-understated-10x": _cg_residual_understated,
 }
 # Faults that one group alone catches, and that group; every other fault
@@ -223,6 +236,7 @@ ONE_GROUP_FAULTS = {
 # the groups that catch them on every grid.
 SPREAD_FAULTS = {
     "field-sums-of-field-0": ["operator-norms", "rellich-extraction"],
+    "field-sums-drop-last-term": ["transform-roundtrip-plancherel", "operator-norms"],
 }
 # 1-D M=15, 2-D M=9 and 3-D M=9, as (dimension, points)
 GRIDS = [(1, 15), (2, 9), (3, 9)]

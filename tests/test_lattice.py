@@ -94,11 +94,20 @@ def test_enumerate_ball_sorted_and_duplicate_free():
         assert members == sorted(set(members))
 
 
-def test_ball_rejects_dimension_zero():
-    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
-        enumerate_ball(0, 1)
-    with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
-        enumerate_ball(2, -1)
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: enumerate_ball(0, 1), "dimension must be >= 1, got 0"),
+     (lambda: enumerate_ball(2, -1), "radius must be >= 0, got -1"),
+     (lambda: level_multiplicity(0, 1), "dimension must be >= 1, got 0"),
+     (lambda: level_multiplicity(2, -1), "level must be >= 0, got -1"),
+     (lambda: levels_up_to(0, 4), "dimension must be >= 1, got 0"),
+     (lambda: levels_up_to(2, -1), "level cap must be >= 0, got -1")],
+    ids=["ball-n", "ball-radius", "multiplicity-n", "multiplicity-k", "levels-n",
+         "levels-cap"],
+)
+def test_lattice_scans_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_cg_stops_at_the_rounding_floor_when_tol_lies_below_it(points, tol, seed
     # tol * ||f|| lies below what evaluating f - A u can reach here: the true
     # residual reads 3-30 tol at the first proposed stop, a backward error of
     # 1-3 eps; replacing the residual there and going on would not reach tol
-    # within max_iter = M iterations
+    # within M iterations
     g = TorusGrid(1, points)
     f = random_field(g, np.random.default_rng(seed))
     u, report = solve_cg(f, tol=tol)
@@ -221,15 +221,15 @@ def test_a_nonsymmetric_operator_fails_within_twice_the_proven_bound(monkeypatch
     # inverse-off-at-one-point makes A nonsymmetric, so CG cannot converge.
     # An iteration takes one precondition call and at most two applies of
     # A, each one forward transform on every grid, 2-D M=91 (past
-    # transform._STACK_POINTS) included; the default max_iter is at most
-    # twice the proven bound (36 at 3-D M=9, where it was 729)
+    # transform._STACK_POINTS) included; the iteration cap is at most twice
+    # the proven bound (36 at 3-D M=9)
     FAULTS["inverse-off-at-one-point"](monkeypatch)
     forwards = _count_forwards(monkeypatch)
     g = TorusGrid(n, points)
     with pytest.raises(ConjugateGradientError):
         solve_cg(random_field(g, np.random.default_rng(1)))
-    max_iter = 2 * _iteration_bound(g, 1e-10)
-    assert 0 < len(forwards) <= (max_iter + 1) + 2 * max_iter
+    cap = 2 * _iteration_bound(g, 1e-10)
+    assert 0 < len(forwards) <= (cap + 1) + 2 * cap
 
 
 def test_cg_transforms_each_residual_forward_once_on_a_blocked_grid(monkeypatch):
@@ -281,6 +281,12 @@ def test_solution_norm_never_exceeds_input_norm():
             assert grid_l2_norm(u) <= grid_l2_norm(f) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("residual_l2, iterations", [(-1.0, 0), (0.0, -1)])
+def test_solve_report_refuses_a_negative_residual_or_count(residual_l2, iterations):
+    with pytest.raises(ValueError, match="^residual and iteration count must be nonnegative$"):
+        solver_mod.SolveReport(residual_l2, "cg", iterations, 0.0)
+
+
 def test_cg_zero_input():
     g = TorusGrid(1, 5)
     u, report = solve_cg(GridField(g, np.zeros(5, dtype=complex)))
@@ -288,23 +294,17 @@ def test_cg_zero_input():
     assert report.iterations == 0
 
 
-def test_cg_non_convergence_raises_naming_tol_and_max_iter():
+def test_cg_non_convergence_raises_naming_tol_and_its_cap(monkeypatch):
+    # the cap is twice the proven bound, here lowered to 1
+    monkeypatch.setattr(solver_mod, "_iteration_bound", lambda grid, tol, condition: 1)
     g = TorusGrid(2, 9)
     f = random_field(g, np.random.default_rng(15))
     with pytest.raises(ConjugateGradientError) as excinfo:
-        solve_cg(f, tol=1e-14, max_iter=1)
+        solve_cg(f, tol=1e-14)
     assert isinstance(excinfo.value, RuntimeError)
     assert str(excinfo.value) == (
-        "conjugate gradients did not reach tol=1e-14 within 1 iterations"
+        "conjugate gradients did not reach tol=1e-14 within 2 iterations"
     )
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_cg_refuses_max_iter_below_one_before_any_transform(monkeypatch, max_iter):
-    monkeypatch.setattr(transform_mod, "forward", None)
-    f = random_field(TorusGrid(2, 9), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="max_iter"):
-        solve_cg(f, max_iter=max_iter)
 
 
 def test_cg_rejects_bad_tol():
@@ -315,7 +315,7 @@ def test_cg_rejects_bad_tol():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
 def test_cg_refuses_a_tol_that_is_not_finite(tol):
-    # a NaN tol would run max_iter iterations and then fail; an infinite one
+    # a NaN tol would run to the iteration cap and then fail; an infinite one
     # would stop after one iteration and report success
     f = random_field(TorusGrid(2, 9), np.random.default_rng(0))
     with pytest.raises(ValueError, match="tol"):

@@ -25,6 +25,7 @@ from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
 
 from conftest import per_mode_residuals
+from test_fault_matrix import FAULTS
 
 
 def _rows(pair):
@@ -121,18 +122,32 @@ def test_power_iteration_zero_symbol():
     assert est == 0.0
 
 
-def test_power_iteration_non_convergence_raises_naming_tol_and_estimate():
+def test_power_iteration_non_convergence_raises_naming_tol_and_estimate(monkeypatch):
+    monkeypatch.setattr(spectral_mod, "_step_cap", lambda squares: 2)
     grid = TorusGrid(2, 21)
     with pytest.raises(LanczosError) as excinfo:
-        operator_norm_power_iteration(
-            resolvent_tail_symbol(8), grid, tol=1e-14, max_iter=2, seed=0
-        )
+        operator_norm_power_iteration(resolvent_tail_symbol(8), grid, tol=1e-14, seed=0)
     assert isinstance(excinfo.value, RuntimeError)
     message = str(excinfo.value)
     assert message.startswith(
         "Lanczos did not reach tol=1e-14 within 2 steps (last estimate "
     )
     assert 0.0 < float(message.rsplit(" ", 1)[1].rstrip(")")) < 1.0
+
+
+def test_power_iteration_stops_at_twice_the_distinct_values_of_its_squared_symbols(
+    monkeypatch
+):
+    # the resolvent's square takes 8 values at 1-D M=15, one per level
+    # k = 0, 1, 4, ..., 49, and its Krylov space is used up within 8 steps;
+    # with every sum short of its last term the recurrence runs on, to 16
+    FAULTS["field-sums-drop-last-term"](monkeypatch)
+    calls = []
+    inverse = transform_mod.inverse
+    monkeypatch.setattr(transform_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    with pytest.raises(LanczosError, match="^Lanczos did not reach tol=1e-10 within 16 steps"):
+        operator_norm_power_iteration(resolvent_symbol(), TorusGrid(1, 15), seed=1)
+    assert len(calls) == 16
 
 
 def test_power_iteration_stops_on_an_invariant_subspace(monkeypatch):
@@ -174,17 +189,6 @@ def test_power_iteration_meets_the_law_at_cutoff_10_within_40_applications(monke
     assert len(calls) <= 40
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_power_iteration_refuses_max_iter_below_one_before_any_transform(
-    monkeypatch, max_iter
-):
-    monkeypatch.setattr(transform_mod, "forward", None)
-    with pytest.raises(ValueError, match="max_iter"):
-        operator_norm_power_iteration(
-            resolvent_symbol(), TorusGrid(2, 9), max_iter=max_iter
-        )
-
-
 def test_power_iteration_rejects_bad_tol():
     with pytest.raises(ValueError):
         operator_norm_power_iteration(identity_symbol(), TorusGrid(1, 5), tol=0.0)
@@ -193,7 +197,7 @@ def test_power_iteration_rejects_bad_tol():
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
 def test_power_iteration_refuses_a_tol_that_is_not_finite(tol):
     # an infinite tol would return the first estimate, 0.0908 here against
-    # the true norm 0.2; a NaN one would run all max_iter iterations
+    # the true norm 0.2; a NaN one would run to the step cap
     with pytest.raises(ValueError, match="tol"):
         operator_norm_power_iteration(resolvent_tail_symbol(1), TorusGrid(2, 9), tol=tol)
 
@@ -347,16 +351,16 @@ def test_lockstep_estimates_are_the_single_runs_bit_for_bit(monkeypatch, n, m, w
     assert operator_norm_power_iteration([], grid) == []
 
 
-def test_lockstep_raises_for_the_first_run_that_does_not_converge():
+def test_lockstep_raises_for_the_first_run_that_does_not_converge(monkeypatch):
     # the identity stops at step 1 (its Krylov space is invariant); the
     # tail's run then fails as it fails alone, and the later tail's never
     # shows
+    monkeypatch.setattr(spectral_mod, "_step_cap", lambda squares: 2)
     grid = TorusGrid(2, 21)
     with pytest.raises(LanczosError) as alone:
-        operator_norm_power_iteration(resolvent_tail_symbol(8), grid, tol=1e-14,
-                                      max_iter=2, seed=0)
+        operator_norm_power_iteration(resolvent_tail_symbol(8), grid, tol=1e-14, seed=0)
     with pytest.raises(LanczosError) as lockstep:
         operator_norm_power_iteration(
             [identity_symbol(), resolvent_tail_symbol(8), resolvent_tail_symbol(1)],
-            grid, tol=1e-14, max_iter=2, seed=0)
+            grid, tol=1e-14, seed=0)
     assert str(lockstep.value) == str(alone.value)
