@@ -37,6 +37,10 @@ _DATA_COMMANDS = [
     ("truncate", "--dimension", "2", "--points", "11", "--truncation", "2", "--seed", "1"),
     # nine lockstep Lanczos runs in one stack, which stop at different steps
     ("truncate", "--dimension", "2", "--points", "31", "--truncation", "8", "--seed", "1"),
+    # lockstep across several stacks: 2025 points hold stacks of 4, 4 and 1
+    # runs, and 3-D M=13 (2197 points) stacks of 3 and 2
+    ("truncate", "--dimension", "2", "--points", "45", "--truncation", "8", "--seed", "1"),
+    ("truncate", "--dimension", "3", "--points", "13", "--truncation", "4", "--seed", "1"),
     # the norm law off 2-D, where the box's levels and their gaps differ
     ("truncate", "--dimension", "1", "--points", "15", "--truncation", "4", "--seed", "1"),
     ("truncate", "--dimension", "3", "--points", "9", "--truncation", "2", "--seed", "1"),

@@ -67,8 +67,7 @@ class BoundedSequence:
             raise ValueError("a family is a stack of fields, shape (count, *grid.shape)")
         if not len(coefficients):
             raise ValueError("sequence must contain at least one item")
-        if not 0 < h1_bound < math.inf:
-            raise ValueError(f"h1_bound must be finite and positive, got {h1_bound}")
+        _check_family_bound(h1_bound)
         self.grid, self.coefficients, self.h1_bound = grid, coefficients, h1_bound
         h1_sq = np.empty(len(coefficients))
         for block in transform._stack_blocks(len(coefficients), grid.size):
@@ -81,13 +80,20 @@ class BoundedSequence:
             )
 
 
+def _check_family_bound(h1_bound: float) -> None:
+    if not 0 < h1_bound < math.inf:
+        raise ValueError(f"h1_bound must be finite and positive, got {h1_bound}")
+    if h1_bound * h1_bound == math.inf:  # the H^1 check compares squares
+        raise ValueError(f"h1_bound must have a finite square, got {h1_bound}")
+
+
 # roundoff allowance of the tail bound: it holds when lhs <= rhs + _TAIL_SLACK
 _TAIL_SLACK = 1e-12
 
 
 class TailBound(NamedTuple):
-    """Both sides of the tail bound and whether it holds: floats at one
-    cutoff, arrays over the cutoffs N = 0..box radius (`tail_profile`)."""
+    """Both sides of the tail bound and whether it holds: at one cutoff
+    (floats, or one per field of a stack), or at N = 0..box radius (`tail_profile`)."""
 
     lhs: float | np.ndarray
     rhs: float | np.ndarray
@@ -104,10 +110,12 @@ def tail_bound_check(c: SpectralField, cutoff: int) -> TailBound:
     """Evaluate both sides of the spectral tail bound at the given cutoff.
 
     lhs = ||tail||_{L^2}, rhs = ||c||_{H^1} / sqrt(1 + (cutoff+1)^2);
-    holds is lhs <= rhs + 1e-12.
+    holds is lhs <= rhs + 1e-12.  Floats for one field; for a stack of k
+    fields, (k,) arrays, each entry bit for bit the field's own.
     """
     lhs = l2_norm(tail_projection(c, cutoff))
-    rhs = math.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + tail_min_norm_sq(cutoff)))
+    rhs = np.sqrt(sobolev_norm_sq(c, 1.0) / (1.0 + tail_min_norm_sq(cutoff)))
+    rhs = float(rhs) if rhs.ndim == 0 else rhs
     return TailBound(lhs, rhs, lhs <= rhs + _TAIL_SLACK)
 
 
@@ -160,8 +168,8 @@ def required_cutoff(h1_bound: float, eps: float) -> int:
     """Smallest N with 2 * h1_bound / sqrt(1 + (N+1)^2) <= eps / 2."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not math.isfinite(h1_bound):
-        raise ValueError(f"h1_bound must be finite, got {h1_bound}")
+    if not 0 < h1_bound < math.inf:
+        raise ValueError(f"h1_bound must be finite and positive, got {h1_bound}")
     # need the integer (N+1)^2 >= (4 h1 / eps)^2 - 1, i.e. >= its ceiling
     try:
         needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)
@@ -255,6 +263,7 @@ def random_bounded_sequence(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _check_family_bound(h1_bound)
     rng = np.random.default_rng(seed)
     weights = 1.0 / (1.0 + norm_sq_array(grid))
 

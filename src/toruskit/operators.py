@@ -8,7 +8,7 @@ one cached |xi|^2 array per grid; the positive Laplacian's symbol is that
 array itself.
 
 Each of them applies to one field or to a stack of fields alike: the
-symbol array multiplies the trailing n axes, `grid_operator` applies it
+symbol array multiplies the trailing n axes, `apply_multiplier` applies it
 through the transforms, and `sobolev_norm_sq` sums over them, a float for
 one field and one sum per field for a stack.
 
@@ -124,12 +124,12 @@ def norm_sq_array(grid: TorusGrid) -> np.ndarray:
     return k
 
 
-def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Grid values -> inverse(sigma * forward(values)).values, sigma a symbol
-    array over the box: the one multiplier apply, that of CG and its
-    preconditioner, the multiplier solve, Lanczos and the resolvent
-    certificate.  The public transform pair is looked up at each call, so a
-    fault planted in it reaches all of them.
+def apply_multiplier(grid: TorusGrid, sigma: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """inverse(sigma * forward(values)).values, sigma a symbol array over the
+    box: the one multiplier apply, that of CG and its preconditioner, the
+    multiplier solve, Lanczos and the resolvent certificate.  The public
+    transform pair is looked up at each call, so a fault planted in it
+    reaches all of them.
 
     The values are one field or a (k, *grid.shape) stack of fields; sigma
     is then one symbol array shared by every field, or a (k, *grid.shape)
@@ -140,32 +140,27 @@ def grid_operator(grid: TorusGrid, sigma: np.ndarray) -> Callable[[np.ndarray], 
     symbols is transformed forward once and its inverses are taken a block
     of symbols at a time, its coefficients held until the last.  Each
     response comes back bit for bit as it would alone."""
-
     symbols_stacked = sigma.ndim > grid.dimension
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        stacked = values.ndim > grid.dimension
-        fields = values if stacked else values[np.newaxis]
-        if symbols_stacked and len(fields) not in (1, len(sigma)):
-            raise ValueError(f"{len(fields)} fields against {len(sigma)} symbols")
-        count = len(sigma) if symbols_stacked else len(fields)
-        out = np.empty((count, *grid.shape), dtype=np.complex128)
-        once = len(fields) < count
+    stacked = values.ndim > grid.dimension
+    fields = values if stacked else values[np.newaxis]
+    if symbols_stacked and len(fields) not in (1, len(sigma)):
+        raise ValueError(f"{len(fields)} fields against {len(sigma)} symbols")
+    count = len(sigma) if symbols_stacked else len(fields)
+    out = np.empty((count, *grid.shape), dtype=np.complex128)
+    once = len(fields) < count
+    if once:
+        c = transform.forward(GridField(grid, fields))
+        spectrum = c.coefficients
+    for block in transform._stack_blocks(len(out), grid.size):
+        symbols = sigma[block] if symbols_stacked else sigma
+        # the products bypass SpectralField's check; `inverse` validates them
         if once:
-            c = transform.forward(GridField(grid, fields))
-            spectrum = c.coefficients
-        for block in transform._stack_blocks(len(out), grid.size):
-            symbols = sigma[block] if symbols_stacked else sigma
-            # the products bypass SpectralField's check; `inverse` validates them
-            if once:
-                c.coefficients = spectrum * symbols
-            else:
-                c = transform.forward(GridField(grid, fields[block]))
-                c.coefficients *= symbols
-            out[block] = transform.inverse(c).values
-        return out if stacked or symbols_stacked else out[0]
-
-    return apply
+            c.coefficients = spectrum * symbols
+        else:
+            c = transform.forward(GridField(grid, fields[block]))
+            c.coefficients *= symbols
+        out[block] = transform.inverse(c).values
+    return out if stacked or symbols_stacked else out[0]
 
 
 def sobolev_norm_sq(c: SpectralField, order: float) -> float | np.ndarray:

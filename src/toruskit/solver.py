@@ -2,7 +2,7 @@
 preconditioned conjugate-gradient oracle.
 
 The direct route divides each Fourier coefficient by 1 + |xi|^2.  The CG
-route deliberately stays on the grid side, applying `operators.grid_operator`
+route deliberately stays on the grid side, applying `operators.apply_multiplier`
 with the Helmholtz symbol 1 + |xi|^2, evaluated once per solve, so it never
 reads the resolvent symbol the multiplier solve uses and serves as an
 independent cross-check.  The operator is Hermitian positive definite with
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
-from .operators import grid_operator, helmholtz_symbol, resolvent_symbol, symbol_array
+from .operators import apply_multiplier, helmholtz_symbol, resolvent_symbol, symbol_array
 from .transform import GridField, TorusGrid, grid_l2_norm
 
 
@@ -68,15 +68,15 @@ def backward_error_scale(u: GridField, f: GridField) -> float:
 
 
 def _residual_l2(u: GridField, f: GridField) -> float:
-    helmholtz = grid_operator(u.grid, symbol_array(helmholtz_symbol(), u.grid))
-    return grid_l2_norm(GridField(u.grid, helmholtz(u.values)) - f)
+    sigma = symbol_array(helmholtz_symbol(), u.grid)
+    return grid_l2_norm(GridField(u.grid, apply_multiplier(u.grid, sigma, u.values)) - f)
 
 
 def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
     """Direct solve u = inverse(resolvent * forward(f)); exact to roundoff."""
     start = time.perf_counter()
-    resolvent = grid_operator(f.grid, symbol_array(resolvent_symbol(), f.grid))
-    u = GridField(f.grid, resolvent(f.values))
+    sigma = symbol_array(resolvent_symbol(), f.grid)
+    u = GridField(f.grid, apply_multiplier(f.grid, sigma, f.values))
     elapsed = time.perf_counter() - start
     return u, SolveReport(_residual_l2(u, f), "multiplier", 0, elapsed)
 
@@ -84,7 +84,7 @@ def solve_multiplier(f: GridField) -> tuple[GridField, SolveReport]:
 def solve_cg(f: GridField, tol: float = 1e-10) -> tuple[GridField, SolveReport]:
     """Preconditioned conjugate gradients on the grid-side operator.
 
-    A = Delta + 1 is applied by `operators.grid_operator` with the Helmholtz
+    A = Delta + 1 is applied by `operators.apply_multiplier` with the Helmholtz
     symbol, evaluated once per solve, and the preconditioner P is the
     periodic finite-difference Helmholtz operator (`_fd_preconditioner`).
     The iteration stops when the residual meets ||r|| <= tol * ||f|| in
@@ -103,9 +103,10 @@ def solve_cg(f: GridField, tol: float = 1e-10) -> tuple[GridField, SolveReport]:
     grid = f.grid
     start = time.perf_counter()
     sigma = symbol_array(helmholtz_symbol(), grid)
-    precondition, kappa = _fd_preconditioner(grid, sigma)
-    u, residual_l2, iterations = _pcg(grid_operator(grid, sigma), precondition, f, tol,
-                                      2 * _iteration_bound(grid, tol, kappa))
+    symbols, kappa = _fd_preconditioner(grid, sigma)
+    u, residual_l2, iterations = _pcg(functools.partial(apply_multiplier, grid, sigma),
+                                      functools.partial(apply_multiplier, grid, symbols),
+                                      f, tol, 2 * _iteration_bound(grid, tol, kappa))
     return u, SolveReport(residual_l2, "cg", iterations, time.perf_counter() - start)
 
 
@@ -127,20 +128,20 @@ def _fd_helmholtz_array(grid: TorusGrid) -> np.ndarray:
     return 1.0 + functools.reduce(np.add.outer, (axis,) * grid.dimension)
 
 
-def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray):
-    """(precondition, kappa): precondition(r) -> the stack (z, A z), z =
-    P^{-1} r, for P the finite-difference Helmholtz operator and A the
-    multiplier `sigma`; kappa <= pi^2/4, P^{-1} A's condition number,
-    max/min |sigma/sigma_FD|.
+def _fd_preconditioner(grid: TorusGrid, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """(symbols, kappa): the symbol stack (1/sigma_FD, sigma/sigma_FD), for
+    P the finite-difference Helmholtz operator and A the multiplier
+    `sigma`, and kappa <= pi^2/4, P^{-1} A's condition number, max/min
+    |sigma/sigma_FD|.
 
-    precondition is one `operators.grid_operator` over the symbol stack
-    (1/sigma_FD, sigma/sigma_FD): it transforms r forward once and takes
-    the inverses of both under that apply's stack budget.  Nothing here
-    reads the resolvent symbol."""
+    One `operators.apply_multiplier` of r against the stack makes the pair
+    (z, A z), z = P^{-1} r: it transforms r forward once and takes the
+    inverses of both under that apply's stack budget.  Nothing here reads
+    the resolvent symbol."""
     sigma_fd = _fd_helmholtz_array(grid)
     symbols = np.stack([1.0 / sigma_fd, sigma / sigma_fd])
     ratio = np.abs(symbols[1])
-    return grid_operator(grid, symbols), float(ratio.max() / ratio.min())
+    return symbols, float(ratio.max() / ratio.min())
 
 
 def _iteration_bound(grid: TorusGrid, tol: float,

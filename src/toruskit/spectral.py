@@ -27,7 +27,7 @@ import numpy as np
 
 from . import transform
 from .lattice import levels_up_to, tail_min_norm_sq
-from .operators import MultiplierSymbol, grid_operator, resolvent_symbol, symbol_array
+from .operators import MultiplierSymbol, apply_multiplier, resolvent_symbol, symbol_array
 from .transform import GridField, TorusGrid, random_field
 
 
@@ -70,7 +70,7 @@ def operator_norm_power_iteration(
 
     Runs the Lanczos three-term recurrence on the normal operator (symbol
     squared, evaluated once) with every application made by
-    `operators.grid_operator`, the round trip through the public
+    `operators.apply_multiplier`, the round trip through the public
     forward/inverse transform pair, so the estimate does not reuse the
     diagonal shortcut it is checking.  The start vector is seeded
     pseudo-random with support on all modes.  Only three vectors are held
@@ -131,27 +131,29 @@ def _step_cap(squares: np.ndarray) -> int:
 
 def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, seed: int) -> list[float]:
     """`operator_norm_power_iteration` of each symbol, in lockstep on one
-    stack.  Row r of each stack belongs to the run runs[r]; a run's row
-    goes when it stops, and the stacked operator is rebuilt for the rows
-    left."""
+    stack.  Row r of each stack belongs to the run runs[r], and goes with
+    its squared symbol and its T_j when the run stops: tj[r, 0, :j] holds
+    T_j's alphas and tj[r, 1, :j - 1] its betas, in storage that doubles as
+    the steps outgrow it, up to the cap."""
     squares = np.empty((len(symbols), *grid.shape))
     for symbol, square in zip(symbols, squares):
         np.square(symbol_array(symbol, grid), out=square)
     cap = _step_cap(squares)
-    runs = list(range(len(symbols)))
-    normal = grid_operator(grid, squares)
+    runs = np.arange(len(symbols))
     start = random_field(grid, np.random.default_rng(seed)).values
     start /= math.sqrt(transform._inner(start, start, grid.dimension))
     v = np.repeat(start[np.newaxis], len(runs), axis=0)
     del start  # the runs hold three vectors each and no other
     column = (-1,) + (1,) * grid.dimension  # one value per run
     v_prev = None
-    alphas: list[list[float]] = [[] for _ in runs]
-    betas: list[list[float]] = [[] for _ in runs]
-    estimates: list[float] = [0.0] * len(runs)
+    tj = np.zeros((len(runs), 2, 0))
+    estimates = np.zeros(len(runs))
     next_check = 1
     for step in range(1, cap + 1):
-        w = normal(v)
+        if step > tj.shape[2]:
+            grown = np.zeros((len(runs), 2, min(2 * step, cap) - tj.shape[2]))
+            tj = np.concatenate((tj, grown), axis=2)
+        w = apply_multiplier(grid, squares, v)
         # beta_{j-1} v_{j-1} comes off before alpha_j is taken, the ordering
         # that Paige's analysis covers
         if v_prev is not None:
@@ -159,40 +161,33 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, seed: int) -> list[f
         alpha = transform._inner(v, w, grid.dimension)
         w -= np.reshape(alpha, column) * v
         beta = np.sqrt(transform._inner(w, w, grid.dimension))
-        for run, a in zip(runs, alpha):
-            alphas[run].append(a)
-        due = np.flatnonzero((beta == 0.0) | (step in (next_check, cap))).tolist()
-        stopped = set()
-        if due:
+        tj[:, 0, step - 1] = alpha
+        due = np.flatnonzero((beta == 0.0) | (step in (next_check, cap)))
+        if step == next_check:
+            next_check = step + max(1, step // 16)
+        if len(due):
             # the diagonals of every due run at once
             tridiagonals = np.zeros((len(due), step, step))
             index = np.arange(step)
-            tridiagonals[:, index, index] = [alphas[runs[row]] for row in due]
-            tridiagonals[:, index[1:], index[:-1]] = [betas[runs[row]] for row in due]
+            tridiagonals[:, index, index] = tj[due, 0, :step]
+            tridiagonals[:, index[1:], index[:-1]] = tj[due, 1, :step - 1]
             thetas, last = _top_ritz(tridiagonals)
-            for row, theta, s in zip(due, thetas, last):
-                # some eigenvalue lambda of the normal operator lies within
-                # the residual of theta, so |sqrt(theta) - sqrt(lambda)| <=
-                # residual / sqrt(theta)
-                residual = beta[row] * abs(float(s))
-                estimates[runs[row]] = math.sqrt(max(float(theta), 0.0))
-                if beta[row] == 0.0 or residual <= tol * estimates[runs[row]]:
-                    stopped.add(row)
-        if step == next_check:
-            next_check = step + max(1, step // 16)
-        if len(stopped) == len(runs):
-            return estimates
-        if stopped:
-            keep = [row for row in range(len(runs)) if row not in stopped]
-            runs = [runs[row] for row in keep]
-            v, w, beta = v[keep], w[keep], beta[keep]
-            normal = grid_operator(grid, squares[runs])
-        for run, b in zip(runs, beta):
-            betas[run].append(b)
+            # some eigenvalue lambda of the normal operator lies within the
+            # residual of theta, so |sqrt(theta) - sqrt(lambda)| <= residual
+            # / sqrt(theta)
+            residual = beta[due] * np.abs(last)
+            estimates[runs[due]] = np.sqrt(np.maximum(thetas, 0.0))
+            going = np.ones(len(runs), dtype=bool)
+            going[due] = ~((beta[due] == 0.0) | (residual <= tol * estimates[runs[due]]))
+            if not going.any():
+                return estimates.tolist()
+            if not going.all():
+                runs, squares, tj, v, w, beta = (a[going] for a in (runs, squares, tj, v, w, beta))
+        tj[:, 1, step - 1] = beta
         w /= np.reshape(beta, column)
         v_prev, v = v, w
     raise LanczosError(f"Lanczos did not reach tol={tol} within {cap} steps "
-                       f"(last estimate {estimates[runs[0]]})")
+                       f"(last estimate {float(estimates[runs[0]])})")
 
 
 def singular_values(
@@ -241,7 +236,7 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     """Certify the eigenpairs (psi_xi, 1/(1+|xi|^2)) of T u = inverse(sigma *
     forward(u)), sigma the resolvent symbol, without one round trip per mode.
 
-    T is `operators.grid_operator`, which looks up the public
+    T is `operators.apply_multiplier`, which looks up the public
     `transform.forward`/`transform.inverse` at call time, so a fault planted
     in either shows here.  Every field that T meets goes through it in
     one call, as one stack of 1 + _PROBES (1 + n) fields that T takes under
@@ -279,13 +274,12 @@ def resolvent_certificate(grid: TorusGrid, seed: int) -> ResolventCertificate:
     Deterministic given the seed.
     """
     n = grid.dimension
-    apply = grid_operator(grid, symbol_array(resolvent_symbol(), grid))
     impulse = np.zeros(grid.shape, dtype=np.complex128)
     impulse[(0,) * n] = 1.0
     probes = transform._random_values(grid, np.random.default_rng(seed), _PROBES)
     # T delta_0, then T r_p, then T S_j r_p
-    responses = apply(np.stack([impulse, *probes, *(np.roll(r, 1, axis=j) for r in probes
-                                                     for j in range(n))]))
+    responses = apply_multiplier(grid, symbol_array(resolvent_symbol(), grid), np.stack(
+        [impulse, *probes, *(np.roll(r, 1, axis=j) for r in probes for j in range(n))]))
     kappa = GridField(grid, responses[0])
     eigenvalues = grid.size * transform.naive_forward(kappa).coefficients.ravel()
     norm_sq = np.sum(transform._frequency_vectors(grid) ** 2, axis=1)

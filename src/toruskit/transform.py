@@ -180,7 +180,7 @@ def _complex_values(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 
 # Grid points, summed over its fields, that a stack spans where a loop over
 # many fields takes them a stack at a time (`_stack_blocks`): the
-# responses of `operators.grid_operator`, which include the certificate's
+# responses of `operators.apply_multiplier`, which include the certificate's
 # fields and the preconditioner's two symbols; the lockstep Lanczos runs,
 # a family's rows, verify's transform and tail-bound fields.  A field of
 # this size or more is a stack alone, so a large grid holds no more fields

@@ -41,7 +41,7 @@ def random_grid(grid: TorusGrid, rng: np.random.Generator) -> GridField:
 def per_mode_residuals(grid, symbol):
     """The eigenpair residuals one mode at a time, from float phases, each
     mode's coefficients multiplied by the symbol's array here, not through
-    `operators.grid_operator`."""
+    `operators.apply_multiplier`."""
     x = np.meshgrid(*(grid.axis_points(),) * grid.dimension, indexing="ij")
     out = []
     for xi in grid.frequencies():

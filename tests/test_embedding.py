@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -212,18 +213,27 @@ _LARGE = SpectralField(TorusGrid(1, 9), np.full((1, 9), 1e6 + 0j))
      (lambda: required_cutoff(1.0, -1.0), "eps must be finite and positive, got -1.0"),
      (lambda: required_cutoff(1.0, math.nan), "eps must be finite and positive, got nan"),
      (lambda: required_cutoff(1.0, math.inf), "eps must be finite and positive, got inf"),
-     (lambda: required_cutoff(math.nan, 0.5), "h1_bound must be finite, got nan"),
-     (lambda: required_cutoff(math.inf, 0.5), "h1_bound must be finite, got inf")],
+     (lambda: required_cutoff(math.nan, 0.5), "h1_bound must be finite and positive, got nan"),
+     (lambda: required_cutoff(math.inf, 0.5), "h1_bound must be finite and positive, got inf"),
+     (lambda: required_cutoff(0.0, 0.5), "h1_bound must be finite and positive, got 0.0"),
+     (lambda: required_cutoff(-1.0, 0.5), "h1_bound must be finite and positive, got -1.0"),
+     (lambda: BoundedSequence(_LARGE, 1e200), r"h1_bound must have a finite square, got 1e\+200"),
+     (lambda: random_bounded_sequence(TorusGrid(1, 9), 4, 1e200, 1),
+      r"h1_bound must have a finite square, got 1e\+200")],
     ids=["one-field", "empty", "bound-0", "bound-negative", "bound-nan", "bound-inf",
          "count-0", "eps-0", "eps-negative", "eps-nan", "eps-inf", "cutoff-bound-nan",
-         "cutoff-bound-inf"],
+         "cutoff-bound-inf", "cutoff-bound-0", "cutoff-bound-negative",
+         "bound-square-overflows", "drawn-bound-square-overflows"],
 )
 def test_families_and_cutoffs_refuse_bad_arguments(call, message):
     # no norm exceeds a NaN bound, so one would certify any family, and an
     # infinite one would reach the extraction's exact cutoff as an
-    # OverflowError that names no argument
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+    # OverflowError that names no argument; a bound whose square overflows
+    # is refused before any norm is taken, so no overflow warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_required_cutoff_is_minimal():
@@ -243,6 +253,21 @@ def test_required_cutoff_is_minimal():
                 exact += 1
                 assert required_cutoff(h1, eps) == np1 - 1, (h1, eps)
     assert exact >= 100
+
+
+def test_tail_bound_check_of_a_stack_is_each_field_alone():
+    g = TorusGrid(2, 9)
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_spectral(g, rng).coefficients for _ in range(3)])
+    for cutoff in range(g.box_radius + 1):
+        both = tail_bound_check(SpectralField(g, stack), cutoff)
+        assert both.lhs.shape == both.rhs.shape == both.holds.shape == (3,)
+        for i, row in enumerate(stack):
+            alone = tail_bound_check(SpectralField(g, row), cutoff)
+            assert type(alone.rhs) is float and type(alone.holds) is bool
+            assert both.lhs[i].tobytes() == np.float64(alone.lhs).tobytes()
+            assert both.rhs[i].tobytes() == np.float64(alone.rhs).tobytes()
+            assert both.holds[i] == alone.holds
 
 
 @pytest.mark.parametrize("check", [tail_projection, tail_bound_check])

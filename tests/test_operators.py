@@ -14,13 +14,22 @@ from toruskit import (
     inverse,
     l2_norm,
     norm_sq,
+    operator_norm_power_iteration,
+    random_field,
+    resolvent_certificate,
     resolvent_symbol,
     resolvent_tail_symbol,
     singular_values,
     sobolev_norm_sq,
+    solve_cg,
+    solve_multiplier,
     truncated_resolvent_symbol,
 )
-from toruskit.operators import grid_operator, norm_sq_array, symbol_array
+from toruskit import operators as operators_mod
+from toruskit import solver as solver_mod
+from toruskit import spectral as spectral_mod
+from toruskit import transform as transform_mod
+from toruskit.operators import apply_multiplier, norm_sq_array, symbol_array
 
 from conftest import random_grid, random_spectral, spectral_delta
 
@@ -161,12 +170,13 @@ def test_l2_norm_of_a_stack_is_each_fields_norm(grid_2d_9):
         assert np.asarray(l2_norm(field)).tobytes() == expected.tobytes()
 
 
-def test_grid_operator_is_linear(grid_2d_9):
+def test_apply_multiplier_is_linear(grid_2d_9):
     rng = np.random.default_rng(10)
     u, v = random_grid(grid_2d_9, rng).values, random_grid(grid_2d_9, rng).values
-    apply = grid_operator(grid_2d_9, symbol_array(resolvent_symbol(), grid_2d_9))
-    lhs = apply(2.5 * u + (1 - 2j) * v)
-    rhs = 2.5 * apply(u) + (1 - 2j) * apply(v)
+    sigma = symbol_array(resolvent_symbol(), grid_2d_9)
+    lhs = apply_multiplier(grid_2d_9, sigma, 2.5 * u + (1 - 2j) * v)
+    rhs = (2.5 * apply_multiplier(grid_2d_9, sigma, u)
+           + (1 - 2j) * apply_multiplier(grid_2d_9, sigma, v))
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -306,7 +316,7 @@ def test_symbol_with_a_non_finite_value_raises_non_finite_error(grid_2d_9, bad):
 
 
 @pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7), (2, 91)])
-def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
+def test_apply_multiplier_applies_a_stack_as_each_field_alone(n, m):
     # one shared symbol row, or one row per field; a stack of one too.  At
     # 2-D M=91, past transform._STACK_POINTS, each block is one field
     g = TorusGrid(n, m)
@@ -315,22 +325,54 @@ def test_grid_operator_applies_a_stack_as_each_field_alone(n, m):
     rows = np.stack([symbol_array(resolvent_tail_symbol(k), g) for k in range(4)])
     shared = symbol_array(resolvent_symbol(), g)
     for sigma, per_row in ((shared, [shared] * 4), (rows, list(rows))):
-        got = grid_operator(g, sigma)(stack)
+        got = apply_multiplier(g, sigma, stack)
         assert got.shape == stack.shape
         for values, row_sigma, out in zip(stack, per_row, got):
-            assert np.array_equal(out, grid_operator(g, row_sigma)(values))
-    one = grid_operator(g, rows[:1])(stack[:1])
+            assert np.array_equal(out, apply_multiplier(g, row_sigma, values))
+    one = apply_multiplier(g, rows[:1], stack[:1])
     assert one.shape == (1, *g.shape)
-    assert np.array_equal(one[0], grid_operator(g, rows[0])(stack[0]))
+    assert np.array_equal(one[0], apply_multiplier(g, rows[0], stack[0]))
     # one field against a stack of symbols: the stack of its responses
-    responses = grid_operator(g, rows)(stack[0])
+    responses = apply_multiplier(g, rows, stack[0])
     assert responses.shape == stack.shape
     for row_sigma, out in zip(rows, responses):
-        assert np.array_equal(out, grid_operator(g, row_sigma)(stack[0]))
-    assert grid_operator(g, shared)(stack[:0]).shape == (0, *g.shape)
+        assert np.array_equal(out, apply_multiplier(g, row_sigma, stack[0]))
+    assert apply_multiplier(g, shared, stack[:0]).shape == (0, *g.shape)
     # a stack of symbols takes one field, or as many fields as symbols
     with pytest.raises(ValueError, match="3 fields against 4 symbols"):
-        grid_operator(g, rows)(stack[:3])
+        apply_multiplier(g, rows, stack[:3])
+
+
+def test_every_forward_transform_of_the_krylov_layer_is_inside_an_apply(monkeypatch):
+    # CG and its preconditioner, the multiplier solve, lockstep Lanczos and
+    # the certificate transform only through `apply_multiplier`, so a fault
+    # planted in `forward` or `inverse` reaches them there, and a tracer
+    # that wraps the apply times all of their round trips
+    g = TorusGrid(2, 9)
+    f = random_field(g, np.random.default_rng(1))
+    depth, applies, forwards = [0], [], []
+    exact_apply, exact_forward = operators_mod.apply_multiplier, transform_mod.forward
+
+    def apply(grid, sigma, values):
+        applies.append(1)
+        depth[0] += 1
+        try:
+            return exact_apply(grid, sigma, values)
+        finally:
+            depth[0] -= 1
+
+    for module in (solver_mod, spectral_mod):
+        monkeypatch.setattr(module, "apply_multiplier", apply)
+    monkeypatch.setattr(transform_mod, "forward",
+                        lambda u: forwards.append(depth[0] > 0) or exact_forward(u))
+    symbols = [resolvent_symbol(), *(resolvent_tail_symbol(k) for k in range(3))]
+    for call in (lambda: solve_cg(f), lambda: solve_multiplier(f),
+                 lambda: operator_norm_power_iteration(symbols, g, seed=1),
+                 lambda: resolvent_certificate(g, 1)):
+        before = len(applies), len(forwards)
+        call()
+        assert len(applies) > before[0] and len(forwards) > before[1]
+    assert all(forwards)
 
 
 @pytest.mark.parametrize("n, m", [(1, 17), (2, 9), (2, 129), (3, 7)])

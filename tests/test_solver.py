@@ -38,7 +38,7 @@ def distinct_ratios_in_support(f: GridField, tol: float = 1e-12) -> int:
 
 def _count_forwards(monkeypatch) -> list:
     """A list that gains one entry per `transform.forward` call made through
-    the module lookup, which is how `operators.grid_operator` calls it."""
+    the module lookup, which is how `operators.apply_multiplier` calls it."""
     forwards = []
     exact = transform_mod.forward
     monkeypatch.setattr(transform_mod, "forward", lambda u: forwards.append(1) or exact(u))
@@ -239,14 +239,14 @@ def test_cg_transforms_each_residual_forward_once_on_a_blocked_grid(monkeypatch)
     # of A makes one forward: here one before the loop, one per iteration
     # that goes on, and one for the single true-residual check
     calls = {"precondition": 0, "A": 0}
-    exact = solver_mod.grid_operator
+    exact = solver_mod.apply_multiplier
 
-    def counted(grid, sigma):
-        apply = exact(grid, sigma)
+    def counted(grid, sigma, values):
         kind = "precondition" if sigma.ndim > grid.dimension else "A"
-        return lambda values: calls.__setitem__(kind, calls[kind] + 1) or apply(values)
+        calls[kind] += 1
+        return exact(grid, sigma, values)
 
-    monkeypatch.setattr(solver_mod, "grid_operator", counted)
+    monkeypatch.setattr(solver_mod, "apply_multiplier", counted)
     forwards = _count_forwards(monkeypatch)
     g = TorusGrid(2, 91)
     assert len(transform_mod._stack_blocks(2, g.size)) == 2

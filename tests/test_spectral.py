@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,22 @@ def test_lockstep_estimates_are_the_single_runs_bit_for_bit(monkeypatch, n, m, w
     assert operator_norm_power_iteration(symbols, grid, tol=1e-9, seed=3) == single
     assert max(widths) == widest
     assert operator_norm_power_iteration([], grid) == []
+
+
+def test_lockstep_storage_grows_with_the_steps_taken(monkeypatch):
+    # under a cap of 2**20 steps, T_j's storage sized by the cap would hold
+    # 2 * 5 * 2**20 floats (80 MiB); the runs stop within a few dozen steps
+    grid = TorusGrid(2, 9)
+    symbols = _norm_runs(range(4))
+    expected = operator_norm_power_iteration(symbols, grid, tol=1e-9, seed=3)
+    monkeypatch.setattr(spectral_mod, "_step_cap", lambda squares: 2**20)
+    tracemalloc.start()
+    try:
+        assert operator_norm_power_iteration(symbols, grid, tol=1e-9, seed=3) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_lockstep_raises_for_the_first_run_that_does_not_converge(monkeypatch):
