@@ -299,7 +299,7 @@ def _cmd_truncate(args) -> int:
             f"points: box radius {grid.box_radius} too small for truncation "
             f"{cutoff}; need radius >= {needed} (points >= {2 * needed + 1})"
         )
-    rows, failures, _ = checks.check_norm_law(grid, range(cutoff + 1), args.seed)
+    rows, failures = checks.check_norm_law(grid, range(cutoff + 1), args.seed)
     _write_table(args, lambda: _record_table(
         ("N", "exact_error", "power_iteration_error", "abs_diff"), rows))
     return _report_failures(failures)

@@ -165,17 +165,14 @@ def tail_profile(c: SpectralField) -> TailBound:
 
 
 def required_cutoff(h1_bound: float, eps: float) -> int:
-    """Smallest N with 2 * h1_bound / sqrt(1 + (N+1)^2) <= eps / 2."""
+    """Smallest N with 2 * h1_bound / sqrt(1 + (N+1)^2) <= eps / 2, in exact
+    arithmetic on the two floats."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not 0 < h1_bound < math.inf:
         raise ValueError(f"h1_bound must be finite and positive, got {h1_bound}")
     # need the integer (N+1)^2 >= (4 h1 / eps)^2 - 1, i.e. >= its ceiling
-    try:
-        needed = math.ceil((4.0 * h1_bound / eps) ** 2 - 1.0)
-    except OverflowError:
-        # the target is beyond float range: take it in exact arithmetic
-        needed = math.ceil((4 * Fraction(h1_bound) / Fraction(eps)) ** 2 - 1)
+    needed = math.ceil((4 * Fraction(h1_bound) / Fraction(eps)) ** 2 - 1)
     return math.isqrt(needed - 1) if needed > 1 else 0
 
 

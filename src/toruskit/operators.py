@@ -95,6 +95,20 @@ def resolvent_tail_symbol(cutoff: int) -> MultiplierSymbol:
     )
 
 
+def scaled_power(symbol: MultiplierSymbol, base: float, power: int,
+                 scale: float) -> MultiplierSymbol:
+    """scale (symbol / base)^power.  With base the symbol's largest value,
+    the power's top is scale and a value v below base moves to scale
+    (v / base)^power, so a relative gap below the top widens with the
+    power.  A value above base grows with the power; one that overflows is
+    inf, without a warning, and `symbol_array` refuses it."""
+    def of_norm_sq(k):
+        with np.errstate(over="ignore"):
+            return scale * (symbol.of_norm_sq(k) / base) ** power
+
+    return MultiplierSymbol(f"{symbol.name}^{power}", of_norm_sq=of_norm_sq)
+
+
 def symbol_array(symbol: MultiplierSymbol, grid: TorusGrid) -> np.ndarray:
     """The symbol on the grid's cached |xi|^2 array: one finite value per mode."""
     values = symbol.of_norm_sq(norm_sq_array(grid))

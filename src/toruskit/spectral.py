@@ -103,6 +103,17 @@ def operator_norm_power_iteration(
     for its first run still going.  d is 4096 for the resolvent at 1-D
     M=8191, where a run that goes on to the cap pays O(j^3) per check.
 
+    A symbol whose square overflows is refused with `NonFiniteError`
+    before any transform.  The stop bounds the estimate's error absolutely,
+    by tol; with a gap g below the top eigenvalue theta of the normal
+    operator it is at most about tol^2 sqrt(theta) / (2 g) (Kahan and
+    Parlett), so runs whose tops are of order 1 and isolated by a gap of
+    order theta converge to near rounding in a few steps.  That is how
+    `checks.check_norm_law` runs it: on a scaled power of each resolvent
+    tail, whose top is at least 10^(-1/2) and whose next value is at most
+    e^-1 times the top, in place of the tail, whose relative gap is about
+    2/(N+1)^2 and which takes O(N) steps.
+
     The name, and the `power_iteration_error` column of `truncate`'s table,
     outlived the power iteration they were named for: perfbench's norm-law
     check reads that column, and its layer sets time this function by name.
@@ -137,7 +148,11 @@ def _lockstep_lanczos(symbols, grid: TorusGrid, tol: float, seed: int) -> list[f
     the steps outgrow it, up to the cap."""
     squares = np.empty((len(symbols), *grid.shape))
     for symbol, square in zip(symbols, squares):
-        np.square(symbol_array(symbol, grid), out=square)
+        with np.errstate(over="ignore"):
+            np.square(symbol_array(symbol, grid), out=square)
+        if not np.all(np.isfinite(square)):
+            raise transform.NonFiniteError(
+                f"symbol {symbol.name!r} has a square that overflows on the box")
     cap = _step_cap(squares)
     runs = np.arange(len(symbols))
     start = random_field(grid, np.random.default_rng(seed)).values

@@ -459,15 +459,16 @@ def test_norm_law_tells_the_law_from_the_next_level_past_1e_8(monkeypatch, fault
     # quarter of the gap
     if fault:
         FAULTS[fault](monkeypatch)
-    rows, failures, _ = checks.check_norm_law(transform_mod.TorusGrid(2, 205), [99, 100], 1)
+    rows, failures = checks.check_norm_law(transform_mod.TorusGrid(2, 205), [99, 100], 1)
     assert [row[0] for row in rows] == [99, 100]
     assert [int(f.split(":")[0].removeprefix("N=")) for f in failures] == failed
 
 
 def test_norm_law_fails_an_estimate_of_0_where_the_law_is_under_1e_8(monkeypatch):
     # at 1-D M=20003 the law at N = 9999 is 9.99999990e-9, so an estimate of
-    # 0 is within 1e-8 of it; the next level is 10001^2, and Lanczos is asked
-    # for an eighth of the gap, the row for a quarter
+    # 0 is within 1e-8 of it; the next level is 10001^2, and the row is held
+    # to a quarter of the gap, while Lanczos runs on the powered tail at
+    # tol 1e-9 whatever the gap
     tols = []
 
     def zero_estimates(symbols, grid, tol, seed):
@@ -475,14 +476,92 @@ def test_norm_law_fails_an_estimate_of_0_where_the_law_is_under_1e_8(monkeypatch
         return [0.0] * len(symbols)
 
     monkeypatch.setattr(spectral_mod, "operator_norm_power_iteration", zero_estimates)
-    rows, failures, _ = checks.check_norm_law(transform_mod.TorusGrid(1, 20003), [9999], 1)
+    rows, failures = checks.check_norm_law(transform_mod.TorusGrid(1, 20003), [9999], 1)
     exact = 1 / (10000**2 + 1)
     gap = exact - 1 / (10001**2 + 1)
     assert rows == [(9999, exact, 0.0, exact)] and exact < 1e-8
     (failure,) = failures
     assert failure.startswith(f"N=9999: |exact - lanczos| = {exact} > ")
     assert float(failure.rsplit(" ", 1)[1]) == pytest.approx(gap / 4, rel=1e-12)
-    assert tols == [pytest.approx(gap / 8, rel=1e-12)]
+    assert tols == [1e-9]
+
+
+def test_norm_law_holds_unfaulted_where_the_law_is_under_1e_8():
+    # at 1-D M=20003, N = 9999, c = 1/(10000^2 + 1) and p = 5001: the run is
+    # scaled to c^(1/p), not to c, so Lanczos's stop at tol 1e-9 is relative
+    # here too; scaled to c, the run stopped with e off by 2.8e-3
+    rows, failures = checks.check_norm_law(transform_mod.TorusGrid(1, 20003), [9999], 1)
+    assert failures == [] and rows[0][3] <= 1e-20
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_tail_value_above_its_top_overflows_into_a_numerical_failure(
+    tmp_path, monkeypatch, capsys
+):
+    # each resolvent tail reads 1e200 at the box's largest |xi|^2, far above
+    # its top value c, so its power overflows
+    exact = operators_mod.resolvent_tail_symbol
+
+    def lifted(cutoff):
+        tail = exact(cutoff)
+        return MultiplierSymbol(tail.name, of_norm_sq=lambda k: np.where(
+            k == k.max(), 1e200, tail.of_norm_sq(k)))
+
+    monkeypatch.setattr(operators_mod, "resolvent_tail_symbol", lifted)
+    message = ("numerical failure: symbol 'resolvent_tail(0)^3' produced "
+               "non-finite values on the box")
+    assert run("truncate", "--dimension", 2, "--points", 11, "--truncation", 2,
+               "--seed", 1, "--output", tmp_path / "t.csv") == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+    results = checks.verify(transform_mod.TorusGrid(2, 9), 1)
+    assert [r.name for r in results if r.failures] == ["operator-norms"]
+    assert results[3].failures == [message]
+
+
+def _counted_applies(monkeypatch) -> list[int]:
+    """The number of runs in each stacked apply Lanczos makes, in order."""
+    calls = []
+    exact = spectral_mod.apply_multiplier
+
+    def counted(grid, sigma, values):
+        calls.append(len(sigma))
+        return exact(grid, sigma, values)
+
+    monkeypatch.setattr(spectral_mod, "apply_multiplier", counted)
+    return calls
+
+
+def test_operator_norms_takes_6_stacked_applies_at_3d_m9(monkeypatch):
+    # its four runs, N = -1..2, in one stack; unpowered they took 15
+    calls = _counted_applies(monkeypatch)
+    assert checks._verify_operator_norms(transform_mod.TorusGrid(3, 9), 1)[1] == []
+    assert calls == [4, 4, 4, 4, 4, 3]
+
+
+# The Lanczos steps of each powered run alone, one digit per row: verify's
+# operator-norms rows N = -1..3 on the fault-matrix grids, and truncate's
+# rows N = 0..60 at 2-D M=129, where the unpowered tails took O(N) steps
+POWERED_STEPS = {
+    (1, 15, -1): "55565",
+    (2, 9, -1): "5554",
+    (3, 9, -1): "6656",
+    (2, 129, 0): "5555455444454445544544455444455444454445554444455444445544454",
+}
+
+
+@pytest.mark.parametrize("n, m, first", list(POWERED_STEPS),
+                         ids=["1-D M=15", "2-D M=9", "3-D M=9", "2-D M=129"])
+def test_each_powered_run_takes_the_steps_measured(monkeypatch, n, m, first):
+    calls = _counted_applies(monkeypatch)
+    grid = transform_mod.TorusGrid(n, m)
+    steps = ""
+    for k in range(first, first + len(POWERED_STEPS[n, m, first])):
+        calls.clear()
+        rows, failures = checks.check_norm_law(grid, [k] if k >= 0 else [], 1, resolvent=k < 0)
+        assert [row[0] for row in rows] == [k] and failures == []
+        steps += str(len(calls))
+    assert steps == POWERED_STEPS[n, m, first]
 
 
 def test_verify_detects_wrong_resolvent_symbol(monkeypatch, capsys):

@@ -236,23 +236,35 @@ def test_families_and_cutoffs_refuse_bad_arguments(call, message):
             call()
 
 
+def _meets_the_bound(h1, eps, cutoff):
+    """2 h1 / sqrt(1 + (N+1)^2) <= eps / 2, in exact arithmetic."""
+    return 16 * Fraction(h1) ** 2 <= Fraction(eps) ** 2 * (1 + (cutoff + 1) ** 2)
+
+
+def _is_minimal(h1, eps, cutoff):
+    return _meets_the_bound(h1, eps, cutoff) and (
+        cutoff == 0 or not _meets_the_bound(h1, eps, cutoff - 1))
+
+
 def test_required_cutoff_is_minimal():
     for h1, eps in [(1.0, 0.5), (2.0, 0.25), (0.3, 1.0), (1.0, 3.9)]:
-        n = required_cutoff(h1, eps)
-        assert 2 * h1 / math.sqrt(1 + (n + 1) ** 2) <= eps / 2
-        if n > 0:
-            assert 2 * h1 / math.sqrt(1 + n**2) > eps / 2
+        assert _is_minimal(h1, eps, required_cutoff(h1, eps))
     assert required_cutoff(1.0, 0.5) == 7
-    # targets (4 h1 / eps)^2 - 1 that land exactly on (N+1)^2: N itself is
-    # the smallest cutoff, since the bound holds with equality
-    exact = 0
+    # (4 h1 / eps)^2 - 1 rounds down onto 16 in floats, but N = 3 fails
+    # 16 <= eps^2 * 17 in exact arithmetic
+    assert required_cutoff(1.0, 0.9701425001453319) == 4
+    # inputs whose target (4 h1 / eps)^2 - 1 lands exactly on (N+1)^2 in
+    # floats: in exact arithmetic the target lies a rounding error to one
+    # side, so the smallest cutoff is N or N + 1, and both sides occur
+    answers = set()
     for np1 in range(1, 200):
         for eps in (1.0, 0.25, 1e-3):
             h1 = eps * math.sqrt(np1 * np1 + 1) / 4
             if (4.0 * h1 / eps) ** 2 - 1.0 == np1 * np1:
-                exact += 1
-                assert required_cutoff(h1, eps) == np1 - 1, (h1, eps)
-    assert exact >= 100
+                n = required_cutoff(h1, eps)
+                assert _is_minimal(h1, eps, n), (h1, eps)
+                answers.add(n - (np1 - 1))
+    assert answers == {0, 1}
 
 
 def test_tail_bound_check_of_a_stack_is_each_field_alone():

@@ -29,7 +29,7 @@ from toruskit import operators as operators_mod
 from toruskit import solver as solver_mod
 from toruskit import spectral as spectral_mod
 from toruskit import transform as transform_mod
-from toruskit.operators import apply_multiplier, norm_sq_array, symbol_array
+from toruskit.operators import apply_multiplier, norm_sq_array, scaled_power, symbol_array
 
 from conftest import random_grid, random_spectral, spectral_delta
 
@@ -313,6 +313,24 @@ def test_symbol_with_a_non_finite_value_raises_non_finite_error(grid_2d_9, bad):
     pole = MultiplierSymbol("pole", of_norm_sq=lambda k: np.where(k == 1, bad, k))
     with pytest.raises(NonFiniteError, match="^symbol 'pole' produced non-finite values"):
         symbol_array(pole, grid_2d_9)
+
+
+def test_scaled_power_keeps_the_top_and_widens_the_gap_below_it(grid_2d_9):
+    # the tail at N = 1: top 1/5 at k = 4, next level 1/6 at k = 5, which
+    # the 6th power moves to (5/6)^6 < 1/e of the top
+    k = norm_sq_array(grid_2d_9)
+    powered = symbol_array(scaled_power(resolvent_tail_symbol(1), 0.2, 6, 0.5), grid_2d_9)
+    assert np.all(powered[k < 4] == 0.0) and np.all(powered[k == 4] == 0.5)
+    assert np.max(powered[k > 4]) == pytest.approx(0.5 * (5 / 6) ** 6, rel=1e-15)
+    assert np.max(powered[k > 4]) < 0.5 / math.e
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_power_of_a_value_above_its_base_is_refused_without_a_warning(grid_2d_9):
+    # twice the base to the 1100th power is past float range
+    lifted = MultiplierSymbol("lifted", of_norm_sq=lambda k: np.where(k == 8, 2.0, 1.0))
+    with pytest.raises(NonFiniteError, match=r"^symbol 'lifted\^1100' produced non-finite"):
+        symbol_array(scaled_power(lifted, 1.0, 1100, 1.0), grid_2d_9)
 
 
 @pytest.mark.parametrize("n, m", [(1, 15), (2, 9), (3, 7), (2, 91)])

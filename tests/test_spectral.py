@@ -8,6 +8,7 @@ from toruskit import (
     GridField,
     LanczosError,
     MultiplierSymbol,
+    NonFiniteError,
     TorusGrid,
     forward,
     grid_l2_norm,
@@ -188,6 +189,20 @@ def test_power_iteration_meets_the_law_at_cutoff_10_within_40_applications(monke
     est = operator_norm_power_iteration(resolvent_tail_symbol(10), TorusGrid(2, 65), seed=1)
     assert est == pytest.approx(1 / 122, abs=1e-12)
     assert len(calls) <= 40
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_iteration_refuses_a_symbol_whose_square_overflows(monkeypatch):
+    # finite values whose squares are past float range: refused before any
+    # transform, and without an overflow warning
+    calls = []
+    inverse = transform_mod.inverse
+    monkeypatch.setattr(transform_mod, "inverse", lambda c: calls.append(1) or inverse(c))
+    big = MultiplierSymbol("big", of_norm_sq=lambda k: 1e200 / (1.0 + k))
+    with pytest.raises(NonFiniteError,
+                       match="^symbol 'big' has a square that overflows on the box$"):
+        operator_norm_power_iteration(big, TorusGrid(2, 9))
+    assert calls == []
 
 
 def test_power_iteration_rejects_bad_tol():
