@@ -187,8 +187,8 @@ def _verify_transforms(grid, seed) -> tuple[str, list[str]]:
 
 
 def _verify_fast_vs_naive(grid, seed) -> tuple[str, list[str]]:
-    # 3 draws of a field then of a spectral field, from one stream
-    draws = transform._random_values(grid, np.random.default_rng(seed), 6)
+    # 3 draws of a field then of a spectral field, from one stream of spectral draws
+    draws = transform._random_coefficients(grid, np.random.default_rng(seed), 6)
     fields = transform.GridField(grid, draws[0::2])
     spectra = transform.SpectralField(grid, draws[1::2])
     slow_c, slow_u = transform.naive_forward(fields), transform.naive_inverse(spectra)
@@ -223,7 +223,7 @@ def _verify_tail_bounds(grid, seed) -> tuple[str, list[str]]:
     # 50 spectral fields, drawn and profiled a stack at a time
     rng = np.random.default_rng(seed)
     for block in transform._stack_blocks(50, grid.size):
-        draws = transform._random_values(grid, rng, block.stop - block.start)
+        draws = transform._random_coefficients(grid, rng, block.stop - block.start)
         profile = embedding.tail_profile(transform.SpectralField(grid, draws))
         for field, holds in enumerate(profile.holds, block.start + 1):
             failures = tail_failures(holds)

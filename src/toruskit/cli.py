@@ -236,7 +236,7 @@ def _report_failures(failures: list[str]) -> int:
 def _random_spectral_field(
     grid: transform.TorusGrid, rng: np.random.Generator
 ) -> transform.SpectralField:
-    return transform.SpectralField(grid, transform.random_field(grid, rng).values)
+    return transform.SpectralField(grid, transform._random_coefficients(grid, rng, 1)[0])
 
 
 def _check_tail_bounds(c: transform.SpectralField):
@@ -258,18 +258,23 @@ def _cmd_transform(args) -> int:
     c, roundtrip, defect, failures = checks.check_transform(
         transform.random_field(grid, np.random.default_rng(args.seed))
     )
+    sobolev = operators.sobolev_norm_sq(c, args.sobolev)
     print(f"roundtrip_error = {roundtrip!r}")
     print(f"plancherel_defect = {defect!r}")
     print(
-        f"sobolev_norm_sq(s={args.sobolev}) = "
-        f"{operators.sobolev_norm_sq(c, args.sobolev)!r} "
+        f"sobolev_norm_sq(s={args.sobolev}) = {sobolev!r} "
         "(summed over the stored box only; exact for band-limited fields)"
     )
     keys = (*(f"xi_{j + 1}" for j in range(grid.dimension)), "re", "im")
-    flat = c.coefficients.ravel()
-    _write_table(args, lambda: _Columns(
-        (*transform._frequency_vectors(grid).T, flat.real, flat.imag), keys),
-        lambda: _field_doc(grid, "spectral", flat))
+    # the file lists the box centred, xi = -h..h per axis
+    axes = tuple(range(grid.dimension))
+    flat = np.fft.fftshift(c.coefficients, axes).ravel()
+
+    def table():
+        xi = np.fft.fftshift(transform._frequency_vectors(grid).reshape(*grid.shape, -1), axes)
+        return _Columns((*xi.reshape(grid.size, -1).T, flat.real, flat.imag), keys)
+
+    _write_table(args, table, lambda: _field_doc(grid, "spectral", flat))
     return _report_failures(failures)
 
 

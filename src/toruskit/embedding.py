@@ -13,9 +13,9 @@ That is the whole compactness mechanism, made finite.
 
 A family (`BoundedSequence`) is one SpectralField stack, (count,
 *grid.shape).  It is drawn into that stack a block of fields at a time,
-from the same stream as one `random_field` draw per field; its H^1 check
-and the oracle's pairwise distances take blocks of fields of at most
-`transform._STACK_POINTS` points, so that on a large grid their
+from the same stream as one `transform._random_coefficients` draw; its
+H^1 check and the oracle's pairwise distances take blocks of fields of
+at most `transform._STACK_POINTS` points, so that on a large grid their
 temporaries are the size of one field.  The extraction clusters a
 (count, K) gather of the K modes its cutoff keeps, in blocks of at most
 `transform._STACK_POINTS` modes, and makes no array of the family's size.
@@ -255,8 +255,8 @@ def random_bounded_sequence(
     strictly inside the H^1 ball of radius h1_bound.  Such a family is what
     the extractor exists for: most of its mass is spread over finitely many
     low modes, so large pairwise-close subfamilies exist.  The anchors and
-    then the perturbations are drawn as `random_field` draws them, in
-    stacks of fields, straight into the family's stack.
+    then the perturbations are drawn by `transform._random_coefficients`,
+    in stacks of fields, straight into the family's stack.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -268,7 +268,7 @@ def random_bounded_sequence(
         # a stack of `fields` weighted draws, each rescaled to H^1 norm `scale`
         stack = np.empty((fields, *grid.shape), complex)
         for block in transform._stack_blocks(fields, grid.size):
-            raw = transform._random_values(grid, rng, block.stop - block.start) * weights
+            raw = transform._random_coefficients(grid, rng, block.stop - block.start) * weights
             h1 = np.sqrt(sobolev_norm_sq(SpectralField(grid, raw), 1.0))
             stack[block] = raw * (scale / h1).reshape((-1,) + (1,) * grid.dimension)
         return stack

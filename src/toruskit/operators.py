@@ -126,13 +126,12 @@ def symbol_array(symbol: MultiplierSymbol, grid: TorusGrid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def norm_sq_array(grid: TorusGrid) -> np.ndarray:
-    """|xi|^2 over the stored box as float64, in storage order.
+    """|xi|^2 over the stored box as float64, in storage order (FFT order).
 
     Memoized per grid (the grid is frozen, so equal grids share one entry)
     for the few most recent grids; the array is shared, hence read-only.
     """
-    h = grid.box_radius
-    sq = np.arange(-h, h + 1, dtype=np.float64) ** 2
+    sq = transform._axis_frequencies(grid.points_per_axis).astype(np.float64) ** 2
     k = functools.reduce(np.add.outer, (sq,) * grid.dimension)
     k.flags.writeable = False
     return k
@@ -179,11 +178,16 @@ def apply_multiplier(grid: TorusGrid, sigma: np.ndarray, values: np.ndarray) -> 
 
 def sobolev_norm_sq(c: SpectralField, order: float) -> float | np.ndarray:
     """sum_xi (1 + |xi|^2)^order |c(xi)|^2 over the stored box: a float for
-    one field, the (k,) float64 array of each field's sum for a stack."""
+    one field, the (k,) float64 array of each field's sum for a stack.  A
+    weight or sum that overflows raises `transform.NonFiniteError`, unwarned."""
     if not np.isfinite(order):
         raise ValueError(f"Sobolev order must be finite, got {order}")
-    weights = (1.0 + norm_sq_array(c.grid)) ** order
-    return transform._field_sums(weights * np.abs(c.coefficients) ** 2, c.grid.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (1.0 + norm_sq_array(c.grid)) ** order
+        sums = transform._field_sums(weights * np.abs(c.coefficients) ** 2, c.grid.dimension)
+    if not (np.isfinite(weights).all() and np.isfinite(sums).all()):
+        raise transform.NonFiniteError(f"Sobolev norm of order {order} is not finite on the box")
+    return sums
 
 
 def l2_norm(c: SpectralField) -> float | np.ndarray:

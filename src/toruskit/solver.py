@@ -123,8 +123,8 @@ def _fd_helmholtz_array(grid: TorusGrid) -> np.ndarray:
     operator, summed from one per-axis sine table.  It is not a function of
     |xi|^2, so it is an array over the box, not a `MultiplierSymbol`."""
     dx = grid.spacing
-    h = grid.box_radius
-    axis = (4.0 / dx**2) * np.sin(np.arange(-h, h + 1) * (dx / 2)) ** 2
+    xi = transform._axis_frequencies(grid.points_per_axis)
+    axis = (4.0 / dx**2) * np.sin(xi * (dx / 2)) ** 2
     return 1.0 + functools.reduce(np.add.outer, (axis,) * grid.dimension)
 
 

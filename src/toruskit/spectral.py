@@ -237,7 +237,8 @@ class ResolventCertificate:
     """What `resolvent_certificate` measured.
 
     eigenvalue_error[i] = |lambda(xi) - 1/(1+|xi|^2)| for the i-th mode in
-    storage order; commutator[j, p] = ||T S_j r_p - S_j T r_p|| / ||r_p||;
+    storage order, that of `grid.frequencies()` (numpy's FFT order along
+    each axis); commutator[j, p] = ||T S_j r_p - S_j T r_p|| / ||r_p||;
     miss_probability bounds the chance that some ||[T, S_j]|| >=
     COMMUTATOR_FLOOR passes every probe.
     """

@@ -17,33 +17,29 @@ A field holds one field, of shape (M,)*n, or a stack of k fields on one
 grid, of shape (k, *(M,)*n), validated once.  Everything here acts on the
 trailing n axes, so a stack goes through the same code as one field, each
 field bit for bit as it would go alone: one call on k fields pays numpy's
-per-call cost once instead of k times.
+per-call cost once instead of k times.  Coefficients are in numpy's FFT
+order: index j of an axis holds frequency j for j <= h = (M-1)/2 and
+j - M above it, as `_axis_frequencies` says for every reader.
 
 Two independent evaluation routes are provided.  The production path is
 numpy.fft (pocketfft, O(M^n log M) at every length, primes included),
 applied by one private array-level pair, `_analysis` and `_synthesis`,
 which `forward` and `inverse` wrap.  Each makes one `np.fft.fft` or `ifft`
 pass per trailing axis, last axis first as `np.fft.fftn` orders them, all
-written with `out=` into one buffer: the same pocketfft arithmetic as
-fftn, bit for bit, with one FFT buffer per transform where fftn allocates
-an array per axis.  The analysis buffer is its first pass's output, the
-synthesis buffer the box shift's copy, so the caller's array is never
-written.  The shift moves numpy's order k = 0..M-1 into the box xi =
--h..h with the 2**n block copies that `np.fft.fftshift` makes, from
-(destination, source) slices cached per (M, n, direction), so the output
-is the same permutation, bit for bit, without fftshift's per-call
-bookkeeping.  The oracle that cross-checks it, `naive_forward` and
-`naive_inverse`, is a direct sum with no FFT, taken one axis at a time:
-the kernel exp(-+i xi . x_m) is the product of its per-axis factors, so
-the sum is n contractions of the grid with the M x M axis table, O(n
-M^{n+1}) in all.  Each block of table rows is gathered from the M roots
-of unity by the exact integer phase (xi_j m_j) mod M, made without a
-division per entry, and serves every field of a stack at once.
+written with `out=` into the buffer of its first pass: the same pocketfft
+arithmetic as fftn, bit for bit, with one FFT buffer per transform where
+fftn allocates an array per axis, and the caller's array never written.
+The oracle that cross-checks it, `naive_forward` and `naive_inverse`, is
+a direct sum with no FFT, taken one axis at a time: the kernel
+exp(-+i xi . x_m) is the product of its per-axis factors, so the sum is
+n contractions of the grid with the M x M axis table, O(n M^{n+1}) in
+all.  Each block of table rows is gathered from the M roots of unity by
+the exact integer phase (xi_j m_j) mod M, made without a division per
+entry, and serves every field of a stack at once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -102,9 +98,14 @@ class TorusGrid:
         return 2.0 * math.pi * np.arange(self.points_per_axis) / self.points_per_axis
 
     def frequencies(self):
-        """Iterate all frequency tuples of the box in row-major storage order."""
-        h = self.box_radius
-        return itertools.product(range(-h, h + 1), repeat=self.dimension)
+        """Iterate all frequency tuples of the box in storage order: 0..h, -h..-1 per axis."""
+        return itertools.product(_axis_frequencies(self.points_per_axis).tolist(),
+                                 repeat=self.dimension)
+
+
+def _axis_frequencies(m: int) -> np.ndarray:
+    """The int frequency at each index of an axis: 0..h, then -h..-1 (numpy's FFT order)."""
+    return (np.arange(m) + m // 2) % m - m // 2
 
 
 class NonFiniteError(ValueError):
@@ -161,6 +162,13 @@ def random_field(grid: TorusGrid, rng: np.random.Generator) -> GridField:
     return GridField(grid, _random_values(grid, rng, 1)[0])
 
 
+def _random_coefficients(grid: TorusGrid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` seeded spectral draws: the `_random_values` stack listed over
+    the centred box xi = -h..h, so a seed puts each draw at one frequency."""
+    axes = tuple(range(-grid.dimension, 0))
+    return np.fft.ifftshift(_random_values(grid, rng, count), axes=axes)
+
+
 def _random_values(grid: TorusGrid, rng: np.random.Generator, count: int) -> np.ndarray:
     """The values of `count` successive `random_field` draws from rng, as one
     (count, *grid.shape) stack from one draw of the same stream: each
@@ -204,7 +212,8 @@ class SpectralField:
     """Fourier coefficients c(xi) on the symmetric box: one field, shape
     (M,)*n, or a stack of k fields, shape (k, *(M,)*n).
 
-    Index a of each trailing axis corresponds to frequency xi = a - (M-1)/2.
+    Numpy's FFT order: index j of each trailing axis holds frequency j for
+    j <= (M-1)/2 and j - M above it, so index xi holds c(xi) for every xi.
     """
 
     grid: TorusGrid
@@ -231,10 +240,9 @@ class SpectralField:
     def __getitem__(self, xi) -> complex | np.ndarray:
         """Coefficient at the integer frequency tuple xi: a complex for one
         field, the (k,) array of each field's for a stack."""
-        h = self.grid.box_radius
-        idx = tuple(operator.index(x) + h for x in xi)
+        idx = tuple(map(operator.index, xi))
         if len(idx) != self.grid.dimension or any(
-            a < 0 or a >= self.grid.points_per_axis for a in idx
+            abs(a) > self.grid.box_radius for a in idx
         ):
             raise IndexError(f"frequency {tuple(xi)} outside the stored box")
         value = self.coefficients[(Ellipsis, *idx)]
@@ -243,8 +251,10 @@ class SpectralField:
     def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
         """True when c(-xi) == conj(c(xi)) within tol, i.e. the field is real;
         for a stack, when every field is."""
-        flipped = self.coefficients[(Ellipsis, *(slice(None, None, -1),) * self.grid.dimension)]
-        return bool(np.max(np.abs(flipped - np.conj(self.coefficients)), initial=0.0) <= tol)
+        # entry j of each axis against entry -j mod M: reversed, then rolled by one
+        axes = tuple(range(-self.grid.dimension, 0))
+        reflected = np.roll(np.flip(self.coefficients, axis=axes), 1, axis=axes)
+        return bool(np.max(np.abs(reflected - np.conj(self.coefficients)), initial=0.0) <= tol)
 
 
 def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
@@ -252,39 +262,18 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
         raise ValueError(f"fields live on different grids: {a} vs {b}")
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_blocks(m: int, dimension: int, into_box: bool) -> tuple:
-    """(destination, source) index pairs of a cyclic shift of the trailing
-    `dimension` axes by h = (M-1)/2 (into the box, as fftshift on odd M) or
-    by M - h (out of it, as ifftshift): the 2**n blocks np.roll copies."""
-    shift = m // 2 if into_box else m - m // 2
-    halves = ((slice(shift, None), slice(None, m - shift)),
-              (slice(None, shift), slice(m - shift, None)))
-    return tuple(
-        ((Ellipsis, *(dst for dst, _ in blocks)), (Ellipsis, *(src for _, src in blocks)))
-        for blocks in itertools.product(halves, repeat=dimension)
-    )
-
-
-def _box_shift(values: np.ndarray, dimension: int, into_box: bool) -> np.ndarray:
-    out = np.empty_like(values)
-    for dst, src in _shift_blocks(values.shape[-1], dimension, into_box):
-        out[dst] = values[src]
-    return out
-
-
 def _analysis(values: np.ndarray, dimension: int) -> np.ndarray:
-    """Forward transform of the trailing `dimension` axes, shifted into the box."""
+    """Forward transform of the trailing `dimension` axes, in FFT order."""
     coefficients = np.fft.fft(values, axis=-1, norm="forward")
     for axis in range(-2, -dimension - 1, -1):
         np.fft.fft(coefficients, axis=axis, norm="forward", out=coefficients)
-    return _box_shift(coefficients, dimension, into_box=True)
+    return coefficients
 
 
 def _synthesis(coefficients: np.ndarray, dimension: int) -> np.ndarray:
     """Inverse of `_analysis` over the trailing `dimension` axes."""
-    values = _box_shift(coefficients, dimension, into_box=False)
-    for axis in range(-1, -dimension - 1, -1):
+    values = np.fft.ifft(coefficients, axis=-1, norm="forward")
+    for axis in range(-2, -dimension - 1, -1):
         np.fft.ifft(values, axis=axis, norm="forward", out=values)
     return values
 
@@ -320,14 +309,14 @@ _BLOCK_LINES = 16
 def _frequency_vectors(grid: TorusGrid) -> np.ndarray:
     """Every stored frequency as an integer row, in storage order: (size, n)."""
     indices = np.indices(grid.shape).reshape(grid.dimension, grid.size)
-    return indices.T - grid.box_radius
+    return _axis_frequencies(grid.points_per_axis)[indices.T]
 
 
 def _axis_blocks(outputs: np.ndarray, inputs: np.ndarray, sign: int):
     """Yield (rows, table) over blocks of rows of the M x M axis table.
 
     table[r, k] = exp(sign * 2 pi i outputs[r] inputs[k] / M), one row per
-    output index in outputs[rows]; the outputs are consecutive integers.
+    output index in outputs[rows]; the outputs are consecutive integers mod M.
     The phase is an exact integer, so each entry is the root of unity at
     (outputs[r] * inputs[k]) mod M, looked up instead of evaluated.  Row
     start + r of a block has the phase (outputs[start] inputs[k] mod M) +
@@ -354,7 +343,7 @@ def _direct_sum(values: np.ndarray, dimension: int, sign: int) -> np.ndarray:
     axis table's transpose, so after `dimension` passes the axes are back
     in order."""
     m = values.shape[-1]
-    modes, points = np.arange(m) - m // 2, np.arange(m)
+    modes, points = _axis_frequencies(m), np.arange(m)
     outputs, inputs = (modes, points) if sign < 0 else (points, modes)
     rest = m ** (dimension - 1)
     stack = values.reshape(-1, m, rest)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,11 @@ def grid_2d_9() -> TorusGrid:
 
 def spectral_delta(grid: TorusGrid, *modes: tuple) -> SpectralField:
     """Field with unit coefficient at each given frequency, zero elsewhere."""
-    arr = np.zeros(grid.shape, dtype=np.complex128)
-    h = grid.box_radius
+    c = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
     for xi in modes:
-        arr[tuple(int(x) + h for x in xi)] = 1.0
-    return SpectralField(grid, arr)
+        c[xi]  # refuses a frequency outside the box
+        c.coefficients[tuple(int(x) for x in xi)] = 1.0
+    return c
 
 
 def random_spectral(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -36,6 +38,19 @@ def random_grid(grid: TorusGrid, rng: np.random.Generator) -> GridField:
     return GridField(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
+
+
+def peak_in_fields(grid: TorusGrid, call) -> float:
+    """tracemalloc's peak over one `call()`, made after a first call has
+    warmed up every cache, in complex fields of the grid's size."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.size * np.dtype(np.complex128).itemsize)
 
 
 def per_mode_residuals(grid, symbol):

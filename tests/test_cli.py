@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -222,7 +223,9 @@ def test_transform_json_roundtrips(tmp_path):
 @pytest.mark.parametrize("n, points", [(1, 15), (2, 9), (3, 5)])
 def test_field_documents_read_back_bit_exactly(tmp_path, n, points):
     """`transform`'s coefficients and `solve`'s solution, read back with
-    `json.load` and `np.asarray`, equal the library's arrays bit for bit."""
+    `json.load` and `np.asarray`, equal the library's arrays bit for bit:
+    the coefficients after `np.fft.ifftshift`, since a file lists the box
+    centred and the library stores it in FFT order."""
     seed, out = 7, tmp_path / "out.json"
     grid = transform_mod.TorusGrid(n, points)
     f = transform_mod.random_field(grid, np.random.default_rng(seed))
@@ -232,7 +235,7 @@ def test_field_documents_read_back_bit_exactly(tmp_path, n, points):
     with open(out) as fh:
         read_grid, values = _read_field(json.load(fh), "spectral")
     assert read_grid == grid
-    assert np.array_equal(values, transform_mod.forward(f).coefficients)
+    assert np.array_equal(np.fft.ifftshift(values), transform_mod.forward(f).coefficients)
     assert run("solve", *common) == 0
     with open(out) as fh:
         read_grid, values = _read_field(json.load(fh)["solution"], "grid")
@@ -897,7 +900,7 @@ def _perturbed_solution(f, xi, residual):
     grid = f.grid
     exact, _ = solver_mod.solve_multiplier(f)
     coefficients = np.zeros(grid.shape, dtype=np.complex128)
-    coefficients[xi + grid.box_radius] = 1.0
+    coefficients[xi] = 1.0
     mode = _inverse(transform_mod.SpectralField(grid, coefficients))
     size = residual * transform_mod.grid_l2_norm(f)
     return exact + mode * (size / ((1 + xi**2) * transform_mod.grid_l2_norm(mode)))
@@ -998,6 +1001,21 @@ def test_numerical_failure_exits_1_and_writes_nothing(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"numerical failure: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_transform_with_an_overflowing_sobolev_weight_exits_1_and_writes_nothing(
+    tmp_path, capsys
+):
+    # (1 + 32)^400 overflows at 2-D M=9's corner: a numerical failure,
+    # raised before anything is printed, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("transform", "--dimension", 2, "--points", 9, "--seed", 1,
+                   "--sobolev", 400, "--output", tmp_path / "t.csv") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: Sobolev norm of order 400.0 is not finite on the box\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1438,10 +1456,11 @@ def test_verify_draws_its_stacks_as_it_drew_one_field_at_a_time(monkeypatch, n, 
     checks._verify_fast_vs_naive(grid, seed)
     rng = np.random.default_rng(seed)
     assert len(analysed) == len(synthesised) == 1
+    # six spectral draws, a field's then a spectral field's, alternately
     for i in range(3):
-        u, c = transform_mod.random_field(grid, rng), cli._random_spectral_field(grid, rng)
-        assert np.array_equal(analysed[0][i], u.values)
-        assert np.array_equal(synthesised[0][i], c.coefficients)
+        u, c = (cli._random_spectral_field(grid, rng).coefficients for _ in range(2))
+        assert np.array_equal(analysed[0][i], u)
+        assert np.array_equal(synthesised[0][i], c)
 
     monkeypatch.undo()
     profiled = _captured(monkeypatch, embedding_mod, "tail_profile")

@@ -30,7 +30,7 @@ from toruskit.operators import (
     symbol_array,
     truncated_resolvent_symbol,
 )
-from toruskit.transform import random_field
+from toruskit.transform import _random_coefficients
 
 from conftest import random_spectral, spectral_delta
 
@@ -422,12 +422,13 @@ def test_pairwise_distances_oracle_is_direct():
 
 def _family_one_field_at_a_time(grid, count, h1_bound, seed):
     """The family as it was drawn one field at a time, each field through
-    `random_field` and rescaled alone: the oracle of the stacked draw."""
+    `transform._random_coefficients` and rescaled alone: the oracle of the
+    stacked draw."""
     rng = np.random.default_rng(seed)
     weights = 1.0 / (1.0 + norm_sq_array(grid))
 
     def draw(scale):
-        c = SpectralField(grid, random_field(grid, rng).values * weights)
+        c = SpectralField(grid, _random_coefficients(grid, rng, 1)[0] * weights)
         return SpectralField(grid, c.coefficients * (scale / math.sqrt(sobolev_norm_sq(c, 1.0))))
 
     anchors = [draw(0.8 * h1_bound) for _ in range(4)]
@@ -448,10 +449,10 @@ def test_stacked_draw_gives_the_per_field_family_bit_for_bit(n, m, seed):
 def test_bounded_sequence_holds_the_stack_it_is_given():
     g = TorusGrid(1, 9)
     stack = np.zeros((3, *g.shape), complex)
-    stack[:, g.box_radius] = 0.5
+    stack[:, 0] = 0.5
     seq = BoundedSequence(SpectralField(g, stack), h1_bound=1.0)
     assert seq.coefficients is stack and seq.grid == g
-    stack[1, g.box_radius + 1] = 1.0  # H^1 norm sqrt(2.25) of item 1
+    stack[1, 1] = 1.0  # H^1 norm sqrt(2.25) of item 1
     with pytest.raises(ValueError, match=r"^item 1 violates the H\^1 bound: 1.5 > 1.0$"):
         BoundedSequence(SpectralField(g, stack), h1_bound=1.0)
 

@@ -25,8 +25,8 @@ from toruskit import transform as transform_mod
 
 
 def _symbol_off_at_one_mode(monkeypatch):
-    # the cached |xi|^2 array, wrong at the last stored mode by just enough
-    # to move the resolvent there by 1e-9
+    # the cached |xi|^2 array, wrong at the last stored mode, xi = (-1, ...,
+    # -1), by just enough to move the resolvent there by 1e-9
     exact = operators_mod.norm_sq_array
 
     def faulty(grid):
@@ -68,12 +68,15 @@ def _inverse_off_at_one_point(monkeypatch):
     monkeypatch.setattr(transform_mod, "inverse", faulty)
 
 
-def _box_shift_off_by_one_mode(monkeypatch):
-    # both directions move one more mode along the last axis, so round
-    # trips still hold and only the frequency labels are wrong
-    exact = transform_mod._box_shift
-    monkeypatch.setattr(transform_mod, "_box_shift", lambda values, n, into_box: np.roll(
-        exact(values, n, into_box), -1 if into_box else 1, axis=-1))
+def _frequency_labels_off_by_one_mode(monkeypatch):
+    # the analysis stores each coefficient one index early along the last
+    # axis and the synthesis reads it from there, so round trips still hold
+    # and only the frequency labels are wrong
+    analysis, synthesis = transform_mod._analysis, transform_mod._synthesis
+    monkeypatch.setattr(transform_mod, "_analysis",
+                        lambda values, n: np.roll(analysis(values, n), -1, axis=-1))
+    monkeypatch.setattr(transform_mod, "_synthesis",
+                        lambda coefficients, n: synthesis(np.roll(coefficients, 1, axis=-1), n))
 
 
 def _synthesis_modulated(monkeypatch):
@@ -204,7 +207,7 @@ FAULTS = {
     "resolvent-1/(2+k)": _resolvent_one_over_two_plus_k,
     "forward-scaled-1+1e-9": _forward_scaled,
     "inverse-off-at-one-point": _inverse_off_at_one_point,
-    "box-shift-off-by-one-mode": _box_shift_off_by_one_mode,
+    "frequency-labels-off-by-one-mode": _frequency_labels_off_by_one_mode,
     "synthesis-not-translation-invariant": _synthesis_modulated,
     "axis-table-root-off-1e-9": _axis_table_root_off,
     "truncation-keeps-k=(N+1)^2": _truncation_keeps_its_boundary,

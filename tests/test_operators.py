@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_truncation_cutoff_zero_keeps_only_constant(grid_2d_9):
     out = multiplied(c, truncated_resolvent_symbol(0))
     assert out[(0, 0)] == c[(0, 0)]
     rest = out.coefficients.copy()
-    rest[grid_2d_9.box_radius, grid_2d_9.box_radius] = 0.0
+    rest[0, 0] = 0.0
     assert np.max(np.abs(rest)) == 0.0
 
 
@@ -137,6 +138,20 @@ def test_sobolev_rejects_non_finite_order(grid_2d_9):
     c = spectral_delta(grid_2d_9, (0, 0))
     with pytest.raises(ValueError):
         sobolev_norm_sq(c, math.inf)
+
+
+def test_sobolev_norm_that_overflows_is_a_numerical_failure(grid_2d_9):
+    # (1 + 32)^400 overflows at the box's corner, and a coefficient of 1e200
+    # overflows the sum under finite weights; neither warns, and weights
+    # that underflow are finite
+    c = spectral_delta(grid_2d_9, (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="order 400.0 is not finite"):
+            sobolev_norm_sq(c, 400.0)
+        with pytest.raises(NonFiniteError, match="order 1.0 is not finite"):
+            sobolev_norm_sq(c * 1e200, 1.0)
+        assert sobolev_norm_sq(c, -400.0) == 1.0
 
 
 def test_l2_norm_basics(grid_2d_9):
@@ -257,7 +272,7 @@ def test_symbol_takes_of_norm_sq_by_keyword_only():
         MultiplierSymbol("x", lambda xi: 1.0)
     sym = MultiplierSymbol("x", of_norm_sq=lambda k: 2.0 * k)
     assert sym((1, 1)) == 4.0
-    assert np.array_equal(symbol_array(sym, TorusGrid(1, 3)), [2.0, 0.0, 2.0])
+    assert np.array_equal(symbol_array(sym, TorusGrid(1, 3)), [0.0, 2.0, 2.0])
 
 
 def _reference_symbols(cutoff: int) -> list:

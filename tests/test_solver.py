@@ -22,7 +22,7 @@ from toruskit import transform as transform_mod
 from toruskit.operators import norm_sq_array
 from toruskit.solver import _fd_helmholtz_array, _iteration_bound, helmholtz_norm
 
-from conftest import spectral_delta
+from conftest import peak_in_fields, spectral_delta
 from test_fault_matrix import FAULTS
 
 
@@ -320,3 +320,13 @@ def test_cg_refuses_a_tol_that_is_not_finite(tol):
     f = random_field(TorusGrid(2, 9), np.random.default_rng(0))
     with pytest.raises(ValueError, match="tol"):
         solve_cg(f, tol=tol)
+
+
+@pytest.mark.parametrize("solve, bound", [(solve_multiplier, 5.5), (solve_cg, 13.5)])
+def test_solve_workspace_in_fields(solve, bound):
+    # tracemalloc's peak at 2-D M=129, in complex fields: 5.14 measured for
+    # the multiplier solve, and 13.01 for CG, which holds x, r, z, p, A z,
+    # A p and f besides an apply's transforms
+    g = TorusGrid(2, 129)
+    f = random_field(g, np.random.default_rng(1))
+    assert peak_in_fields(g, lambda: solve(f)) <= bound
