@@ -5,10 +5,10 @@ Exit codes: 0 on success, 1 when a numerical self-check fails, an
 iterative loop does not converge or a computed field or symbol holds NaN
 or inf, 2 on usage/validation errors.  Commands that draw random data
 require an explicit --seed (there is no wall-clock default), and identical
-configurations produce byte-identical data files but for `bench`'s
-`median_seconds`, with one BLAS thread or two: norms and inner products are
-numpy pairwise sums (`transform._field_sums`), the one LAPACK call left is the
-Lanczos `eigh`, and `solve` prints its wall times instead of writing them.
+configurations produce byte-identical data files, with one BLAS thread or
+two: norms and inner products are numpy pairwise sums
+(`transform._field_sums`), the one LAPACK call left is the Lanczos `eigh`,
+and `solve` and `bench` print their wall times instead of writing them.
 
 The self-checks and `verify`'s groups are in `checks`.  A flag whose rule
 needs no other flag is validated once, by its argparse `type=`, so a bad
@@ -359,8 +359,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """The `solve` check on each repetition's seeded input; rows hold each
-    method's medians, and a failure on any repetition fails the command."""
+    """Each method's medians over the seeded repetitions of the `solve` check,
+    the wall time printed; a failure on any repetition fails the command."""
     grid = _make_grid(args.dimension, args.points)
     rng = np.random.default_rng(args.seed)
     runs, failures = [], []
@@ -368,15 +368,15 @@ def _cmd_bench(args) -> int:
         _, reports, _, run_failures = checks.check_solve(transform.random_field(grid, rng))
         runs.append(reports)
         failures += [f"repetition {repetition}: {failure}" for failure in run_failures]
-    rows = [
-        (reports[0].method, args.dimension, args.points, args.seed,
-         statistics.median(r.wall_time for r in reports),
-         statistics.median(r.residual_l2 for r in reports),
-         int(round(statistics.median(r.iterations for r in reports))))
-        for reports in zip(*runs)
-    ]
+    rows = []
+    for reports in zip(*runs):
+        print(f"{reports[0].method} median over {args.repetitions} repetitions "
+              f"({statistics.median(r.wall_time for r in reports):.6f} s)")
+        rows.append((reports[0].method, args.dimension, args.points, args.seed,
+                     statistics.median(r.residual_l2 for r in reports),
+                     int(round(statistics.median(r.iterations for r in reports)))))
     _write_table(args, lambda: _record_table(
-        ("method", "n", "M", "seed", "median_seconds", "residual_l2", "iterations"), rows))
+        ("method", "n", "M", "seed", "residual_l2", "iterations"), rows))
     return _report_failures(failures)
 
 

@@ -252,16 +252,9 @@ def test_criterion_11_determinism(tmp_path):
     c, d = tmp_path / "b1.csv", tmp_path / "b2.csv"
     assert cli.main(bench_args + ["--output", str(c)]) == 0
     assert cli.main(bench_args + ["--output", str(d)]) == 0
-
-    def drop_timing(path):
-        rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-        col = rows[0].index("median_seconds")
-        return [[v for i, v in enumerate(r) if i != col] for r in rows]
-
-    bench_ok = drop_timing(c) == drop_timing(d)
+    bench_ok = c.read_bytes() == d.read_bytes()
     _report(
         "criterion 11 (determinism)",
         trunc_ok and bench_ok,
-        f"truncate bytes identical: {trunc_ok}; bench identical minus timing: "
-        f"{bench_ok}",
+        f"truncate bytes identical: {trunc_ok}; bench bytes identical: {bench_ok}",
     )
